@@ -20,9 +20,16 @@ from spans import PassResult, Recorder, check_repeats
 RUNGS = (10, 50, 200)
 N_POINTS = 200
 DAMPED_RUNG = 50
-TOLERANCE = 1e-6
-MAX_SWEEPS = 100
-# Largest per-site moment mismatch a converged fit may show; fits at
+# Every fit runs exactly this many sweeps, so that a pass does the same work
+# whatever the seed: stopping at tolerance 1e-6 takes a number of sweeps that
+# depends on the data (7-8 at d10, 8-10 at d50, 6-7 at d200 and 28-30 for
+# the damped fit over seeds 100..109), and that alone spread the work of a
+# pass by 0.12 (IQR / median) across seeds.  Each count is a few sweeps
+# above the largest seen, so every fit ends converged past tolerance 1e-6.
+SWEEPS = {10: 12, 50: 14, 200: 10}
+DAMPED_SWEEPS = 36
+NEVER = 1e-300   # a tolerance no sweep's largest change falls below
+# Largest per-site moment mismatch a fit may end with; fits converged to
 # tolerance 1e-6 sit near 1e-7.
 RESIDUAL_BOUND = 1e-5
 
@@ -41,17 +48,18 @@ class BpmLadder:
     def __init__(self, seed: int, smoke: bool, workdir):
         rungs = RUNGS[:1] if smoke else RUNGS
         datasets = {d: probit_dataset(d, N_POINTS, seed) for d in rungs}
-        undamped = EPOptions(tolerance=TOLERANCE, max_sweeps=MAX_SWEEPS)
-        damped = EPOptions(tolerance=TOLERANCE, max_sweeps=MAX_SWEEPS,
+        damped = EPOptions(tolerance=NEVER, max_sweeps=DAMPED_SWEEPS,
                            damping=0.5, schedule=Schedule("random", seed))
-        self.jobs = [(datasets[d], undamped) for d in rungs]
+        self.jobs = [(datasets[d], EPOptions(tolerance=NEVER, max_sweeps=SWEEPS[d]))
+                     for d in rungs]
         self.jobs.append((datasets[rungs[0] if smoke else DAMPED_RUNG], damped))
         self.reference = None
+        self.windows = 1   # every pass fits the same inputs
 
     def until_first_call(self) -> None:
         """Nothing: the inputs are built by the constructor."""
 
-    def run_pass(self, rec: Recorder) -> PassResult:
+    def run_pass(self, rec: Recorder, window: int = 0) -> PassResult:
         outcomes = []
         t0 = time.perf_counter()
         for dataset, opts in self.jobs:
@@ -82,8 +90,6 @@ def _check(dataset, outcome) -> str:
     if isinstance(outcome, str):
         return f"raised {outcome}"
     res = outcome.result
-    if not res.converged:
-        return f"not converged after {res.sweeps} sweeps"
     post = res.posterior
     if not (np.all(np.isfinite(post.mean)) and np.all(np.isfinite(post.covariance))):
         return "non-finite posterior"

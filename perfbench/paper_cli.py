@@ -1,6 +1,8 @@
 """paper-cli workload: `epkit clutter`, `epkit bpm` and `epkit loopy` with
 their default configurations over seeds seed..seed+19, run through
-`epkit.cli.main` with `--out` in a scratch directory.
+`epkit.cli.main` with `--out` in a scratch directory.  The timed passes of
+an untraced run cycle through the windows seed..seed+19, seed+20..seed+39
+and seed+40..seed+59.
 
 This is the end-to-end run the project's aims define.  Its time goes mostly
 to the oracles (2^12 mixture enumeration, 10^5-sample importance sampling)
@@ -17,32 +19,42 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import math
+import statistics
 import time
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
+
 from epkit import cli, experiments
 from epkit.bpm import BpmBinding
-from epkit.clutter import ClutterBinding
+from epkit.clutter import ClutterBinding, ClutterDataSpec, generate_clutter_data
+from epkit.experiments import ExperimentConfig
 from spans import PassResult, Recorder
 
 EXPERIMENTS = ("clutter", "bpm", "loopy")
 SEEDS_PER_PASS = 20
+WINDOWS = 3   # seed windows the timed passes of an untraced run cycle through
 FIT_METHODS = ("adf", "ep")   # for loopy rows: adf is bk_adf, ep is loopy_ep
+ERROR_COLUMNS = ("log_evidence_error", "mean_error")
 
 # Largest (log-evidence error, mean error) a row may show against the
-# experiment's oracle.  Maxima over seeds 1..120 at this commit, in brackets.
+# experiment's oracle, where the bound is a constant (clutter bounds depend
+# on the data: see clutter_bounds).  Maxima over 200 (bpm) and 2000 (loopy)
+# random seeds at this commit, in brackets.
 ERROR_BOUNDS = {
-    ("clutter", "adf"): (10.0, 10.0),        # (3.94, 3.18)
-    # intermediate sweeps of EP runs, which orbit on some seeds (14.0, 93.5)
-    ("clutter", "ep"): (50.0, 250.0),
-    # final sweep of a converged clutter EP run (3.06, 6.50)
-    ("clutter", "ep-final"): (10.0, 20.0),
-    ("bpm", "adf"): (0.1, 0.1),              # (0.024, 0.024)
-    ("bpm", "ep"): (0.1, 0.1),               # (0.024, 0.024)
-    ("loopy", "adf"): (0.5, 1.0),            # (0.084, 0.29): BK-ADF is inexact
-    ("loopy", "ep"): (1e-8, 1e-8),           # (3.6e-15, 3.3e-15): exact on trees
+    ("bpm", "adf"): (0.1, 0.1),              # (0.028, 0.025)
+    ("bpm", "ep"): (0.1, 0.1),               # (0.028, 0.025)
+    ("loopy", "adf"): (0.5, 1.0),            # (0.18, 0.54): BK-ADF is inexact
+    # Loopy EP is exact on trees up to its stopping rule: the run ends once no
+    # message moves by the default tolerance 1e-4 in a sweep.
+    ("loopy", "ep"): (1e-8, 1e-3),           # (3.6e-15, 5.8e-5)
 }
+# Median (log-evidence error, mean error) of the final checkpoints of the
+# pass's converged clutter EP runs.  Over 20000 draws of 20 seeds from 600
+# random seeds at this commit, the largest medians were (0.043, 0.14).
+CLUTTER_EP_MEDIAN_BOUND = (0.25, 0.5)
 # Training-error rate of ADF and EP on the built-in separable BPM set.
 TRAIN_ERROR_BOUND = 0.0
 # The first EP checkpoint is the ADF state; its errors match to rounding.
@@ -55,13 +67,19 @@ class _FirstCall(Exception):
 
 class PaperCli:
     def __init__(self, seed: int, smoke: bool, workdir: Path):
-        last = seed if smoke else seed + SEEDS_PER_PASS - 1
-        self.seeds = range(seed, last + 1)
+        # How many of a pass's clutter EP runs never converge (100 sweeps
+        # against about 7) depends on the seeds: over ten windows of 20 it
+        # ranged from 1 to 6, and pass times with it by 0.13 (IQR / median).
+        # Timed passes therefore cycle through WINDOWS windows of 20 seeds.
+        self.windows = 1 if smoke else WINDOWS
+        per_window = 1 if smoke else SEEDS_PER_PASS
+        self.seeds = [range(seed + w * per_window, seed + (w + 1) * per_window)
+                      for w in range(self.windows)]
         self.workdir = workdir
-        self.argv = {kind: [kind, "--seed-range", f"{seed}..{last}",
-                            "--out", str(workdir / f"{kind}.csv")]
-                     for kind in EXPERIMENTS}
-        self.reference: dict[str, tuple[bytes, bytes]] = {}
+        self.argv = [{kind: [kind, "--seed-range", f"{seeds[0]}..{seeds[-1]}",
+                             "--out", str(workdir / f"{kind}.csv")]
+                      for kind in EXPERIMENTS} for seeds in self.seeds]
+        self.reference: dict[tuple[str, int], tuple[bytes, bytes]] = {}
 
     def until_first_call(self) -> None:
         """Run `epkit clutter` up to its first oracle call: argument parsing,
@@ -70,9 +88,10 @@ class PaperCli:
             raise _FirstCall
         with _patched(experiments, {"exact_clutter": stop}), \
                 contextlib.suppress(_FirstCall):
-            cli.main(self.argv["clutter"])
+            cli.main(self.argv[0]["clutter"])
 
-    def run_pass(self, rec: Recorder) -> PassResult:
+    def run_pass(self, rec: Recorder, window: int = 0) -> PassResult:
+        argv, seeds = self.argv[window], self.seeds[window]
         parts, raised = {}, {}
         t0 = time.perf_counter()
         with _patched(experiments, _experiment_names(rec)), \
@@ -81,7 +100,7 @@ class PaperCli:
             for kind in EXPERIMENTS:
                 t1 = time.perf_counter()
                 try:
-                    code = rec.call("cli.main", cli.main, self.argv[kind], tag=kind)
+                    code = rec.call("cli.main", cli.main, argv[kind], tag=kind)
                     if code != 0:
                         raised[kind] = f"exit code {code}"
                 except Exception as exc:  # noqa: BLE001 - a failed run is counted
@@ -91,24 +110,24 @@ class PaperCli:
 
         failures = {}
         for kind in EXPERIMENTS:
-            names = [f"{kind} seed{s} {m}" for s in self.seeds for m in FIT_METHODS]
-            reason = raised.get(kind) or self._repeat_reason(kind)
+            names = [f"{kind} seed{s} {m}" for s in seeds for m in FIT_METHODS]
+            reason = raised.get(kind) or self._repeat_reason(kind, window)
             if reason:
                 failures.update((name, reason) for name in names)
                 continue
             rows = list(csv.DictReader(io.StringIO(
                 (self.workdir / f"{kind}.csv").read_text())))
-            failures.update(check_rows(kind, self.seeds, rows))
-        attempted = len(EXPERIMENTS) * len(self.seeds) * len(FIT_METHODS)
-        return PassResult(wall, rec, attempted, failures, parts)
+            failures.update(check_rows(kind, seeds, rows))
+        attempted = len(EXPERIMENTS) * len(seeds) * len(FIT_METHODS)
+        return PassResult(wall, rec, attempted, failures, parts, window)
 
-    def _repeat_reason(self, kind: str) -> str:
+    def _repeat_reason(self, kind: str, window: int) -> str:
         """The CSV and sidecar must be byte-identical to the run's first
-        pass; empty when they are."""
+        pass over the same seeds; empty when they are."""
         out = self.workdir / f"{kind}.csv"
         files = (out.read_bytes(), Path(f"{out}.meta.json").read_bytes())
-        if self.reference.setdefault(kind, files) != files:
-            return "output differs from the run's first pass"
+        if self.reference.setdefault((kind, window), files) != files:
+            return "output differs from the run's first pass over these seeds"
         return ""
 
 
@@ -121,13 +140,52 @@ def check_rows(kind: str, seeds, rows: list[dict]) -> dict[str, str]:
     for seed in seeds:
         adf = groups.get((seed, "adf"), [])
         for method in FIT_METHODS:
-            reason = _fit_reason(kind, method, groups.get((seed, method), []), adf)
+            reason = _fit_reason(kind, seed, method, groups.get((seed, method), []), adf)
             if reason:
                 failures[f"{kind} seed{seed} {method}"] = reason
+    if kind == "clutter":
+        finals = {}   # fit name -> final row of each converged EP run
+        for seed in seeds:
+            ep = groups.get((seed, "ep"))
+            if ep and ep[-1]["converged"] == "true":
+                finals[f"clutter seed{seed} ep"] = ep[-1]
+        medians = tuple(statistics.median(float(r[c]) for r in finals.values())
+                        for c in ERROR_COLUMNS) if finals else (0.0, 0.0)
+        if not all(m <= b for m, b in zip(medians, CLUTTER_EP_MEDIAN_BOUND)):
+            for name in finals:
+                failures.setdefault(name, f"median converged EP error {medians} "
+                                          f"above {CLUTTER_EP_MEDIAN_BOUND}")
     return failures
 
 
-def _fit_reason(kind: str, method: str, rows: list[dict], adf: list[dict]) -> str:
+def clutter_bounds(seed: int) -> tuple[float, float]:
+    """(log-evidence error, mean error) bounds that clutter ADF meets on
+    every data set, evaluated on the default experiment's data for `seed`.
+
+    Each ADF step moves the mean to a convex combination of the current mean
+    and one observation, and each component of the exact posterior mixture
+    has its mean in the same convex hull of the prior mean 0 and the data:
+    the mean error is at most the diagonal of that hull's bounding box.
+    Each term t_i(x) = (1-w) N(y_i; x, I) + w N(y_i; 0, v I) lies between
+    c_i = w N(y_i; 0, v I) and c_i + (1-w) (2 pi)^(-d/2), so the exact
+    evidence and ADF's product of per-step normalizers both lie between the
+    products of those limits, whose log ratio bounds the evidence error.
+    """
+    config = ExperimentConfig(kind="clutter")
+    model = generate_clutter_data(ClutterDataSpec(
+        x_true=np.asarray(config.x_true), n=config.n, w=config.w, seed=seed))
+    y, d, v = model.data, model.d, model.clutter_variance
+    hull = np.vstack([np.zeros((1, d)), y])
+    mean_bound = float(np.linalg.norm(hull.max(axis=0) - hull.min(axis=0)))
+    log_c = (math.log(model.w) - 0.5 * d * math.log(2.0 * math.pi * v)
+             - 0.5 * np.sum(y * y, axis=1) / v)
+    log_inlier = math.log1p(-model.w) - 0.5 * d * math.log(2.0 * math.pi)
+    ev_bound = float(np.sum(np.logaddexp(0.0, log_inlier - log_c)))
+    return ev_bound, mean_bound
+
+
+def _fit_reason(kind: str, seed: int, method: str, rows: list[dict],
+                adf: list[dict]) -> str:
     if not rows:
         return "no rows"
     if kind == "bpm":
@@ -141,18 +199,25 @@ def _fit_reason(kind: str, method: str, rows: list[dict], adf: list[dict]) -> st
         first = adf[0] if adf else None
         if first is None or any(
                 not abs(float(rows[0][c]) - float(first[c])) <= FIRST_SWEEP_BOUND
-                for c in ("log_evidence_error", "mean_error")):
+                for c in ERROR_COLUMNS):
             return "first EP checkpoint differs from the ADF row"
-    bounds = [(rows, ERROR_BOUNDS[(kind, method)])]
-    if kind == "clutter" and method == "ep" and rows[-1]["converged"] == "true":
-        bounds.append((rows[-1:], ERROR_BOUNDS[(kind, "ep-final")]))
-    for subset, (ev_bound, mean_bound) in bounds:
-        for r in subset:
-            if not (float(r["log_evidence_error"]) <= ev_bound
-                    and float(r["mean_error"]) <= mean_bound):
-                return (f"checkpoint {r['checkpoint']} error "
-                        f"({r['log_evidence_error']}, {r['mean_error']}) above "
-                        f"({ev_bound}, {mean_bound})")
+    if kind != "clutter":
+        bounded = rows
+        bounds = ERROR_BOUNDS[(kind, method)]
+    else:
+        # Clutter EP carries no accuracy guarantee for one data set: its
+        # runs can orbit (one reached a mean error of 8653), and a run that
+        # skips improper cavities can settle outside the data's hull (seed
+        # 1518867573: mean -15.8 with data in [-9.5, 5.4]).  Its errors need
+        # only be finite here; check_rows bounds their median over seeds.
+        if not all(math.isfinite(float(r[c])) for r in rows for c in ERROR_COLUMNS):
+            return "non-finite error"
+        bounded = rows if method == "adf" else []
+        bounds = clutter_bounds(seed)
+    for r in bounded:
+        if not all(float(r[c]) <= b for c, b in zip(ERROR_COLUMNS, bounds)):
+            return (f"checkpoint {r['checkpoint']} error "
+                    f"({r['log_evidence_error']}, {r['mean_error']}) above {bounds}")
     return ""
 
 

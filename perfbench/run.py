@@ -4,12 +4,15 @@
         --seed N --seconds S --trace 0|1
 
 Runs from the root of a source checkout and imports epkit from its `src/`.
-A run measures set-up time in fresh interpreters, then repeats timed passes
-of the workload for about S seconds (at least two), checking every pass's
-answers.  With --trace 0 every pass is untraced and the end-to-end metrics
-are printed; with --trace 1 untraced and traced passes alternate and the
-per-layer metrics are printed.  The last stdout line is the JSON result;
-the line before it records the environment.  Traces and scratch files go
+A run measures set-up time in fresh interpreters, then repeats passes of
+the workload for about S seconds (at least two, and one more than the
+workload's input windows), checking every pass's answers; the first pass
+is not timed.  With --trace 0 every pass is untraced, a reference loop
+(reference.py) is timed at fit and sweep boundaries during the timed
+passes, and the end-to-end metrics are printed, scaled to the reference
+machine's speed; with --trace 1 untraced and traced passes alternate and
+the per-layer metrics are printed.  The last stdout line is the JSON
+result; the line before it records the environment.  Traces and scratch files go
 to `.perfbench_out/` in the checkout.  See perfbench/README.md.
 """
 import os
@@ -40,6 +43,7 @@ WORKLOADS = {"paper-cli": ("paper_cli", "PaperCli"),
              "bpm-ladder": ("bpm_ladder", "BpmLadder"),
              "loopy-ladder": ("loopy_ladder", "LoopyLadder")}
 SETUP_PROBES = 5
+SETUP_SAMPLES = 6   # reference samples each set-up probe takes
 MIN_PASSES = 2
 END_TO_END_UNITS = {"wall_s": "s", "setup_s": "s", "peak_rss_mb": "MiB"}
 
@@ -94,20 +98,35 @@ def make_workload(args, workdir: Path):
     return getattr(importlib.import_module(module), cls)(args.seed, args.smoke, workdir)
 
 
-def setup_seconds(args) -> float:
+def setup_seconds(args) -> tuple[float, float]:
     """Median, over fresh interpreters, of the time from process start to
-    the workload's first fit (or oracle) call."""
+    the workload's first fit (or oracle) call; and the slowdown meanwhile,
+    from reference samples each interpreter takes once it gets there."""
+    import reference
+
     cmd = [sys.executable, str(Path(__file__).resolve()), "--workload",
            args.workload, "--seed", str(args.seed), "--probe-setup"]
     if args.smoke:
         cmd.append("--smoke")
-    times = []
+    times, speed = [], []
     for _ in range(1 if args.smoke else SETUP_PROBES):
         t0 = clock()
         out = subprocess.run(cmd, capture_output=True, text=True, timeout=120,
                              check=True, cwd=ROOT)
-        times.append(float(out.stdout.split()[-1]) - t0)
-    return statistics.median(times)
+        reached, sample = map(float, out.stdout.split()[-2:])
+        times.append(reached - t0)
+        speed.append(sample)
+    return statistics.median(times), statistics.mean(speed) / reference.NOMINAL_S
+
+
+def pass_seconds(timed) -> float:
+    """Mean time of a timed pass, reference samples left out: the mean over
+    input windows of the mean over that window's passes."""
+    per_window: dict[int, list[float]] = {}
+    for p in timed:
+        per_window.setdefault(p.window, []).append(
+            p.wall_s - p.recorder.sampling_ns / 1e9)
+    return statistics.mean(statistics.mean(v) for v in per_window.values())
 
 
 def environment(args) -> dict:
@@ -133,22 +152,34 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(dir=OUT) as tmp:
         if args.probe_setup:
             make_workload(args, Path(tmp)).until_first_call()
-            print(repr(clock()))
+            reached = clock()
+            import reference
+            speed = statistics.mean(reference.sample() for _ in range(SETUP_SAMPLES))
+            print(repr(reached), repr(speed))
             return 0
         return measure(args, Path(tmp))
 
 
 def measure(args, workdir: Path) -> int:
+    import reference
     from layers import per_layer_metrics
     from spans import Recorder, write_trace
 
-    setup_s = setup_seconds(args)
+    setup_s, setup_slowdown = setup_seconds(args)
     workload = make_workload(args, workdir)
     passes, peak_mib = [], None
+    speed: list[float] = []   # reference samples during the timed passes
+    # The first pass warms caches up and is not timed; an untraced run's
+    # timed passes cycle through the workload's input windows, each at
+    # least once.  A traced run stays on the first window.
+    windows = 1 if args.trace else workload.windows
     start = time.perf_counter()
     while True:
         t0 = time.perf_counter()
-        p = workload.run_pass(Recorder(traced=args.trace == 1 and len(passes) % 2 == 1))
+        timed = not args.trace and len(passes) > 0
+        p = workload.run_pass(Recorder(traced=args.trace == 1 and len(passes) % 2 == 1,
+                                       speed=speed if timed else None),
+                              window=(len(passes) - 1) % windows if timed else 0)
         if peak_mib is None:  # ru_maxrss is KiB on Linux and never decreases
             peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         passes.append(p)
@@ -157,7 +188,8 @@ def measure(args, workdir: Path) -> int:
         for fit, reason in p.failures.items():
             print(f"perfbench: pass {len(passes)}: {fit}: {reason}", file=sys.stderr)
         now = time.perf_counter()
-        if len(passes) >= MIN_PASSES and now - start + (now - t0) > args.seconds:
+        if len(passes) >= max(MIN_PASSES, 1 + windows) \
+                and now - start + (now - t0) > args.seconds:
             break
 
     untraced = [p for p in passes if not p.recorder.traced]
@@ -169,11 +201,14 @@ def measure(args, workdir: Path) -> int:
         write_trace(OUT / f"trace-{args.workload}-seed{args.seed}.jsonl",
                     env, [p.recorder for p in traced])
     else:
-        # Interference from other tenants only ever slows a pass, so the
-        # fastest pass is the steadiest estimate of the program's own cost.
+        # The reference samples say how much slower than the reference
+        # machine this one ran meanwhile (above 1 when other tenants slowed
+        # it down); each time is divided by the slowdown measured with it.
+        slowdown = statistics.mean(speed) / reference.NOMINAL_S
+        env["slowdown"] = {"passes": slowdown, "setup": setup_slowdown}
         metrics = {
-            "wall_s": min(p.wall_s for p in untraced),
-            "setup_s": setup_s,
+            "wall_s": pass_seconds(untraced[1:]) / slowdown,
+            "setup_s": setup_s / setup_slowdown,
             "peak_rss_mb": peak_mib,
         }
         units = END_TO_END_UNITS

@@ -4,17 +4,20 @@ Spans are recorded only from the benchmark's own files, around calls into
 epkit's public functions and binding methods; the library itself carries no
 tracing.  An untraced pass still times each fit call as a whole (two clock
 reads per fit), because `visits_per_s` divides each fit's visits by its time.
+A recorder given a list of reference samples also times the reference loop
+at fit and sweep boundaries (see reference.py).
 """
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from epkit import ModelBinding
+import reference
+from epkit import EPOptions, ModelBinding, Schedule
 
 FIT_SPAN_NAMES = {"ep": "engine.run_ep", "adf": "engine.run_adf",
                   "loopy_ep": "factorgraph.loopy_ep",
@@ -63,6 +66,7 @@ class PassResult:
     attempted: int                  # fit calls the pass makes
     failures: dict[str, str]        # failed fit -> reason; a fit counts once
     parts: dict[str, float] = field(default_factory=dict)
+    window: int = 0                 # which of the workload's input windows
 
     @property
     def failed(self) -> int:
@@ -82,15 +86,44 @@ def fingerprint(fit: FitRecord) -> bytes:
         + np.float64(log_ev).tobytes()
 
 
-class Recorder:
-    """Collects fit records always and spans only when `traced`."""
+@dataclass(frozen=True)
+class SampledSchedule(Schedule):
+    """The same visiting orders, with a reference-sample boundary before
+    each sweep."""
+    recorder: "Recorder | None" = field(default=None, compare=False, repr=False)
 
-    def __init__(self, traced: bool):
+    def orders(self, n: int):
+        for order in super().orders(n):
+            self.recorder.boundary()
+            yield order
+
+
+class Recorder:
+    """Collects fit records always and spans only when `traced`; adds
+    reference samples to `speed` unless it is None."""
+
+    def __init__(self, traced: bool, speed: list[float] | None = None):
         self.traced = traced
+        self.speed = speed
+        self.sampling_ns = 0    # time the reference samples took
         self.spans: list[Span] = []
         self.fits: list[FitRecord] = []
         self._stack: list[int] = []
         self._fit = -1
+        self._next_sample_ns = 0
+
+    def boundary(self) -> None:
+        """At a fit or sweep boundary: time the reference loop if a sample
+        is due."""
+        if self.speed is None:
+            return
+        t0 = time.perf_counter_ns()
+        if t0 < self._next_sample_ns:
+            return
+        self.speed.append(reference.sample())
+        t1 = time.perf_counter_ns()
+        self.sampling_ns += t1 - t0
+        self._next_sample_ns = t1 + int(reference.EVERY_S * 1e9)
 
     def call(self, name: str, fn, *args, tag: str = "", tally=None, **kwargs):
         """fn(*args, **kwargs), inside a span when traced; `tally` (an
@@ -121,6 +154,11 @@ class Recorder:
     def fit(self, model: str, method: str, fn, *args, **kwargs):
         """Run one fit call and record its size, counts and wall time."""
         rec = FitRecord(model, method, _label(model, args), _damped(args, kwargs))
+        if self.speed is not None:
+            self.boundary()
+            args = tuple(replace(a, schedule=SampledSchedule(
+                a.schedule.kind, a.schedule.seed, self)) if isinstance(a, EPOptions)
+                else a for a in args)
         outer, self._fit = self._fit, len(self.fits)
         self.fits.append(rec)
         rec.span = len(self.spans) if self.traced else -1
