@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .engine import ModelBinding, OpTally
 from .gaussians import (
@@ -26,8 +25,10 @@ from .gaussians import (
     NaturalSpherical,
     SphericalGaussian,
     ZeroNormalizerError,
+    _logsumexp,
     divide_out,
     log_normal_pdf,
+    spherical_as_site,
     vacuous_spherical,
 )
 
@@ -116,7 +117,7 @@ def clutter_moment_match(cavity: SphericalGaussian, y: np.ndarray, w: float,
     log_in = math.log1p(-w) + log_normal_pdf(y, m, v + 1.0) if w < 1.0 else -math.inf
     log_cl = math.log(w) + log_normal_pdf(y, np.zeros(d), clutter_variance) \
         if w > 0.0 else -math.inf
-    log_z = float(logsumexp([log_in, log_cl]))
+    log_z = _logsumexp((log_in, log_cl))
     if log_z == -math.inf:
         raise ZeroNormalizerError("zero normalizer")
     r = -math.expm1(log_cl - log_z)  # 1 - clutter share, in [0, 1]
@@ -126,15 +127,6 @@ def clutter_moment_match(cavity: SphericalGaussian, y: np.ndarray, w: float,
         + r * (1.0 - r) * v * v * float(resid @ resid) / (d * (v + 1.0) ** 2)
     return ClutterMatch(posterior=SphericalGaussian(mean=mean, variance=variance),
                         z=math.exp(log_z), log_z=log_z, r=r)
-
-
-def prior_site(prior: SphericalGaussian) -> NaturalSpherical:
-    """The exactly-incorporated prior as a site (a normalized density, so
-    its scale is (2 pi v0)^(-d/2))."""
-    d = prior.dim
-    return NaturalSpherical(
-        precision=prior.precision, shift=prior.shift.copy(),
-        log_scale=-0.5 * d * (LOG_2PI + math.log(prior.variance)))
 
 
 def clutter_log_evidence(prior: SphericalGaussian,
@@ -148,7 +140,7 @@ def clutter_log_evidence(prior: SphericalGaussian,
     negative precisions too.
     """
     d = posterior.dim
-    all_sites = [prior_site(prior)] + list(sites)
+    all_sites = [spherical_as_site(prior)] + list(sites)
     b = float(posterior.mean @ posterior.mean) / posterior.variance
     log_scales = 0.0
     for s in all_sites:

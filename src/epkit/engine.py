@@ -68,8 +68,8 @@ class EPOptions:
     skip_improper_cavity: bool = True
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and positive")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
         if not 0.0 < self.damping <= 1.0:
@@ -281,7 +281,10 @@ def run_ep(model: ModelBinding, opts: EPOptions = EPOptions(),
                 diag.skipped_sites += 1
                 continue
             updated += 1
-            q_new, log_z = model.moment_match(cav, i)
+            try:
+                q_new, log_z = model.moment_match(cav, i)
+            except Exception as exc:  # noqa: BLE001 - rewrap with the term index
+                raise MomentMatchError(i, exc) from exc
             new_site = model.make_site(q_new, cav, log_z, i)
             if opts.damping < 1.0:
                 new_site = apply_damping(sites[i], new_site, opts.damping)

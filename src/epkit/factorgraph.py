@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .engine import EPOptions, OpTally
+from .gaussians import _logsumexp
 
 _FLOOR = 1e-300
 
@@ -87,6 +87,8 @@ class DiscreteFactorGraph:
                 raise ValueError(
                     f"factor {f.id!r} table has {f.table.shape[0]} entries, "
                     f"expected {size}")
+            if not np.all(np.isfinite(f.table)):
+                raise ValueError(f"factor {f.id!r} has non-finite table entries")
             if np.any(f.table < 0.0):
                 raise ValueError(f"factor {f.id!r} has negative table entries")
             if not np.any(f.table > 0.0):
@@ -209,9 +211,10 @@ def _beliefs_from_messages(net: DiscreteFactorGraph,
     beliefs: BeliefSet = {}
     for v, c in net.variables:
         log_b = np.zeros(c)
-        for f in net.incident(v):
-            log_b = log_b + np.log(messages[(f.id, v)].values)
-        lse = float(logsumexp(log_b))
+        with np.errstate(divide="ignore"):  # zero message entries -> -inf
+            for f in net.incident(v):
+                log_b = log_b + np.log(messages[(f.id, v)].values)
+        lse = _logsumexp(log_b)
         if lse == -math.inf:
             raise ContradictoryMessagesError(f"contradictory messages at {v!r}")
         beliefs[v] = np.exp(log_b - lse)
@@ -263,7 +266,7 @@ def loopy_ep(net: DiscreteFactorGraph,
                 for g in net.incident(v):
                     if g.id != f.id:
                         log_c = log_c + np.log(messages[(g.id, v)].values)
-                lse = float(logsumexp(log_c))
+                lse = _logsumexp(log_c)
                 if lse == -math.inf:
                     raise ContradictoryMessagesError(
                         f"contradictory messages at {v!r}")
@@ -281,7 +284,7 @@ def loopy_ep(net: DiscreteFactorGraph,
                 if opts.damping < 1.0:
                     log_old = messages[(f.id, v)].log_total()
                     log_new = (1.0 - opts.damping) * log_old + opts.damping * log_new
-                lse = float(logsumexp(log_new))
+                lse = _logsumexp(log_new)
                 values = np.exp(log_new - lse)
                 floored = values < _FLOOR
                 if np.any(floored):
@@ -311,7 +314,7 @@ def _evidence_from_messages(net: DiscreteFactorGraph,
         log_b = np.zeros(c)
         for f in net.incident(v):
             log_b = log_b + messages[(f.id, v)].log_total()
-        total += float(logsumexp(log_b))
+        total += _logsumexp(log_b)
     return total
 
 

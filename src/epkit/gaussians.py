@@ -248,6 +248,21 @@ def log_normal_pdf(y, m, cov) -> float:
     return -0.5 * d * LOG_2PI - float(np.sum(np.log(np.diag(L)))) - 0.5 * float(z @ z)
 
 
+def _logsumexp(a) -> float:
+    """log(sum(exp(a))) of a short 1-D vector by a max shift.
+
+    For the 2- to 4-element vectors of the per-site and per-factor hot
+    paths, where scipy's general version costs far more than the sum.
+    Every entry -inf gives -inf; a +inf or NaN maximum is returned as is.
+    No RuntimeWarning either way.
+    """
+    a = np.asarray(a, dtype=float)
+    top = float(a.max())
+    if not math.isfinite(top):
+        return top
+    return top + math.log(float(np.exp(a - top).sum()))
+
+
 def probit(z: float) -> float:
     """Standard normal CDF."""
     return float(sp.ndtr(z))

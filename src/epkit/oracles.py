@@ -4,12 +4,16 @@ Everything in this module is deliberately dumb: exhaustive mixture
 enumeration, panel quadrature, prior-based importance sampling, full joint
 enumeration.  Analytic fast paths elsewhere in the package are tested
 *against* these; on any disagreement the oracle wins.
+
+"Dumb" is about what an oracle computes, not how: the clutter oracle
+evaluates every one of the 2^n mixture components and shares no moment
+matching or site algebra with the model code, but it does so with array
+operations over all components at once rather than a Python loop.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product as iter_product
 from typing import Callable
 
 import numpy as np
@@ -243,7 +247,14 @@ def clutter_mixture_components(data: np.ndarray, w: float,
                                prior_variance: float = 100.0,
                                clutter_variance: float = 10.0):
     """Log weight, mean, and spherical variance of every inlier/clutter
-    assignment's conjugate posterior component; 2^n of them."""
+    assignment's conjugate posterior component; 2^n of them.
+
+    Component k is the assignment whose inlier flags are the bits of k, most
+    significant (observation 0) first: itertools.product((0, 1), repeat=n)
+    order.  The flags stay boolean and each observation is added to the
+    components that count it as an inlier (or clutter), so memory is
+    O(2^n (n + d)) bytes and no 0 * log(0) product arises at w = 0 or 1.
+    """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = data.shape
     if n > 20:
@@ -251,29 +262,28 @@ def clutter_mixture_components(data: np.ndarray, w: float,
             f"n={n} exceeds the 2^n enumeration bound of 20; "
             "use importance sampling instead")
 
-    log_clutter = np.array([
-        math.log(w) + log_normal_pdf(y, np.zeros(d), clutter_variance)
-        if w > 0.0 else -math.inf for y in data])
-    log_inlier_coeff = math.log1p(-w) if w < 1.0 else -math.inf
+    k = np.arange(2 ** n)
+    flags = np.empty((2 ** n, n), dtype=bool)
+    for i in range(n):
+        flags[:, i] = (k >> (n - 1 - i)) & 1
 
-    log_ws = np.empty(2 ** n)
-    means = np.empty((2 ** n, d))
-    variances = np.empty(2 ** n)
-    for idx, flags in enumerate(iter_product((0, 1), repeat=n)):
-        inliers = [i for i, f in enumerate(flags) if f == 1]
-        tau = 1.0 / prior_variance + len(inliers)
-        beta = data[inliers].sum(axis=0) if inliers else np.zeros(d)
-        # log of int prod_{inliers} N(y_i; x, I) * N(x; 0, v0 I) dx
-        log_c = -0.5 * len(inliers) * d * LOG_2PI \
-            - 0.5 * sum(float(data[i] @ data[i]) for i in inliers) \
-            - 0.5 * d * (LOG_2PI + math.log(prior_variance))
-        log_z = log_c + 0.5 * d * (LOG_2PI - math.log(tau)) \
-            + 0.5 * float(beta @ beta) / tau
-        log_ws[idx] = len(inliers) * log_inlier_coeff \
-            + sum(log_clutter[i] for i in range(n) if flags[i] == 0) + log_z
-        variances[idx] = 1.0 / tau
-        means[idx] = beta / tau
-    return log_ws, means, variances
+    log_inlier_coeff = math.log1p(-w) if w < 1.0 else -math.inf
+    # Per component: log of (1-w) N(y_i; 0, I) for each inlier and of
+    # w N(y_i; 0, clutter_variance I) for each clutter point, plus the
+    # prior's normalizer; the conjugate integral over x is added after.
+    log_ws = np.full(2 ** n, -0.5 * d * (LOG_2PI + math.log(prior_variance)))
+    beta = np.zeros((2 ** n, d))
+    for i, y in enumerate(data):
+        inlier = flags[:, i]
+        log_clutter = math.log(w) + log_normal_pdf(y, np.zeros(d), clutter_variance) \
+            if w > 0.0 else -math.inf
+        log_ws[inlier] += log_inlier_coeff - 0.5 * (d * LOG_2PI + float(y @ y))
+        log_ws[~inlier] += log_clutter
+        beta[inlier] += y
+    tau = 1.0 / prior_variance + flags.sum(axis=1)
+    log_ws += 0.5 * d * (LOG_2PI - np.log(tau)) \
+        + 0.5 * np.sum(beta * beta, axis=1) / tau
+    return log_ws, beta / tau[:, None], 1.0 / tau
 
 
 def exact_clutter(data: np.ndarray, w: float, prior_variance: float = 100.0,
@@ -293,10 +303,8 @@ def exact_clutter(data: np.ndarray, w: float, prior_variance: float = 100.0,
         raise VanishingMassError("all mixture components carry zero weight")
     p = np.exp(log_ws - log_evidence)
     mean = p @ means
-    cov = np.zeros((d, d))
-    for k in range(p.shape[0]):
-        delta = means[k] - mean
-        cov += p[k] * (variances[k] * np.eye(d) + np.outer(delta, delta))
+    delta = means - mean
+    cov = float(p @ variances) * np.eye(d) + (p[:, None] * delta).T @ delta
     return ExactPosteriorSummary(log_evidence=log_evidence, mean=mean,
                                  covariance=cov, component_count=p.shape[0])
 

@@ -15,7 +15,6 @@ from epkit.clutter import (
     clutter_moment_match,
     dataset_to_csv,
     generate_clutter_data,
-    prior_site,
     read_dataset,
     write_dataset,
 )
@@ -154,8 +153,8 @@ class TestEvidence:
                                                       w=0.5, seed=4))
         binding = ClutterBinding(model)
         res = run_ep(binding, EPOptions(tolerance=1e-8, max_sweeps=200))
-        _, log_norm = combine_sites([prior_site(binding.prior())] + list(res.sites),
-                                    dim=1)
+        _, log_norm = combine_sites([spherical_as_site(binding.prior())]
+                                    + list(res.sites), dim=1)
         assert res.log_evidence == pytest.approx(log_norm, abs=1e-10)
 
 

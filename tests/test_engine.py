@@ -67,6 +67,13 @@ class TestRunEp:
         assert res.sweeps == 0
         assert res.posterior.variance == 100.0
 
+    def test_failure_carries_term_index(self):
+        model = ClutterModel(data=np.array([[1.0], [math.nan]]), w=0.5)
+        with pytest.raises(MomentMatchError) as err:
+            run_ep(ClutterBinding(model))
+        assert err.value.term_index == 1
+        assert isinstance(err.value.__cause__, ValueError)
+
     def test_first_sweep_equals_adf(self):
         for seed in range(6):
             model = small_model(seed=seed, n=7)
@@ -315,6 +322,8 @@ class TestSchedule:
 class TestOptionsValidation:
     @pytest.mark.parametrize("kwargs", [
         {"tolerance": 0.0},
+        {"tolerance": math.inf},
+        {"tolerance": math.nan},
         {"max_sweeps": 0},
         {"damping": 0.0},
         {"damping": 1.5},

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from epkit.engine import EPOptions, Schedule
 from epkit.factorgraph import (
     ContradictoryEvidenceError,
+    ContradictoryMessagesError,
     DiscreteFactorGraph,
     Factor,
+    Message,
     belief,
     beliefs_to_csv,
     bk_adf,
@@ -68,6 +70,14 @@ class TestLoadNetwork:
         with pytest.raises(ValueError):
             DiscreteFactorGraph(variables=(("a", 2),),
                                 factors=(Factor("f", ("a",), table),))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_table_rejected_by_name(self, bad):
+        with pytest.raises(ValueError, match="'pab' has non-finite"):
+            DiscreteFactorGraph(variables=(("a", 2), ("b", 2)),
+                                factors=(Factor("pa", ("a",), [0.5, 0.5]),
+                                         Factor("pab", ("a", "b"),
+                                                [1.0, bad, 1.0, 1.0])))
 
     def test_empty_scope_rejected(self):
         with pytest.raises(ValueError, match="empty scope"):
@@ -259,6 +269,17 @@ class TestBelief:
         res = loopy_ep(net, EPOptions(max_sweeps=1))
         with pytest.raises(KeyError):
             belief(net, res.messages, "zz")
+
+    def test_vanishing_message_product_raises(self):
+        # messages with disjoint support: the belief product is all zero
+        net = DiscreteFactorGraph(
+            variables=(("a", 2),),
+            factors=(Factor("obs1", ("a",), [1.0, 0.0]),
+                     Factor("obs2", ("a",), [0.0, 1.0])))
+        messages = {("obs1", "a"): Message(np.array([1.0, 0.0]), 0.0),
+                    ("obs2", "a"): Message(np.array([0.0, 1.0]), 0.0)}
+        with pytest.raises(ContradictoryMessagesError, match="'a'"):
+            belief(net, messages, "a")
 
 
 def test_beliefs_csv():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from epkit.gaussians import (
     DegenerateCovarianceError,
@@ -19,6 +20,7 @@ from epkit.gaussians import (
     normal_pdf,
     probit,
     probit_ratio,
+    _logsumexp,
     spherical_as_site,
     vacuous_spherical,
 )
@@ -267,3 +269,24 @@ def test_full_gaussian_rejects_asymmetry():
 def test_rank_one_rejects_zero_direction():
     with pytest.raises(ValueError):
         RankOneSite(direction=[0.0, 0.0], precision=1.0)
+
+
+_LSE_ENTRIES = st.one_of(st.floats(min_value=-1e4, max_value=1e4),
+                         st.just(-math.inf))
+
+
+class TestLogSumExp:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_LSE_ENTRIES, min_size=1, max_size=6))
+    def test_matches_scipy(self, entries):
+        got = _logsumexp(np.array(entries))
+        if all(e == -math.inf for e in entries):
+            assert got == -math.inf
+        else:
+            assert got == pytest.approx(float(logsumexp(entries)),
+                                        rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("entries", [[-math.inf], [-math.inf] * 4,
+                                         (-math.inf, -math.inf)])
+    def test_all_minus_inf(self, entries):
+        assert _logsumexp(entries) == -math.inf

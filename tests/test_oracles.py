@@ -1,6 +1,7 @@
 """Brute-force oracle self-checks: the ground truth must agree with itself
 (and with even dumber ground truth) before it is allowed to judge anything."""
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,6 +22,32 @@ from epkit.oracles import (
     tilted_moments_quadrature,
 )
 from epkit.factorgraph import DiscreteFactorGraph, Factor
+
+
+def _assignment_loop(data, w, prior_variance=100.0, clutter_variance=10.0):
+    """One conjugate component per itertools.product assignment, each built
+    term by term; the reference for the enumerated components."""
+    n, d = data.shape
+    log_ws, means, variances = [], [], []
+    for flags in product((0, 1), repeat=n):
+        tau = 1.0 / prior_variance
+        beta = np.zeros(d)
+        log_w = log_normal_pdf(np.zeros(d), np.zeros(d), prior_variance)
+        for y, inlier in zip(data, flags):
+            if inlier:
+                tau += 1.0
+                beta = beta + y
+                log_w += (math.log1p(-w) if w < 1.0 else -math.inf) \
+                    + log_normal_pdf(y, np.zeros(d), 1.0)
+            else:
+                log_w += (math.log(w) if w > 0.0 else -math.inf) \
+                    + log_normal_pdf(y, np.zeros(d), clutter_variance)
+        # divide by the posterior density at x = 0 to leave the normalizer
+        log_w -= log_normal_pdf(np.zeros(d), beta / tau, 1.0 / tau)
+        log_ws.append(log_w)
+        means.append(beta / tau)
+        variances.append(1.0 / tau)
+    return np.array(log_ws), np.array(means), np.array(variances)
 
 
 class TestExactClutter:
@@ -63,6 +90,26 @@ class TestExactClutter:
     def test_refuses_large_n(self):
         with pytest.raises(ValueError, match="importance sampling"):
             exact_clutter(np.zeros((21, 1)), w=0.5)
+        with pytest.raises(ValueError, match="importance sampling"):
+            clutter_mixture_components(np.zeros((21, 1)), w=0.5)
+
+    @pytest.mark.parametrize("w", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("n", [0, 1, 5, 9])
+    def test_components_match_assignment_loop(self, n, d, w):
+        data = np.random.default_rng(10 * n + d).normal(size=(n, d)) * 2.0
+        log_ws, means, variances = clutter_mixture_components(data, w)
+        assert log_ws.shape == (2 ** n,) and means.shape == (2 ** n, d)
+        ref = _assignment_loop(data, w)
+        for got, want in zip((log_ws, means, variances), ref):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("w", [0.0, 1.0])
+    def test_edge_ratios_are_finite(self, w):
+        res = exact_clutter(np.array([[1.0], [-2.0], [0.5]]), w)
+        assert math.isfinite(res.log_evidence)
+        assert np.all(np.isfinite(res.mean))
+        assert np.all(np.isfinite(res.covariance))
 
     def test_components_reassemble_to_summary(self):
         data = np.random.default_rng(9).normal(size=(5, 2))
