@@ -13,7 +13,6 @@ from .bpm import (
     BpmBinding,
     BpmDataset,
     BpmModel,
-    bpm_cavity,
     bpm_evidence,
     bpm_moment_match,
     bpm_predict,

@@ -2,9 +2,14 @@
 
 The posterior over classifier weights is a full-covariance Gaussian with
 prior N(0, I); every training point contributes a probit factor over the
-margin, approximated by a rank-one Gaussian site.  Each site update costs
-O(d^2): only matrix-vector products and rank-one covariance corrections,
-never a matrix-matrix product.
+margin, approximated by a rank-one Gaussian site.  A site constrains one
+direction u, so a visit needs the posterior only through Vu = V u and the
+scalars q = u.Vu and u.m: it costs one matrix-vector product (the cavity,
+kept as the posterior plus scalars) and one rank-one update of the
+posterior (the moment match); the site follows in closed form from the
+match scalars, and the damped path's recombination is a second rank-one
+update.  No d x d matrix is formed for the cavity and none is multiplied by
+another.
 
 Slack handling: for slack eps > 0 the training points are pre-scaled once
 to y_i x_i / eps and the margin noise variance is 1; eps = 0 keeps the
@@ -26,9 +31,9 @@ from .gaussians import (
     FullGaussian,
     ImproperProductError,
     RankOneSite,
-    divide_out,
     log_probit,
     probit_ratio,
+    rank_one_update,
     symmetrize,
 )
 
@@ -49,6 +54,10 @@ class BpmDataset:
         object.__setattr__(self, "labels", labels)
         if pts.shape[0] != labels.shape[0]:
             raise ValueError("points and labels must have equal length")
+        bad = np.flatnonzero(~np.all(np.isfinite(pts), axis=1))
+        if bad.size:
+            raise ValueError(f"points must be finite; row {int(bad[0])} "
+                             f"is {pts[bad[0]].tolist()}")
         if labels.size and not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
         if self.slack < 0.0:
@@ -61,6 +70,17 @@ class BpmDataset:
     @property
     def d(self) -> int:
         return self.points.shape[1]
+
+    @property
+    def directions(self) -> np.ndarray:
+        """Margin directions y_i x_i, divided by the slack when it is > 0."""
+        directions = self.labels[:, None] * self.points
+        return directions / self.slack if self.slack > 0.0 else directions
+
+    @property
+    def noise_var(self) -> float:
+        """Variance of the margin noise: 1 with slack, 0 (a step) without."""
+        return 1.0 if self.slack > 0.0 else 0.0
 
 
 def make_dataset(points, labels, slack: float = 0.0,
@@ -81,9 +101,112 @@ class BpmMatch:
     alpha: float
 
 
-def bpm_cavity(posterior: FullGaussian, site: RankOneSite):
-    """Rank-one natural-parameter removal of one site; None when improper."""
-    return divide_out(posterior, site)
+class BpmCavity:
+    """A site divided out of a BPM posterior N(m, V), kept as that posterior
+    plus scalars.
+
+    Removing precision tau along u leaves the cavity covariance
+    V + tau r (Vu)(Vu)^T with r = 1 / (1 - tau q) and q = u.Vu, so the
+    cavity's own V u is r Vu, its margin variance is q0 = r q, and its mean
+    is m + shift Vu with margin mean mu0.  `mean` and `covariance` form the
+    dense cavity on request; a site visit never does.
+    """
+
+    __slots__ = ("posterior", "direction", "precision", "vu", "r", "q0",
+                 "mu0", "shift", "match")
+
+    def __init__(self, posterior: FullGaussian, direction: np.ndarray,
+                 precision: float, vu: np.ndarray, r: float, q0: float,
+                 mu0: float, shift: float):
+        self.posterior = posterior
+        self.direction = direction
+        self.precision = precision
+        self.vu = vu
+        self.r = r
+        self.q0 = q0
+        self.mu0 = mu0
+        self.shift = shift
+        self.match = None  # (log_z, z, alpha, kappa), see _match_scalars
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.posterior.mean + self.shift * self.vu
+
+    @property
+    def covariance(self) -> np.ndarray:
+        return rank_one_update(self.posterior.covariance, self.vu,
+                               self.precision * self.r)
+
+
+def _divide(posterior: FullGaussian, u: np.ndarray, tau: float,
+            site_mean: float) -> BpmCavity | None:
+    """The cavity left by removing a rank-one site (tau, site_mean) along u
+    from the posterior; None when its precision is not positive definite,
+    which for a positive definite posterior is exactly 1 - tau q <= 0."""
+    vu = posterior.covariance @ u
+    q = float(u @ vu)
+    um = float(u @ posterior.mean)
+    denom = 1.0 - tau * q
+    if not denom > 0.0:
+        return None
+    r = 1.0 / denom
+    q0 = r * q
+    if not 0.0 < q0 < math.inf:
+        return None
+    shift = r * tau * (um - site_mean)
+    return BpmCavity(posterior, u, tau, vu, r, q0, um + shift * q, shift)
+
+
+def _probit_match(q0: float, mu0: float, noise_var: float,
+                  mean_var: float) -> tuple[float, float, float, float]:
+    """Scalars of the probit margin match against a cavity margin N(mu0, q0):
+    (log Z, z, alpha, kappa).  mean_var is the cavity's mean diagonal
+    variance, the scale of the dense representation's rounding noise.
+
+    The tilted margin has mean mu0 + alpha q0 and variance q0 (1 - kappa q0)
+    with z = mu0 / sqrt(q0 + noise_var), alpha = rho / sqrt(q0 + noise_var),
+    kappa = rho (z + rho) / (q0 + noise_var) and rho the stable ratio
+    pdf(z)/cdf(z).  kappa q0 < 1 always, so the posterior stays proper.
+    """
+    den = q0 + noise_var
+    if not den > 0.0:
+        raise ValueError("degenerate margin variance")
+    sden = math.sqrt(den)
+    z = mu0 / sden
+    rho = probit_ratio(z)
+    alpha = rho / sden
+    # kappa q0 < 1 holds in exact arithmetic with gap ~ 2/z^2, but a
+    # zero-mass posterior (conflicting step likelihoods) drives z -> -inf
+    # and the gap below float resolution.  Cap the per-visit variance
+    # shrink at 1e-3 and keep the margin variance above the dense
+    # representation's noise floor; both caps bind only in that collapse,
+    # far outside any z a proper fixed point produces.
+    target_gap = min(1.0, max(1e-3, 1e-14 * mean_var / q0))
+    kappa = min(rho * (z + rho) / den, (1.0 - target_gap) / q0)
+    return log_probit(z), z, alpha, kappa
+
+
+def _match_scalars(cav: BpmCavity, noise_var: float) -> tuple:
+    """(log_z, z, alpha, kappa) of the probit match against the cavity,
+    recorded on it for the site extraction."""
+    V, vu = cav.posterior.covariance, cav.vu
+    trace = float(V.trace()) + cav.precision * cav.r * float(vu @ vu)
+    cav.match = _probit_match(cav.q0, cav.mu0, noise_var, trace / vu.shape[0])
+    return cav.match
+
+
+def _match(cav: BpmCavity, noise_var: float) -> tuple[FullGaussian, float]:
+    """Tilted projection of the probit term along the cavity's direction,
+    as one rank-one update of the cavity's posterior N(m, V):
+
+        m' = m + (shift + alpha r) Vu
+        V' = V + (tau r - kappa r^2) Vu Vu^T
+    """
+    log_z, _, alpha, kappa = _match_scalars(cav, noise_var)
+    post, vu, r = cav.posterior, cav.vu, cav.r
+    mean = post.mean + (cav.shift + alpha * r) * vu
+    cov = rank_one_update(post.covariance, vu, (cav.precision - kappa * r) * r)
+    return FullGaussian.trusted(mean, cov), log_z
 
 
 def bpm_moment_match(cavity: FullGaussian, u: np.ndarray,
@@ -95,92 +218,79 @@ def bpm_moment_match(cavity: FullGaussian, u: np.ndarray,
     off-direction moments follow by Gaussian conditioning:
 
         m' = m + alpha V u
-        V' = V - kappa (V u)(V u)^T,   kappa = rho (z + rho) / (q + noise_var)
+        V' = V - kappa (V u)(V u)^T
 
-    with q = u.V u, z = u.m / sqrt(q + noise_var) and rho the stable ratio
-    pdf(z)/cdf(z).  kappa q < 1 always, so the posterior stays proper.
+    with the scalars of _probit_match, which the BPM binding shares.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if float(u @ u) == 0.0:
         raise ValueError("moment match requires a non-zero direction")
-    V, m = cavity.covariance, cavity.mean
-    Vu = V @ u
-    q = float(u @ Vu)
-    den = q + noise_var
-    if not den > 0.0:
+    cav = _divide(cavity, u, 0.0, 0.0)
+    if cav is None:
         raise ValueError("degenerate margin variance")
-    sden = math.sqrt(den)
-    z = float(u @ m) / sden
-    rho = probit_ratio(z)
-    alpha = rho / sden
-    # kappa q < 1 holds in exact arithmetic with gap ~ 2/z^2, but a
-    # zero-mass posterior (conflicting step likelihoods) drives z -> -inf
-    # and the gap below float resolution.  Cap the per-visit variance
-    # shrink at 1e-3 and keep the margin variance above the dense
-    # representation's noise floor; both caps bind only in that collapse,
-    # far outside any z a proper fixed point produces.
-    noise_floor = 1e-14 * float(np.trace(V)) / V.shape[0]
-    target_gap = min(1.0, max(1e-3, noise_floor / q))
-    kappa = min(rho * (z + rho) / den, (1.0 - target_gap) / q)
-    mean = m + alpha * Vu
-    cov = symmetrize(V - kappa * np.outer(Vu, Vu))
-    return BpmMatch(posterior=FullGaussian(mean=mean, covariance=cov),
-                    log_z=log_probit(z), z_score=z, alpha=alpha)
+    posterior, log_z = _match(cav, noise_var)
+    _, z, alpha, _ = cav.match
+    return BpmMatch(posterior=posterior, log_z=log_z, z_score=z, alpha=alpha)
 
 
-def rank_one_site_from(posterior: FullGaussian, cavity: FullGaussian,
-                       log_z: float, u: np.ndarray) -> RankOneSite:
-    """Site = Z * posterior / cavity for a rank-one update along u.
+def _site_from_margins(log_z: float, q0: float, mu0: float, q1: float,
+                       mu1: float) -> tuple[float, float, float]:
+    """(precision, mean, log scale) of the site Z * posterior / cavity for a
+    rank-one update, from the cavity margin N(mu0, q0) and the posterior
+    margin N(mu1, q1).
 
     Because the factor touches only s = u.w, the density ratio reduces to the
     ratio of the 1-D marginals of s, whose natural parameters subtract.  The
     scale is fixed by evaluating the ratio at the cavity's own margin mean.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    q1 = float(u @ (posterior.covariance @ u))
-    q0 = float(u @ (cavity.covariance @ u))
-    mu1 = float(u @ posterior.mean)
-    mu0 = float(u @ cavity.mean)
     tau = 1.0 / q1 - 1.0 / q0
-    shift = mu1 / q1 - mu0 / q0
-
-    def log_n1(x, mu, v):
-        return -0.5 * (LOG_2PI + math.log(v)) - 0.5 * (x - mu) ** 2 / v
-
-    log_ratio_at_mu0 = log_n1(mu0, mu1, q1) - log_n1(mu0, mu0, q0)
+    log_ratio_at_mu0 = -0.5 * (math.log(q1) - math.log(q0)) \
+        - 0.5 * (mu0 - mu1) ** 2 / q1
     if tau == 0.0:
-        return RankOneSite(direction=u, precision=0.0, mean=0.0,
-                           log_scale=log_z + log_ratio_at_mu0)
-    m_site = shift / tau
-    log_scale = log_z + log_ratio_at_mu0 + 0.5 * tau * (mu0 - m_site) ** 2
-    return RankOneSite(direction=u, precision=tau, mean=m_site,
-                       log_scale=log_scale)
+        return 0.0, 0.0, log_z + log_ratio_at_mu0
+    m_site = (mu1 / q1 - mu0 / q0) / tau
+    return tau, m_site, log_z + log_ratio_at_mu0 + 0.5 * tau * (mu0 - m_site) ** 2
+
+
+def rank_one_site_from(posterior: FullGaussian, cavity: FullGaussian,
+                       log_z: float, u: np.ndarray) -> RankOneSite:
+    """Site = Z * posterior / cavity along u, from dense Gaussians (the
+    binding uses the match scalars instead)."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    tau, mean, log_scale = _site_from_margins(
+        log_z, float(u @ (cavity.covariance @ u)), float(u @ cavity.mean),
+        float(u @ (posterior.covariance @ u)), float(u @ posterior.mean))
+    return RankOneSite(direction=u, precision=tau, mean=mean, log_scale=log_scale)
 
 
 class BpmBinding(ModelBinding):
     """Engine binding for BPM training (full-Gaussian family, rank-one sites).
 
-    Operation charges per site visit: cavity 2d^2+2d, moment match 2d^2+2d,
-    site extraction d^2+3d; evidence evaluation charges d^3 once per call for
-    its single dense solve.
+    Cavities are BpmCavity objects; run_adf's cavity, the running
+    posterior, is divided by the vacuous site when it is first matched.
+    `moment_match(cavity, i)` expects the cavity of site i.
+
+    Operation charges per site visit: cavity d^2+2d (one matrix-vector
+    product, two dot products), moment match d^2+3d (one rank-one update,
+    the mean update and the cavity trace), site extraction 1 (closed form
+    from the match scalars); a damped visit's recombination charges d^2+d
+    (a second rank-one update and mean update).  Evidence evaluation charges
+    d^3 once per call for its single dense solve.
     """
 
     def __init__(self, dataset: BpmDataset):
         self.dataset = dataset
         self.tally = OpTally()
         d = dataset.d
-        if dataset.slack > 0.0:
-            self.directions = (dataset.labels[:, None] * dataset.points) / dataset.slack
-            self.noise_var = 1.0
-        else:
-            self.directions = dataset.labels[:, None] * dataset.points
-            self.noise_var = 0.0
-            norms = np.linalg.norm(self.directions, axis=1) if dataset.n else np.array([])
-            if dataset.n and float(np.min(norms)) == 0.0:
-                raise ValueError(
-                    "zero training point with zero slack has an undefined "
-                    "step likelihood")
+        self.directions = dataset.directions
+        self.noise_var = dataset.noise_var
+        if self.noise_var == 0.0 and dataset.n and float(
+                np.min(np.linalg.norm(self.directions, axis=1))) == 0.0:
+            raise ValueError(
+                "zero training point with zero slack has an undefined "
+                "step likelihood")
         self._prior = FullGaussian(mean=np.zeros(d), covariance=np.eye(d))
+        self._opened: tuple = (None, None, None)  # (posterior, i, its cavity)
 
     @property
     def site_count(self) -> int:
@@ -195,33 +305,51 @@ class BpmBinding(ModelBinding):
 
     def cavity(self, posterior, site):
         d = self.dataset.d
-        self.tally.add(2 * d * d + 2 * d)
-        return bpm_cavity(posterior, site)
+        self.tally.add(d * d + 2 * d)
+        return _divide(posterior, site.direction, site.precision, site.mean)
+
+    def _cavity_of(self, cavity, i: int) -> BpmCavity:
+        """A BpmCavity as is; a dense Gaussian (run_adf passes the running
+        posterior) divided by site i's vacuous site, reused while the same
+        posterior and site come back."""
+        if isinstance(cavity, BpmCavity):
+            return cavity
+        if self._opened[0] is not cavity or self._opened[1] != i:
+            opened = self.cavity(cavity, self.vacuous_site(i))
+            if opened is None:
+                raise ValueError("degenerate margin variance")
+            self._opened = (cavity, i, opened)
+        return self._opened[2]
 
     def moment_match(self, cavity, i: int):
         d = self.dataset.d
-        self.tally.add(2 * d * d + 2 * d)
-        match = bpm_moment_match(cavity, self.directions[i], self.noise_var)
-        return match.posterior, match.log_z
+        self.tally.add(d * d + 3 * d)
+        return _match(self._cavity_of(cavity, i), self.noise_var)
 
     def make_site(self, posterior, cavity, log_z: float, i: int) -> RankOneSite:
-        d = self.dataset.d
-        self.tally.add(d * d + 3 * d)
-        return rank_one_site_from(posterior, cavity, log_z, self.directions[i])
+        self.tally.add(1)
+        cav = self._cavity_of(cavity, i)
+        # a dense cavity matched before another site was matched against it
+        # comes back reopened, without its scalars
+        _, _, alpha, kappa = cav.match or _match_scalars(cav, self.noise_var)
+        q0, mu0 = cav.q0, cav.mu0
+        tau, mean, log_scale = _site_from_margins(
+            log_z, q0, mu0, q0 * (1.0 - kappa * q0), mu0 + alpha * q0)
+        return RankOneSite.trusted(cav.direction, tau, mean, log_scale)
 
     def recombine(self, cavity, site):
+        """The cavity (a BpmCavity from `cavity`) times a damped site along
+        its direction, as one rank-one update of the cavity's posterior."""
         d = self.dataset.d
-        self.tally.add(2 * d * d + 2 * d)
-        u = site.direction
-        Vu = cavity.covariance @ u
-        q = float(u @ Vu)
-        denom = 1.0 + site.precision * q
+        self.tally.add(d * d + d)
+        denom = 1.0 + site.precision * cavity.q0
         if denom <= 0.0:
             raise ImproperProductError("improper product")
-        V = symmetrize(cavity.covariance - np.outer(Vu, Vu) * (site.precision / denom))
-        m = cavity.mean + Vu * ((site.precision * (site.mean - float(u @ cavity.mean)))
-                                / denom)
-        return FullGaussian(mean=m, covariance=V)
+        post, vu, r = cavity.posterior, cavity.vu, cavity.r
+        gain = site.precision / denom
+        mean = post.mean + (cavity.shift + r * gain * (site.mean - cavity.mu0)) * vu
+        cov = rank_one_update(post.covariance, vu, (cavity.precision - gain * r) * r)
+        return FullGaussian.trusted(mean, cov)
 
     def log_evidence(self, posterior, sites) -> float:
         d = self.dataset.d
@@ -379,21 +507,6 @@ def dataset_from_csv(text: str, slack: float = 0.0,
     arr = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
     return BpmDataset(points=arr[:, :-1], labels=arr[:, -1], slack=slack,
                       bias_augmented=bias_augmented)
-
-
-def training_config_doc(dataset: BpmDataset, opts: EPOptions,
-                        seed: int | None = None) -> dict:
-    doc = {
-        "slack": dataset.slack,
-        "bias_augmented": dataset.bias_augmented,
-        "tolerance": opts.tolerance,
-        "max_sweeps": opts.max_sweeps,
-        "damping": opts.damping,
-        "schedule": {"kind": opts.schedule.kind, "seed": opts.schedule.seed},
-    }
-    if seed is not None:
-        doc["seed"] = seed
-    return doc
 
 
 def export_model(model: BpmModel) -> dict:

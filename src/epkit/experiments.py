@@ -267,12 +267,8 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
         dataset = builtin_bpm_dataset(config.slack, config.add_bias)
 
     d = dataset.d
-    directions = dataset.labels[:, None] * dataset.points
-    if dataset.slack > 0.0:
-        directions = directions / dataset.slack
-        noise_sd = 1.0
-    else:
-        noise_sd = 0.0
+    directions = dataset.directions
+    noise_sd = math.sqrt(dataset.noise_var)
 
     from scipy.special import log_ndtr
 
@@ -456,6 +452,63 @@ def write_results(config: ExperimentConfig, rows: list[ResultRow],
 # analytic-vs-oracle batteries
 # ---------------------------------------------------------------------------
 
+def _fused_visit_error(rng: np.random.Generator, noise: float) -> float:
+    """Worst relative difference between one BpmBinding site visit (cavity,
+    moment match, site, damped recombination) on a random positive definite
+    posterior and the same visit in dense natural parameters, inv(P -+ tau
+    u u^T); 0 when both call the cavity improper, inf when they disagree."""
+    from .bpm import BpmBinding, bpm_moment_match, make_dataset
+    from .engine import apply_damping
+    from .gaussians import FullGaussian, ImproperProductError, RankOneSite
+
+    d = int(rng.integers(1, 6))
+    A = rng.normal(size=(d, d))
+    post = FullGaussian(mean=rng.normal(size=d), covariance=A @ A.T + 0.3 * np.eye(d))
+    x = rng.normal(size=d)
+    x *= rng.uniform(0.5, 2.0) / np.linalg.norm(x)
+    binding = BpmBinding(make_dataset([x], [1.0], slack=1.0 if noise else 0.0))
+    u = binding.directions[0]
+    q = float(u @ post.covariance @ u)
+    # tau q in [-3, 3], kept 0.05 from the improper edge at 1
+    t = float(rng.uniform(-3.0, 2.9))
+    tau = (t if t < 0.95 else t + 0.1) / q
+    site = RankOneSite(direction=u, precision=tau, mean=float(rng.normal()))
+
+    P = np.linalg.inv(post.covariance)
+    Pc = P - tau * np.outer(u, u)
+    proper = bool(np.all(np.linalg.eigvalsh(Pc) > 0.0))
+    cav = binding.cavity(post, site)
+    if (cav is not None) != proper:
+        return math.inf
+    if cav is None:
+        return 0.0
+
+    def rel(got, want):
+        return float(np.max(np.abs(got - want))) / max(1.0, float(np.max(np.abs(want))))
+
+    Vc = np.linalg.inv(Pc)
+    mc = Vc @ (P @ post.mean - tau * site.mean * u)
+    dense = bpm_moment_match(FullGaussian(mean=mc, covariance=0.5 * (Vc + Vc.T)), u, noise)
+    fused, log_z = binding.moment_match(cav, 0)
+    new_site = binding.make_site(fused, cav, log_z, 0)
+    # the site re-included into the dense cavity gives the dense posterior
+    Vn = np.linalg.inv(Pc + new_site.precision * np.outer(u, u))
+    errors = [rel(cav.covariance, Vc), rel(cav.mean, mc),
+              rel(fused.covariance, dense.posterior.covariance),
+              rel(fused.mean, dense.posterior.mean), abs(log_z - dense.log_z),
+              rel(Vn, dense.posterior.covariance)]
+
+    damped = apply_damping(site, new_site, 0.5)
+    Pd = Pc + damped.precision * np.outer(u, u)
+    try:
+        mixed = binding.recombine(cav, damped)
+    except ImproperProductError:
+        return max(errors) if np.min(np.linalg.eigvalsh(Pd)) <= 0.0 else math.inf
+    Vd = np.linalg.inv(Pd)
+    md = Vd @ (Pc @ mc + damped.precision * damped.mean * u)
+    return max(errors + [rel(mixed.covariance, Vd), rel(mixed.mean, md)])
+
+
 @dataclass(frozen=True)
 class BatteryResult:
     name: str
@@ -516,6 +569,11 @@ def oracle_check_battery(cases: int = 200, seed: int = 1234) -> list[BatteryResu
                     float(np.max(np.abs(a.posterior.covariance - co)))
                     / max(1.0, float(np.max(np.abs(co)))))
     results.append(BatteryResult("bpm-moment-match-vs-quadrature", worst, 1e-8))
+
+    worst = 0.0
+    for k in range(cases):
+        worst = max(worst, _fused_visit_error(rng, noise=1.0 if k % 2 == 0 else 0.0))
+    results.append(BatteryResult("bpm-fused-visit-vs-dense", worst, 1e-10))
 
     worst = 0.0
     for k in range(24):

@@ -237,7 +237,10 @@ def loopy_ep(net: DiscreteFactorGraph,
     Messages start as the constant 1 (uniform values, log-cardinality
     scale), so the first sequential sweep reproduces bk_adf.  Damping
     interpolates log message values.  Non-convergence after max_sweeps is
-    reported, not raised.
+    reported, not raised.  Messages are floored at 1e-300 to stay positive;
+    the tilted normalizer is checked with the floored entries that stand for
+    exact zeros taken as zero, so contradictory evidence raises
+    ContradictoryEvidenceError wherever bk_adf raises it.
     """
     tally = OpTally()
     floor_events = 0
@@ -247,6 +250,11 @@ def loopy_ep(net: DiscreteFactorGraph,
             c = net.cardinality(v)
             messages[(f.id, v)] = Message(values=np.full(c, 1.0 / c),
                                           log_scale=math.log(c))
+
+    # entries of floored messages whose value was exactly zero: the floor
+    # keeps every message positive, so only these masks tell a tilted
+    # normalizer made of floored mass alone from a true one
+    zeros: dict[tuple[str, str], np.ndarray] = {}
 
     m = len(net.factors)
     converged = m == 0
@@ -261,18 +269,29 @@ def loopy_ep(net: DiscreteFactorGraph,
             shape = _factor_shape(net, f)
             tally.add(len(shape) * int(np.prod(shape)))
             cavities = []
+            live = []  # the cavities with zero-mass entries set to zero
+            masked = False
             for v in f.scope:
                 log_c = np.zeros(net.cardinality(v))
+                dead = None
                 for g in net.incident(v):
                     if g.id != f.id:
-                        log_c = log_c + np.log(messages[(g.id, v)].values)
+                        key = (g.id, v)
+                        log_c = log_c + np.log(messages[key].values)
+                        if key in zeros:
+                            dead = zeros[key] if dead is None else dead | zeros[key]
                 lse = _logsumexp(log_c)
                 if lse == -math.inf:
                     raise ContradictoryMessagesError(
                         f"contradictory messages at {v!r}")
                 cavities.append(np.exp(log_c - lse))
+                if dead is None:
+                    live.append(cavities[-1])
+                else:
+                    live.append(np.where(dead, 0.0, cavities[-1]))
+                    masked = True
             z, partial = _tilted(f.table, shape, cavities)
-            if z <= 0.0:
+            if z <= 0.0 or (masked and _tilted(f.table, shape, live)[0] <= 0.0):
                 raise ContradictoryEvidenceError(
                     f"contradictory evidence at factor {f.id!r}")
             share = math.log(z) * (1.0 / len(shape) - 1.0)
@@ -287,8 +306,12 @@ def loopy_ep(net: DiscreteFactorGraph,
                 lse = _logsumexp(log_new)
                 values = np.exp(log_new - lse)
                 floored = values < _FLOOR
+                if zeros:
+                    zeros.pop((f.id, v), None)
                 if np.any(floored):
                     floor_events += int(np.sum(floored))
+                    if not np.all(values):
+                        zeros[(f.id, v)] = values == 0.0
                     values = np.maximum(values, _FLOOR)
                     values = values / values.sum()
                 old = messages[(f.id, v)].values

@@ -91,6 +91,13 @@ class FullGaussian:
         if np.max(np.abs(V - V.T)) > 1e-12 * scale:
             raise ValueError("covariance is not symmetric")
 
+    @classmethod
+    def trusted(cls, mean: np.ndarray, covariance: np.ndarray) -> "FullGaussian":
+        """Construct without validation, for inner loops whose float arrays
+        already have matching shapes and a symmetric covariance (for
+        instance one made by rank_one_update from a validated one)."""
+        return _unvalidated(cls, mean=mean, covariance=covariance)
+
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
@@ -108,9 +115,39 @@ class FullGaussian:
         return -0.5 * self.dim * LOG_2PI - half_logdet - 0.5 * float(z @ z)
 
 
+def _unvalidated(cls, **fields):
+    """A frozen dataclass instance built without running __post_init__."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def symmetrize(V: np.ndarray) -> np.ndarray:
-    """(A + A^T)/2; applied after rank-one updates to stop symmetry drift."""
+    """(A + A^T)/2; applied after dense inversions, whose results are
+    symmetric only to rounding."""
     return 0.5 * (V + V.T)
+
+
+def rank_one_update(V: np.ndarray, a: np.ndarray, c: float) -> np.ndarray:
+    """V + c a a^T as a new matrix; V itself is never written.
+
+    With b = sqrt(|c|) a, the outer product is the matrix product of the
+    columns (b, 0) and the rows (sign(c) b, 0), which numpy hands to BLAS
+    (an inner dimension of 1, like np.outer, runs several times slower at
+    d = 200).  Each entry is then the product b_i b_j with an exact sign,
+    so the result is bitwise symmetric whenever V is and no symmetrize
+    pass is needed.
+    """
+    b = math.sqrt(abs(c)) * a
+    d = b.shape[0]
+    cols = np.zeros((d, 2))
+    cols[:, 0] = b
+    rows = np.zeros((2, d))
+    rows[0] = b if c >= 0.0 else -b
+    W = cols @ rows
+    W += V
+    return W
 
 
 @dataclass(frozen=True)
@@ -175,6 +212,14 @@ class RankOneSite:
         object.__setattr__(self, "direction", u)
         if float(u @ u) == 0.0:
             raise ValueError("rank-one site direction must be non-zero")
+
+    @classmethod
+    def trusted(cls, direction: np.ndarray, precision: float, mean: float,
+                log_scale: float) -> "RankOneSite":
+        """Construct without validation, for a direction taken from an
+        existing site."""
+        return _unvalidated(cls, direction=direction, precision=precision,
+                            mean=mean, log_scale=log_scale)
 
     @property
     def dim(self) -> int:
@@ -383,7 +428,7 @@ def divide_out(posterior: Gaussian, site: Site):
         return None
     if tau == 0.0:
         return FullGaussian(mean=m.copy(), covariance=V.copy())
-    Vc = symmetrize(V + np.outer(Vu, Vu) * (tau / denom))
+    Vc = rank_one_update(V, Vu, tau / denom)
     # a site precision at the float edge of 1/q can leave a cavity that is
     # positive on paper but not in arithmetic; flag it like any improper one
     if not float(u @ (Vc @ u)) > 0.0:

@@ -9,7 +9,6 @@ import pytest
 from epkit.bpm import (
     BpmBinding,
     BpmDataset,
-    bpm_cavity,
     bpm_evidence,
     bpm_moment_match,
     bpm_predict,
@@ -24,7 +23,7 @@ from epkit.bpm import (
     write_model,
 )
 from epkit.engine import EPOptions, run_adf, run_ep
-from epkit.gaussians import FullGaussian, RankOneSite, combine_sites, spherical_as_site, SphericalGaussian
+from epkit.gaussians import FullGaussian, RankOneSite, combine_sites, divide_out, spherical_as_site, SphericalGaussian
 from epkit.oracles import (
     directional_tilted_moments,
     importance_sampler,
@@ -43,7 +42,7 @@ class TestCavity:
         rng = np.random.default_rng(0)
         post = random_cavity(rng, 3)
         site = RankOneSite(direction=[1.0, 0.0, 0.0], precision=0.0)
-        cav = bpm_cavity(post, site)
+        cav = divide_out(post, site)
         assert np.array_equal(cav.mean, post.mean)
         assert np.array_equal(cav.covariance, post.covariance)
 
@@ -53,7 +52,7 @@ class TestCavity:
         u = rng.normal(size=3)
         tau = 0.4 / float(u @ post.covariance @ u)
         site = RankOneSite(direction=u, precision=tau, mean=0.3)
-        cav = bpm_cavity(post, site)
+        cav = divide_out(post, site)
         assert cav is not None
         # re-include by dense natural arithmetic
         P = np.linalg.inv(cav.covariance) + tau * np.outer(u, u)
@@ -65,7 +64,7 @@ class TestCavity:
     def test_improper_flagged(self):
         post = FullGaussian(mean=[0.0], covariance=[[1.0]])
         site = RankOneSite(direction=[1.0], precision=2.0)
-        assert bpm_cavity(post, site) is None
+        assert divide_out(post, site) is None
 
 
 class TestMomentMatch:
@@ -343,11 +342,12 @@ class TestInterchange:
         with pytest.raises(ValueError, match="labels"):
             BpmDataset(points=np.ones((1, 1)), labels=np.array([2.0]))
 
-    def test_training_config_doc(self):
-        from epkit.bpm import training_config_doc
-        ds = make_dataset([[1.0]], [1.0], slack=0.5, add_bias=True)
-        doc = training_config_doc(ds, EPOptions(tolerance=1e-5), seed=3)
+    def test_config_to_dict_records_training_options(self):
+        from epkit.experiments import ExperimentConfig, config_to_dict
+        config = ExperimentConfig(kind="bpm", slack=0.5, add_bias=True, seeds=(3,),
+                                  ep_options=EPOptions(tolerance=1e-5))
+        doc = config_to_dict(config)
         assert doc["slack"] == 0.5
-        assert doc["bias_augmented"] is True
-        assert doc["tolerance"] == 1e-5
-        assert doc["seed"] == 3
+        assert doc["add_bias"] is True
+        assert doc["ep_options"]["tolerance"] == 1e-5
+        assert doc["seeds"] == [3]

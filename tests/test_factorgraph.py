@@ -185,6 +185,18 @@ class TestLoopyEp:
         for v, _ in net.variables:
             assert np.allclose(res.beliefs[v], adf_beliefs[v], atol=1e-12)
 
+    @pytest.mark.parametrize("damping", [1.0, 0.5])
+    def test_contradictory_evidence_raises_like_bk_adf(self, damping):
+        # floored messages never vanish, so only the zero masks catch this
+        net = DiscreteFactorGraph(
+            variables=(("a", 2),),
+            factors=(Factor("obs1", ("a",), [1.0, 0.0]),
+                     Factor("obs2", ("a",), [0.0, 1.0])))
+        with pytest.raises(ContradictoryEvidenceError, match="obs2"):
+            bk_adf(net)
+        with pytest.raises(ContradictoryEvidenceError, match="obs2"):
+            loopy_ep(net, EPOptions(damping=damping))
+
     def test_frustrated_cycle_reported(self):
         net = frustrated_cycle_network()
         res = loopy_ep(net, EPOptions(tolerance=1e-8, max_sweeps=40))

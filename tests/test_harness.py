@@ -226,6 +226,7 @@ class TestOracleBattery:
         assert {r.name for r in results} == {
             "clutter-moment-match-vs-quadrature",
             "bpm-moment-match-vs-quadrature",
+            "bpm-fused-visit-vs-dense",
             "quadrature-self-consistency",
             "probit-ratio-vs-naive-quotient",
         }
