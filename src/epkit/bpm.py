@@ -360,11 +360,16 @@ class BpmBinding(ModelBinding):
         # conflicting step likelihoods have zero total mass; refinement then
         # shrinks the posterior geometrically toward a point, either overall
         # or along single directions (condition blow-up), far beyond any
-        # scale or anisotropy a real fixed point reaches
-        eig = np.linalg.eigvalsh(posterior.covariance)
-        low = float(np.min(eig))
-        return low < 1e-40 or low < 1e-12 * float(np.mean(np.diag(
-            posterior.covariance)))
+        # scale or anisotropy a real fixed point reaches.  The test is the
+        # smallest eigenvalue of V against t; V - t I has a Cholesky factor
+        # exactly when it lies above t, at a fraction of an eigvalsh's cost
+        V = posterior.covariance
+        t = max(1e-40, 1e-12 * float(np.mean(np.diag(V))))
+        try:
+            np.linalg.cholesky(V - t * np.eye(V.shape[0]))
+        except np.linalg.LinAlgError:
+            return True
+        return False
 
     # --- family hooks for energy diagnostics -------------------------------
 

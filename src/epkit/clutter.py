@@ -46,8 +46,15 @@ class ClutterModel:
     def __post_init__(self):
         arr = np.atleast_2d(np.asarray(self.data, dtype=float))
         object.__setattr__(self, "data", arr)
+        bad = np.flatnonzero(~np.all(np.isfinite(arr), axis=1))
+        if bad.size:
+            raise ValueError(f"data must be finite; row {int(bad[0])} "
+                             f"is {arr[bad[0]].tolist()}")
         if not 0.0 <= self.w <= 1.0:
             raise ValueError("clutter ratio w must lie in [0, 1]")
+        for name in ("prior_variance", "clutter_variance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (self.prior_variance > 0.0 and self.clutter_variance > 0.0):
             raise ValueError("variances must be positive")
 

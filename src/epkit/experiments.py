@@ -599,4 +599,16 @@ def oracle_check_battery(cases: int = 200, seed: int = 1234) -> list[BatteryResu
         worst = max(worst, abs(probit_ratio(float(z)) - naive) / naive)
     results.append(BatteryResult("probit-ratio-vs-naive-quotient", worst, 1e-10))
 
+    # loopy propagation is exact on trees once its messages settle
+    worst = 0.0
+    for _ in range(cases):
+        net = random_tree_network(int(rng.integers(1, 9)), 4,
+                                  int(rng.integers(2 ** 31)))
+        res = loopy_ep(net, EPOptions(tolerance=1e-12))
+        marginals, log_z = enumerate_discrete(net)
+        worst = max(worst, abs(res.log_evidence - log_z),
+                    *(float(np.sum(np.abs(res.beliefs[v] - marginals[v])))
+                      for v, _ in net.variables))
+    results.append(BatteryResult("loopy-tree-vs-enumeration", worst, 1e-8))
+
     return results

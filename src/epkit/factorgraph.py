@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,11 @@ class Factor:
 class DiscreteFactorGraph:
     variables: tuple[tuple[str, int], ...]
     factors: tuple[Factor, ...]
+    # lookups built once from the two fields above, so that no factor visit
+    # scans the graph; they take no part in equality, repr or replace()
+    _cards: dict[str, int] = field(init=False, repr=False, compare=False)
+    _incident: dict[str, tuple[Factor, ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(
@@ -69,6 +74,7 @@ class DiscreteFactorGraph:
         for v, c in self.variables:
             if c < 2:
                 raise ValueError(f"variable {v!r} must have cardinality >= 2")
+        incident: dict[str, list[Factor]] = {v: [] for v in cards}
         seen = set()
         for f in self.factors:
             if f.id in seen:
@@ -83,6 +89,7 @@ class DiscreteFactorGraph:
                 if v not in cards:
                     raise ValueError(f"factor {f.id!r} references unknown variable {v!r}")
                 size *= cards[v]
+                incident[v].append(f)
             if f.table.shape[0] != size:
                 raise ValueError(
                     f"factor {f.id!r} table has {f.table.shape[0]} entries, "
@@ -93,12 +100,16 @@ class DiscreteFactorGraph:
                 raise ValueError(f"factor {f.id!r} has negative table entries")
             if not np.any(f.table > 0.0):
                 raise ValueError(f"factor {f.id!r} has an all-zero table")
+        object.__setattr__(self, "_cards", cards)
+        object.__setattr__(self, "_incident",
+                           {v: tuple(fs) for v, fs in incident.items()})
 
     def cardinality(self, vid: str) -> int:
-        return dict(self.variables)[vid]
+        return self._cards[vid]
 
     def incident(self, vid: str) -> list[Factor]:
-        return [f for f in self.factors if vid in f.scope]
+        """The factors whose scope holds `vid`, in graph order."""
+        return list(self._incident.get(vid, ()))
 
 
 def load_network(document: dict | str | Path) -> DiscreteFactorGraph:
@@ -206,28 +217,18 @@ def bk_adf(net: DiscreteFactorGraph,
     return beliefs, log_evidence
 
 
-def _beliefs_from_messages(net: DiscreteFactorGraph,
-                           messages: MessageSet) -> BeliefSet:
-    beliefs: BeliefSet = {}
-    for v, c in net.variables:
-        log_b = np.zeros(c)
-        with np.errstate(divide="ignore"):  # zero message entries -> -inf
-            for f in net.incident(v):
-                log_b = log_b + np.log(messages[(f.id, v)].values)
-        lse = _logsumexp(log_b)
-        if lse == -math.inf:
-            raise ContradictoryMessagesError(f"contradictory messages at {v!r}")
-        beliefs[v] = np.exp(log_b - lse)
-    return beliefs
-
-
 def belief(net: DiscreteFactorGraph, messages: MessageSet,
            vid: str) -> np.ndarray:
     """Normalized product of all messages into one variable; uniform when no
     factor touches it."""
-    if vid not in dict(net.variables):
-        raise KeyError(vid)
-    return _beliefs_from_messages(net, messages)[vid]
+    log_b = np.zeros(net.cardinality(vid))
+    with np.errstate(divide="ignore"):  # zero message entries -> -inf
+        for f in net.incident(vid):
+            log_b = log_b + np.log(messages[(f.id, vid)].values)
+    lse = _logsumexp(log_b)
+    if lse == -math.inf:
+        raise ContradictoryMessagesError(f"contradictory messages at {vid!r}")
+    return np.exp(log_b - lse)
 
 
 def loopy_ep(net: DiscreteFactorGraph,
@@ -245,11 +246,26 @@ def loopy_ep(net: DiscreteFactorGraph,
     tally = OpTally()
     floor_events = 0
     messages: MessageSet = {}
+    # np.log of each message's values, refreshed only when it is written
+    logs: dict[tuple[str, str], np.ndarray] = {}
     for f in net.factors:
         for v in f.scope:
             c = net.cardinality(v)
-            messages[(f.id, v)] = Message(values=np.full(c, 1.0 / c),
-                                          log_scale=math.log(c))
+            key = (f.id, v)
+            messages[key] = Message(values=np.full(c, 1.0 / c),
+                                    log_scale=math.log(c))
+            logs[key] = np.log(messages[key].values)
+
+    # per factor, built once: its shape, its tally charge, its own message
+    # keys and, per scope variable, the keys of the other messages into that
+    # variable in graph order (the terms of its cavity)
+    plan = []
+    for f in net.factors:
+        shape = _factor_shape(net, f)
+        own = tuple((f.id, v) for v in f.scope)
+        others = tuple(tuple((g.id, v) for g in net.incident(v) if g.id != f.id)
+                       for v in f.scope)
+        plan.append((shape, len(shape) * int(np.prod(shape)), own, others))
 
     # entries of floored messages whose value was exactly zero: the floor
     # keeps every message positive, so only these masks tell a tilted
@@ -266,24 +282,22 @@ def loopy_ep(net: DiscreteFactorGraph,
         max_change = 0.0
         for idx in order:
             f = net.factors[idx]
-            shape = _factor_shape(net, f)
-            tally.add(len(shape) * int(np.prod(shape)))
+            shape, charge, own, others = plan[idx]
+            tally.add(charge)
             cavities = []
             live = []  # the cavities with zero-mass entries set to zero
             masked = False
-            for v in f.scope:
-                log_c = np.zeros(net.cardinality(v))
+            for axis, keys in enumerate(others):
+                log_c = np.zeros(shape[axis])
                 dead = None
-                for g in net.incident(v):
-                    if g.id != f.id:
-                        key = (g.id, v)
-                        log_c = log_c + np.log(messages[key].values)
-                        if key in zeros:
-                            dead = zeros[key] if dead is None else dead | zeros[key]
+                for key in keys:
+                    log_c = log_c + logs[key]
+                    if key in zeros:
+                        dead = zeros[key] if dead is None else dead | zeros[key]
                 lse = _logsumexp(log_c)
                 if lse == -math.inf:
                     raise ContradictoryMessagesError(
-                        f"contradictory messages at {v!r}")
+                        f"contradictory messages at {f.scope[axis]!r}")
                 cavities.append(np.exp(log_c - lse))
                 if dead is None:
                     live.append(cavities[-1])
@@ -295,33 +309,33 @@ def loopy_ep(net: DiscreteFactorGraph,
                 raise ContradictoryEvidenceError(
                     f"contradictory evidence at factor {f.id!r}")
             share = math.log(z) * (1.0 / len(shape) - 1.0)
-            for axis, v in enumerate(f.scope):
-                ps = partial[axis]
+            for ps, key in zip(partial, own):
                 log_new = np.full_like(ps, -math.inf)
                 pos = ps > 0.0
                 log_new[pos] = np.log(ps[pos]) + share
                 if opts.damping < 1.0:
-                    log_old = messages[(f.id, v)].log_total()
+                    log_old = logs[key] + messages[key].log_scale
                     log_new = (1.0 - opts.damping) * log_old + opts.damping * log_new
                 lse = _logsumexp(log_new)
                 values = np.exp(log_new - lse)
                 floored = values < _FLOOR
                 if zeros:
-                    zeros.pop((f.id, v), None)
-                if np.any(floored):
-                    floor_events += int(np.sum(floored))
-                    if not np.all(values):
-                        zeros[(f.id, v)] = values == 0.0
+                    zeros.pop(key, None)
+                if floored.any():
+                    floor_events += int(floored.sum())
+                    if not values.all():
+                        zeros[key] = values == 0.0
                     values = np.maximum(values, _FLOOR)
                     values = values / values.sum()
-                old = messages[(f.id, v)].values
-                max_change = max(max_change, float(np.max(np.abs(values - old))))
-                messages[(f.id, v)] = Message(values=values, log_scale=lse)
+                old = messages[key].values
+                max_change = max(max_change, float(np.abs(values - old).max()))
+                messages[key] = Message(values=values, log_scale=lse)
+                logs[key] = np.log(values)
         if max_change < opts.tolerance:
             converged = True
             break
 
-    beliefs = _beliefs_from_messages(net, messages)
+    beliefs = {v: belief(net, messages, v) for v, _ in net.variables}
     log_evidence = _evidence_from_messages(net, messages)
     return LoopyResult(beliefs=beliefs, messages=messages, converged=converged,
                        log_evidence=log_evidence, sweeps=sweeps,

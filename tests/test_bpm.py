@@ -236,6 +236,39 @@ class TestTraining:
         eig = np.linalg.eigvalsh(model.posterior.covariance)
         assert float(np.min(eig)) > 0.0
 
+    @pytest.mark.parametrize("d", [1, 3, 10, 40])
+    def test_degeneracy_check_agrees_with_smallest_eigenvalue(self, d):
+        # V = Q diag(lam) Q^T with the smallest eigenvalue a factor of 100 or
+        # more from the threshold t = max(1e-40, 1e-12 mean(diag V))
+        rng = np.random.default_rng(d)
+        binding = BpmBinding(make_dataset(rng.normal(size=(2, d)), [1.0, -1.0]))
+        spectra = {
+            "spd": lambda s: s * rng.uniform(0.1, 10.0, size=d),
+            "near-singular": lambda s: np.append(
+                s * rng.uniform(0.5, 2.0, size=d - 1), s * 1e-9),
+            "below-relative": lambda s: np.append(
+                s * rng.uniform(0.5, 2.0, size=d - 1), s * 1e-15),
+            "indefinite": lambda s: np.append(
+                s * rng.uniform(0.5, 2.0, size=d - 1), -s * 1e-3),
+            "collapsed": lambda s: np.full(d, 1e-43),
+            "small-but-proper": lambda s: 1e-30 * rng.uniform(0.5, 2.0, size=d),
+        }
+        seen = set()
+        for name, spectrum in spectra.items():
+            for scale in (1e-6, 1.0, 1e6):
+                q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+                lam = spectrum(scale)
+                cov = (q * lam) @ q.T
+                cov = 0.5 * (cov + cov.T)
+                low = float(np.min(np.linalg.eigvalsh(cov)))
+                t = max(1e-40, 1e-12 * float(np.mean(np.diag(cov))))
+                assert not t / 100 < low < t * 100, (name, scale, low, t)
+                degenerate = binding.is_degenerate(FullGaussian.trusted(
+                    np.zeros(d), cov))
+                assert degenerate == (low < t), (name, scale, low, t)
+                seen.add(degenerate)
+        assert seen == {True, False}
+
 
 class TestQuadraticCost:
     def test_tally_scales_quadratically(self):

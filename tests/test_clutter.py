@@ -211,6 +211,22 @@ def test_model_validation():
         ClutterModel(data=np.zeros((2, 1)), w=0.5, prior_variance=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_data_rejected_by_row(bad):
+    data = np.zeros((4, 2))
+    data[2, 1] = bad
+    data[3, 0] = math.nan
+    with pytest.raises(ValueError, match="row 2 "):
+        ClutterModel(data=data, w=0.5)
+
+
+@pytest.mark.parametrize("name", ["prior_variance", "clutter_variance"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_variances_rejected_by_name(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ClutterModel(data=np.zeros((2, 1)), w=0.5, **{name: bad})
+
+
 def test_spherical_as_site_is_normalized_density():
     g = SphericalGaussian(mean=[1.0, 2.0], variance=3.0)
     site = spherical_as_site(g)

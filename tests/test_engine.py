@@ -27,6 +27,19 @@ def small_model(seed=0, n=6, w=0.5, d=1):
                                                  seed=seed))
 
 
+class FailingAtTerm(ClutterBinding):
+    """A clutter binding whose moment match fails on purpose at one term."""
+
+    def __init__(self, model, bad_term):
+        super().__init__(model)
+        self.bad_term = bad_term
+
+    def moment_match(self, cavity, i):
+        if i == self.bad_term:
+            raise ValueError(f"moment match fails on purpose at term {i}")
+        return super().moment_match(cavity, i)
+
+
 class TestRunAdf:
     def test_zero_terms_returns_prior(self):
         model = ClutterModel(data=np.empty((0, 1)), w=0.5)
@@ -53,9 +66,8 @@ class TestRunAdf:
             run_adf(ClutterBinding(model), order=[0, 0, 1, 2, 3, 4])
 
     def test_failure_carries_term_index(self):
-        model = ClutterModel(data=np.array([[1.0], [math.nan]]), w=0.5)
         with pytest.raises(MomentMatchError) as err:
-            run_adf(ClutterBinding(model))
+            run_adf(FailingAtTerm(small_model(n=3), 1))
         assert err.value.term_index == 1
 
 
@@ -68,9 +80,8 @@ class TestRunEp:
         assert res.posterior.variance == 100.0
 
     def test_failure_carries_term_index(self):
-        model = ClutterModel(data=np.array([[1.0], [math.nan]]), w=0.5)
         with pytest.raises(MomentMatchError) as err:
-            run_ep(ClutterBinding(model))
+            run_ep(FailingAtTerm(small_model(n=3), 1))
         assert err.value.term_index == 1
         assert isinstance(err.value.__cause__, ValueError)
 

@@ -1,5 +1,6 @@
 """Discrete factor graphs: loading, Boyen-Koller passes, loopy propagation,
 tree exactness, and message/belief bookkeeping."""
+import dataclasses
 import json
 import math
 
@@ -92,6 +93,65 @@ class TestLoadNetwork:
                 variables=(("a", 2),),
                 factors=(Factor("f", ("a",), [1.0, 1.0]),
                          Factor("f", ("a",), [2.0, 1.0])))
+
+
+class TestLookups:
+    def test_incident_in_graph_order(self):
+        net = DiscreteFactorGraph(
+            variables=(("a", 2), ("b", 3), ("loose", 2)),
+            factors=(Factor("fb", ("b",), [1.0, 2.0, 3.0]),
+                     Factor("fab", ("a", "b"), np.ones(6)),
+                     Factor("fa", ("a",), [1.0, 2.0]),
+                     Factor("fba", ("b", "a"), np.ones(6))))
+        assert [f.id for f in net.incident("a")] == ["fab", "fa", "fba"]
+        assert [f.id for f in net.incident("b")] == ["fb", "fab", "fba"]
+        assert net.incident("loose") == []
+        assert net.cardinality("b") == 3
+        with pytest.raises(KeyError):
+            net.cardinality("zz")
+
+    def test_incident_result_does_not_alias_the_graph(self):
+        net = random_tree_network(5, 3, 1)
+        net.incident("v0").clear()
+        assert [f.id for f in net.incident("v0")] == [
+            f.id for f in net.factors if "v0" in f.scope]
+
+    def test_equality_and_replace_ignore_cached_lookups(self):
+        net = random_tree_network(6, 3, 2)
+        same = DiscreteFactorGraph(variables=net.variables, factors=net.factors)
+        assert same == net
+        assert dataclasses.replace(net) == net
+        assert "_incident" not in repr(net) and "_cards" not in repr(net)
+        # replace() rebuilds the lookups from the new fields
+        fewer = dataclasses.replace(net, factors=net.factors[:1])
+        assert fewer != net
+        assert fewer.incident("v1") == []
+        wider = dataclasses.replace(
+            net, variables=net.variables + (("extra", 5),))
+        assert wider.cardinality("extra") == 5
+        assert wider.incident("extra") == []
+        with pytest.raises(KeyError):
+            net.cardinality("extra")
+
+    def test_loopy_lookups_per_fit_not_per_sweep(self, monkeypatch):
+        # the graph's lookups are read while a fit is set up, never per visit
+        calls = {"incident": 0, "cardinality": 0}
+        for name in calls:
+            original = getattr(DiscreteFactorGraph, name)
+
+            def counted(self, vid, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, vid)
+            monkeypatch.setattr(DiscreteFactorGraph, name, counted)
+        net = random_tree_network(64, 4, 7)
+        counts = []
+        for sweeps in (1, 10):
+            calls.update(incident=0, cardinality=0)
+            res = loopy_ep(net, EPOptions(tolerance=1e-300, max_sweeps=sweeps))
+            assert res.sweeps == sweeps
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["incident"] > 0 and counts[0]["cardinality"] > 0
 
 
 class TestBkAdf:
@@ -281,6 +341,12 @@ class TestBelief:
         res = loopy_ep(net, EPOptions(max_sweeps=1))
         with pytest.raises(KeyError):
             belief(net, res.messages, "zz")
+
+    def test_reads_only_the_requested_variable(self):
+        net = random_tree_network(6, 3, 3)
+        res = loopy_ep(net, EPOptions(tolerance=1e-10, max_sweeps=50))
+        mine = {k: m for k, m in res.messages.items() if k[1] == "v2"}
+        assert np.array_equal(belief(net, mine, "v2"), res.beliefs["v2"])
 
     def test_vanishing_message_product_raises(self):
         # messages with disjoint support: the belief product is all zero
