@@ -35,6 +35,11 @@ from .gaussians import (
 DEFAULT_PRIOR_VARIANCE = 100.0
 DEFAULT_CLUTTER_VARIANCE = 10.0
 
+# Rows per block of `ClutterModel.log_likelihood`: each per-block temporary
+# is one float per row (64 KiB at d = 1), so the working set stays in cache
+# and memory does not grow with the sample count.
+LIKELIHOOD_BLOCK_ROWS = 8192
+
 
 @dataclass(frozen=True)
 class ClutterModel:
@@ -65,6 +70,51 @@ class ClutterModel:
     @property
     def d(self) -> int:
         return self.data.shape[1]
+
+    def log_likelihood(self, xs: np.ndarray) -> np.ndarray:
+        """log p(D | x) for each row x of an (S, d) array: the sum over the
+        observations, in data order, of log((1-w) N(y_i; x, I) + w N(y_i; 0, v I)).
+
+        Each term is a two-term log-sum-exp of log_in = log((1-w) N(y_i; x, I))
+        against the observation's clutter constant c_i, written with
+        delta = log_in - c_i as max(log_in, c_i) + log1p(exp(-|delta|)) so
+        that it runs as vector exp/log1p.  At w = 0 or w = 1 one of the two
+        is -inf, so -|delta| is -inf and the term is the other one exactly,
+        as with np.logaddexp.  Rows go through in blocks of
+        LIKELIHOOD_BLOCK_ROWS with preallocated temporaries; a row's value
+        does not depend on the other rows.
+        """
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.d:
+            raise ValueError(f"xs must have shape (S, {self.d}), got {xs.shape}")
+        w, d, cv = self.w, self.d, self.clutter_variance
+        in_const = (math.log1p(-w) if w < 1.0 else -math.inf) - 0.5 * d * LOG_2PI
+        log_cl = [math.log(w) + (-0.5 * d * math.log(2 * math.pi * cv)
+                                 - 0.5 * float(y @ y) / cv) if w > 0.0 else -math.inf
+                  for y in self.data]
+        s = xs.shape[0]
+        out = np.zeros(s)
+        rows = min(s, LIKELIHOOD_BLOCK_ROWS)
+        resid, log_in, tail = np.empty((rows, d)), np.empty(rows), np.empty(rows)
+        for start in range(0, s, LIKELIHOOD_BLOCK_ROWS):
+            block = xs[start:start + LIKELIHOOD_BLOCK_ROWS]
+            acc = out[start:start + LIKELIHOOD_BLOCK_ROWS]
+            m = block.shape[0]
+            r, li, t = resid[:m], log_in[:m], tail[:m]
+            for y, c in zip(self.data, log_cl):
+                np.subtract(block, y, out=r)
+                np.multiply(r, r, out=r)
+                np.sum(r, axis=1, out=li)
+                li *= 0.5
+                np.subtract(in_const, li, out=li)
+                np.minimum(li, c, out=t)
+                np.maximum(li, c, out=li)
+                t -= li
+                np.exp(t, out=t)
+                np.log1p(t, out=t)
+                li += t
+                acc += li
+        return out
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown methods {sorted(bad)}")
         if self.kind == "clutter" and "oracle" in self.methods and self.n > 20:
             raise ConfigError("n must be <= 20 when the exact oracle is requested")
+        counts = self.importance_samples
+        if not (isinstance(counts, tuple) and counts
+                and all(type(c) is int and c > 0 for c in counts)):
+            raise ConfigError("importance_samples must be a non-empty tuple of "
+                              f"positive ints, got {counts!r}")
 
 
 @dataclass(frozen=True)
@@ -115,9 +120,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         ep_doc["schedule"] = Schedule(**sched_doc)
     try:
         opts = EPOptions(**ep_doc)
-        for key in ("seeds", "methods", "x_true", "importance_samples"):
+        for key in ("seeds", "methods", "x_true"):
             if key in doc:
                 doc[key] = tuple(doc[key])
+        if isinstance(doc.get("importance_samples"), list):
+            doc["importance_samples"] = tuple(doc["importance_samples"])
         return ExperimentConfig(ep_options=opts, **doc)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
@@ -198,7 +205,9 @@ def run_clutter_experiment(config: ExperimentConfig) -> list[ResultRow]:
         if "importance" in config.methods:
             for s_count in config.importance_samples:
                 t0 = time.perf_counter()
-                est = _clutter_importance(model, s_count, seed)
+                est = importance_sampler(model.log_likelihood, np.zeros(model.d),
+                                         model.prior_variance * np.eye(model.d),
+                                         s_count, seed)
                 dt = (time.perf_counter() - t0) * 1e3
                 e_ev = abs(math.log(est.evidence.value) - exact.log_evidence) \
                     if est.evidence.value > 0 else math.inf
@@ -208,27 +217,6 @@ def run_clutter_experiment(config: ExperimentConfig) -> list[ResultRow]:
                                       s_count * (model.d + 2), e_ev, e_m,
                                       True, 0, dt))
     return rows
-
-
-def _clutter_importance(model, samples: int, seed: int):
-    data, w, cv = model.data, model.w, model.clutter_variance
-    d = model.d
-    log_cl = np.array([
-        math.log(w) + (-0.5 * d * math.log(2 * math.pi * cv)
-                       - 0.5 * float(y @ y) / cv) if w > 0 else -math.inf
-        for y in data])
-
-    def loglik(xs):
-        out = np.zeros(xs.shape[0])
-        for i, y in enumerate(data):
-            r = xs - y[None, :]
-            log_in = (math.log1p(-w) if w < 1.0 else -math.inf) \
-                - 0.5 * d * math.log(2 * math.pi) - 0.5 * np.sum(r * r, axis=1)
-            out += np.logaddexp(log_in, log_cl[i])
-        return out
-
-    return importance_sampler(loglik, np.zeros(d),
-                              model.prior_variance * np.eye(d), samples, seed)
 
 
 # ---------------------------------------------------------------------------

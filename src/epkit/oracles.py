@@ -338,10 +338,16 @@ def importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray],
                        samples: int, seed: int) -> ImportanceResult:
     """Prior-based importance sampling for evidence and posterior mean.
 
-    log_likelihood maps an (S, d) array of parameter draws to an (S,) array
-    of log likelihood values.  Weights are exponentiated against their max
-    so heavy tails cannot overflow.  PCG64 (numpy default_rng) keeps draws
-    reproducible across platforms for a fixed seed.
+    log_likelihood is called once, on the (S, d) array of all S parameter
+    draws, and must return an (S,) array of log likelihood values in which
+    each row's value does not depend on the other rows (so it may evaluate
+    the rows in blocks).  -inf marks a zero likelihood, and all -inf raises
+    DegenerateWeightsError.  An output of another shape is rejected with a
+    ValueError, and so is one holding NaN or +inf, naming the first bad
+    index.
+    Weights are exponentiated against their max so heavy tails cannot
+    overflow.  PCG64 (numpy default_rng) keeps draws reproducible across
+    platforms for a fixed seed.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -354,7 +360,14 @@ def importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray],
     xs = rng.multivariate_normal(prior_mean, cov, size=samples,
                                  method="cholesky")
     log_w = np.asarray(log_likelihood(xs), dtype=float)
+    if log_w.shape != (samples,):
+        raise ValueError(f"log_likelihood must return shape ({samples},), "
+                         f"got {log_w.shape}")
     max_lw = float(np.max(log_w))
+    if not max_lw < math.inf:  # NaN or +inf somewhere
+        bad = int(np.flatnonzero(np.isnan(log_w) | (log_w == math.inf))[0])
+        raise ValueError(f"log_likelihood must not be NaN or +inf; "
+                         f"index {bad} is {log_w[bad]}")
     if max_lw == -math.inf:
         raise DegenerateWeightsError("degenerate weights")
     w = np.exp(log_w - max_lw)

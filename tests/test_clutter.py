@@ -1,6 +1,8 @@
 """Clutter model: analytic moment match vs quadrature, evidence formulas,
 data generation, and spherical-family geometry."""
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epkit.clutter import (
+    LIKELIHOOD_BLOCK_ROWS,
     ClutterBinding,
     ClutterDataSpec,
     ClutterModel,
@@ -202,6 +205,96 @@ class TestCsv:
     def test_header(self):
         model = ClutterModel(data=np.zeros((1, 3)), w=0.0)
         assert dataset_to_csv(model).splitlines()[0] == "y1,y2,y3"
+
+
+def logaddexp_loop_log_likelihood(model, xs):
+    """The per-observation np.logaddexp loop the experiment used before
+    ClutterModel.log_likelihood existed, kept verbatim as the reference."""
+    data, w, cv = model.data, model.w, model.clutter_variance
+    d = model.d
+    log_cl = np.array([
+        math.log(w) + (-0.5 * d * math.log(2 * math.pi * cv)
+                       - 0.5 * float(y @ y) / cv) if w > 0 else -math.inf
+        for y in data])
+
+    def loglik(xs):
+        out = np.zeros(xs.shape[0])
+        for i, y in enumerate(data):
+            r = xs - y[None, :]
+            log_in = (math.log1p(-w) if w < 1.0 else -math.inf) \
+                - 0.5 * d * math.log(2 * math.pi) - 0.5 * np.sum(r * r, axis=1)
+            out += np.logaddexp(log_in, log_cl[i])
+        return out
+
+    return loglik(xs)
+
+
+class TestLogLikelihood:
+    @pytest.mark.parametrize("n", [1, 12])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("w", [0.0, 0.3, 0.5, 1.0])
+    def test_agrees_with_logaddexp_loop(self, w, d, n):
+        rng = np.random.default_rng(1000 * n + 10 * d + int(10 * w))
+        model = ClutterModel(data=rng.normal(size=(n, d)) * 3.0, w=w)
+        # prior draws as the importance sampler makes them, plus far tails
+        xs = np.concatenate([rng.normal(size=(3000, d)) * 10.0,
+                             rng.normal(size=(50, d)) * 1e3])
+        ref = logaddexp_loop_log_likelihood(model, xs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model.log_likelihood(xs)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+    def test_block_invariant_bitwise(self):
+        model = generate_clutter_data(ClutterDataSpec(x_true=[2.0], n=12, w=0.5, seed=3))
+        s = 2 * LIKELIHOOD_BLOCK_ROWS + 7
+        xs = np.random.default_rng(4).normal(size=(s, 1)) * 10.0
+        whole = model.log_likelihood(xs)
+        assert whole.shape == (s,)
+        kernel = model.log_likelihood
+        # every row near each block edge, and a stride through the rest
+        edges = [b + k for b in (0, LIKELIHOOD_BLOCK_ROWS, 2 * LIKELIHOOD_BLOCK_ROWS)
+                 for k in range(-7, 8) if 0 <= b + k < s]
+        for j in sorted(set(edges) | set(range(0, s, 23))):
+            assert kernel(xs[j:j + 1])[0] == whole[j]
+        # odd-sized slices that straddle the block edges
+        cuts = [0, 5, LIKELIHOOD_BLOCK_ROWS - 3, LIKELIHOOD_BLOCK_ROWS + 100, s - 2, s]
+        pieces = [kernel(xs[a:b]) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.concatenate(pieces), whole)
+
+    def test_memory_stays_blockwise(self):
+        model = generate_clutter_data(ClutterDataSpec(x_true=[2.0], n=12, w=0.5, seed=1))
+        xs = np.random.default_rng(2).normal(size=(10 ** 5, 1)) * 10.0
+        tracemalloc.start()
+        try:
+            model.log_likelihood(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (S,) output is 0.76 MiB; one (S, n) temporary would be 9.2 MiB
+        assert peak < 2 * 2 ** 20
+
+    @pytest.mark.parametrize("w", [0.0, 0.3, 1.0])
+    def test_exp_is_product_of_mixture_densities(self, w):
+        rng = np.random.default_rng(17)
+        model = ClutterModel(data=rng.normal(size=(3, 2)) * 2.0, w=w)
+        xs = rng.normal(size=(40, 2)) * 2.0
+        cv = model.clutter_variance
+        direct = np.ones(xs.shape[0])
+        for y in model.data:
+            for k, x in enumerate(xs):
+                inlier = math.exp(-0.5 * float((y - x) @ (y - x))) / (2 * math.pi)
+                clutter = math.exp(-0.5 * float(y @ y) / cv) / (2 * math.pi * cv)
+                direct[k] *= (1 - w) * inlier + w * clutter
+        assert np.allclose(np.exp(model.log_likelihood(xs)), direct,
+                           rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 2), (1, 5, 1)])
+    def test_rejects_wrong_shape(self, shape):
+        model = ClutterModel(data=np.zeros((2, 1)), w=0.5)
+        with pytest.raises(ValueError, match=r"shape \(S, 1\)"):
+            model.log_likelihood(np.zeros(shape))
 
 
 def test_model_validation():

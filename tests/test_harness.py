@@ -68,6 +68,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"kind": "clutter", "wobble": 3})
 
+    @pytest.mark.parametrize("bad", [(), (0,), (-3,), (1000, 0), 1.5, (1.5,),
+                                     True, (True,), 1000, "1000"])
+    @pytest.mark.parametrize("kind", ["clutter", "bpm"])
+    def test_importance_samples_validated(self, kind, bad):
+        with pytest.raises(ConfigError, match="importance_samples"):
+            ExperimentConfig(kind=kind, importance_samples=bad)
+        doc_value = list(bad) if isinstance(bad, tuple) else bad
+        with pytest.raises(ConfigError, match="importance_samples"):
+            config_from_dict({"kind": kind, "importance_samples": doc_value})
+
 
 class TestClutterExperiment:
     def test_row_inventory(self):

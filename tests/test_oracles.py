@@ -269,6 +269,43 @@ class TestImportanceSampler:
             importance_sampler(lambda xs: np.full(xs.shape[0], -math.inf),
                                np.zeros(1), np.eye(1), 100, seed=0)
 
+    @staticmethod
+    def _with_entry(value, index=37):
+        def loglik(xs):
+            out = -0.5 * xs[:, 0] ** 2
+            out[index] = value
+            out[index + 5] = value
+            return out
+        return loglik
+
+    def test_nan_rejected_by_index(self):
+        with pytest.raises(ValueError, match="index 37 is nan"):
+            importance_sampler(self._with_entry(math.nan), np.zeros(1), np.eye(1),
+                               100, seed=0)
+
+    def test_plus_inf_rejected_by_index(self):
+        with pytest.raises(ValueError, match="index 37 is inf"):
+            importance_sampler(self._with_entry(math.inf), np.zeros(1), np.eye(1),
+                               100, seed=0)
+
+    def test_column_output_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(100,\), got \(100, 1\)"):
+            importance_sampler(lambda xs: -0.5 * xs ** 2, np.zeros(1), np.eye(1),
+                               100, seed=0)
+
+    def test_short_output_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(100,\), got \(99,\)"):
+            importance_sampler(lambda xs: -0.5 * xs[1:, 0] ** 2, np.zeros(1),
+                               np.eye(1), 100, seed=0)
+
+    def test_minus_inf_entries_are_zero_weights(self):
+        res = importance_sampler(lambda xs: np.where(xs[:, 0] > 0, 0.0, -math.inf),
+                                 np.zeros(1), np.eye(1), 20_000, seed=5)
+        full = importance_sampler(lambda xs: np.zeros(xs.shape[0]),
+                                  np.zeros(1), np.eye(1), 20_000, seed=5)
+        assert 0.0 < res.evidence.value < full.evidence.value
+        assert res.posterior_mean.value[0] > 0.0
+
 
 class TestEnumerateDiscrete:
     def test_single_unary(self):
