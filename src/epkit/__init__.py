@@ -13,7 +13,6 @@ from .bpm import (
     BpmBinding,
     BpmDataset,
     BpmModel,
-    bpm_evidence,
     bpm_moment_match,
     bpm_predict,
     bpm_predict_batch,
@@ -24,7 +23,6 @@ from .clutter import (
     ClutterBinding,
     ClutterDataSpec,
     ClutterModel,
-    clutter_log_evidence,
     clutter_moment_match,
     generate_clutter_data,
 )
@@ -35,9 +33,9 @@ from .engine import (
     ModelBinding,
     OpTally,
     Schedule,
-    apply_damping,
     check_fixed_point,
     ep_energy,
+    ep_log_evidence,
     run_adf,
     run_ep,
 )

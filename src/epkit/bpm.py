@@ -24,8 +24,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.special import log_ndtr
 
-from .engine import Diagnostics, EPOptions, EPResult, ModelBinding, OpTally, run_ep
+from .engine import (Diagnostics, EPOptions, EPResult, ModelBinding, OpTally,
+                     ep_log_evidence, run_ep)
 from .gaussians import (
     LOG_2PI,
     FullGaussian,
@@ -81,6 +83,15 @@ class BpmDataset:
     def noise_var(self) -> float:
         """Variance of the margin noise: 1 with slack, 0 (a step) without."""
         return 1.0 if self.slack > 0.0 else 0.0
+
+    def log_likelihood(self, ws: np.ndarray) -> np.ndarray:
+        """log p(labels | w) for each row w of an (S, d) array: the sum of
+        the log probits of the margins with slack, else 0 when every margin
+        is positive and -inf otherwise (the step)."""
+        margins = ws @ self.directions.T
+        if self.slack > 0.0:
+            return np.sum(log_ndtr(margins), axis=1)
+        return np.where(np.all(margins > 0, axis=1), 0.0, -math.inf)
 
 
 def make_dataset(points, labels, slack: float = 0.0,
@@ -354,7 +365,7 @@ class BpmBinding(ModelBinding):
     def log_evidence(self, posterior, sites) -> float:
         d = self.dataset.d
         self.tally.add(d * d * d)
-        return bpm_log_evidence_parts(posterior, sites)
+        return ep_log_evidence(self._prior, posterior, sites)
 
     def is_degenerate(self, posterior) -> bool:
         # conflicting step likelihoods have zero total mass; refinement then
@@ -397,20 +408,6 @@ class BpmBinding(ModelBinding):
             raise ImproperProductError("improper product") from exc
         z = np.linalg.solve(L, b)
         return 0.5 * d * LOG_2PI - float(np.sum(np.log(np.diag(L)))) + 0.5 * float(z @ z)
-
-
-def bpm_log_evidence_parts(posterior: FullGaussian, sites) -> float:
-    """log p(D) = 1/2 log|V_w| + B/2 + sum_i log s_i with
-    B = m_w' V_w^-1 m_w - sum_i m_i^2/v_i; vacuous sites contribute nothing."""
-    L = posterior.cholesky()
-    half_logdet = float(np.sum(np.log(np.diag(L))))
-    y = np.linalg.solve(L, posterior.mean)
-    b = float(y @ y)
-    log_scales = 0.0
-    for s in sites:
-        b -= s.precision * s.mean * s.mean
-        log_scales += s.log_scale
-    return half_logdet + 0.5 * b + log_scales
 
 
 @dataclass(frozen=True)
@@ -475,11 +472,6 @@ def _predict_one(model: BpmModel, x) -> tuple[int, int]:
     if score == 0.0:
         return 1, 1
     return (1, 0) if score > 0.0 else (-1, 0)
-
-
-def bpm_evidence(model: BpmModel) -> float:
-    """log p(D) of the trained model (log-domain step-4 evidence display)."""
-    return bpm_log_evidence_parts(model.posterior, model.sites)
 
 
 def bpm_training_error(model: BpmModel) -> float:

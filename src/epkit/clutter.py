@@ -3,9 +3,8 @@
 Each observation comes from N(x, I) with probability 1-w and from a broad
 zero-centered clutter component N(0, clutter_variance I) otherwise; the
 posterior over x is approximated by a spherical Gaussian.  This module
-supplies the analytic per-term moment match, the model's evidence formula,
-synthetic data generation, and the binding that plugs it into the ADF/EP
-engine.
+supplies the analytic per-term moment match, synthetic data generation, and
+the binding that plugs it into the ADF/EP engine.
 """
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import ModelBinding, OpTally
+from .engine import ModelBinding, OpTally, ep_log_evidence
 from .gaussians import (
     LOG_2PI,
     ImproperProductError,
@@ -28,7 +27,6 @@ from .gaussians import (
     _logsumexp,
     divide_out,
     log_normal_pdf,
-    spherical_as_site,
     vacuous_spherical,
 )
 
@@ -186,27 +184,6 @@ def clutter_moment_match(cavity: SphericalGaussian, y: np.ndarray, w: float,
                         z=math.exp(log_z), log_z=log_z, r=r)
 
 
-def clutter_log_evidence(prior: SphericalGaussian,
-                         sites: list[NaturalSpherical],
-                         posterior: SphericalGaussian) -> float:
-    """log p(D) from the converged sites: (2 pi v_x)^{d/2} exp(B/2) prod s_i
-    with B = |m_x|^2/v_x - sum_i |m_i|^2/v_i, evaluated in log domain.
-
-    The prior enters as site 0; vacuous sites contribute nothing to B.
-    Note |m_i|^2 / v_i = |shift_i|^2 / precision_i, well defined for
-    negative precisions too.
-    """
-    d = posterior.dim
-    all_sites = [spherical_as_site(prior)] + list(sites)
-    b = float(posterior.mean @ posterior.mean) / posterior.variance
-    log_scales = 0.0
-    for s in all_sites:
-        if s.precision != 0.0:
-            b -= float(s.shift @ s.shift) / s.precision
-        log_scales += s.log_scale
-    return 0.5 * d * (LOG_2PI + math.log(posterior.variance)) + 0.5 * b + log_scales
-
-
 class ClutterBinding(ModelBinding):
     """Engine binding for the clutter model (spherical Gaussian family).
 
@@ -262,7 +239,7 @@ class ClutterBinding(ModelBinding):
 
     def log_evidence(self, posterior, sites) -> float:
         self.tally.add((len(sites) + 1) * (self.model.d + 2))
-        return clutter_log_evidence(self._prior, list(sites), posterior)
+        return ep_log_evidence(self._prior, posterior, sites)
 
     # --- family hooks for energy diagnostics -------------------------------
 

@@ -2,9 +2,12 @@
 
 A model binds itself to the engine through `ModelBinding`: it supplies the
 exactly-incorporated prior, one moment-matching projection per data term,
-and the site bookkeeping (cavity division, site extraction, convergence
-coordinates).  The engine owns the sweep loop, damping, the improper-cavity
-policy, and the energy / fixed-point diagnostics.
+and the site bookkeeping (cavity division, site extraction, recombination).
+The site types carry their family's rules: `damped` interpolates two sites
+in natural parameters and `coords` gives the convergence coordinates.  The
+engine owns the sweep loop, the improper-cavity policy (skip and count),
+the evidence formula `ep_log_evidence`, and the energy / fixed-point
+diagnostics.
 
 Cost accounting: bindings charge a documented elementary-operation count to
 the run's tally (length-d vector ops charge d, rank-one d x d updates charge
@@ -19,11 +22,11 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from .gaussians import NaturalSpherical, RankOneSite, Site
+from .gaussians import Site
 
 
 class OpTally:
@@ -65,7 +68,6 @@ class EPOptions:
     max_sweeps: int = 100
     damping: float = 1.0
     schedule: Schedule = field(default_factory=Schedule)
-    skip_improper_cavity: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.tolerance < math.inf:
@@ -116,7 +118,9 @@ class ModelBinding(ABC):
 
     The prior term is incorporated exactly; `site_count` counts only the
     refinable data terms.  `moment_match` must return a member of the same
-    approximating family as its cavity argument.
+    approximating family as its cavity argument.  Sites are
+    `NaturalSpherical` or `RankOneSite`, which own damping and convergence
+    coordinates, so a binding supplies neither.
     """
 
     tally: OpTally
@@ -148,7 +152,8 @@ class ModelBinding(ABC):
         """cavity * site, normalized (used after damped site updates)."""
 
     @abstractmethod
-    def log_evidence(self, posterior, sites: Sequence[Site]) -> float: ...
+    def log_evidence(self, posterior, sites: Sequence[Site]) -> float:
+        """log of the integral of prior * prod(sites) (see ep_log_evidence)."""
 
     # --- diagnostics hooks -------------------------------------------------
 
@@ -170,43 +175,20 @@ class ModelBinding(ABC):
         """log integral exp(coords . f(x)) dx over the family's statistics;
         raises ImproperProductError/ValueError off the proper cone."""
 
-    def site_coords(self, site: Site) -> np.ndarray:
-        """Convergence coordinates: precision and shift; log scale excluded
-        (it tracks the others and has no effect on the posterior shape)."""
-        if isinstance(site, NaturalSpherical):
-            return np.concatenate(([site.precision], site.shift))
-        if isinstance(site, RankOneSite):
-            return np.array([site.precision, site.precision * site.mean])
-        raise TypeError(f"unsupported site type {type(site)!r}")
-
     def is_degenerate(self, posterior) -> bool:
         """True when refinement has collapsed the posterior beyond numerical
         rescue (the sweep loop then stops and reports instead of crashing)."""
         return False
 
 
-def apply_damping(old: Site, new: Site, gamma: float) -> Site:
-    """Convex combination of two sites in natural parameters: precision,
-    shift, and log scale each interpolated as (1-gamma)*old + gamma*new."""
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("damping factor must lie in (0, 1]")
-    if gamma == 1.0:
-        return new
-    if isinstance(old, NaturalSpherical) and isinstance(new, NaturalSpherical):
-        return NaturalSpherical(
-            precision=(1.0 - gamma) * old.precision + gamma * new.precision,
-            shift=(1.0 - gamma) * old.shift + gamma * new.shift,
-            log_scale=(1.0 - gamma) * old.log_scale + gamma * new.log_scale)
-    if isinstance(old, RankOneSite) and isinstance(new, RankOneSite):
-        if not np.array_equal(old.direction, new.direction):
-            raise ValueError("cannot damp rank-one sites with different directions")
-        prec = (1.0 - gamma) * old.precision + gamma * new.precision
-        shift = (1.0 - gamma) * old.precision * old.mean + gamma * new.precision * new.mean
-        return RankOneSite(
-            direction=new.direction, precision=prec,
-            mean=shift / prec if prec != 0.0 else 0.0,
-            log_scale=(1.0 - gamma) * old.log_scale + gamma * new.log_scale)
-    raise TypeError("site types do not match")
+def ep_log_evidence(prior, posterior, sites: Sequence[Site]) -> float:
+    """log Z with posterior = prior * prod(sites) / Z, from the log
+    coefficients c of each factor written as exp(c + linear - quadratic):
+    the x-dependent parts cancel, leaving sum_i c_i + c_prior - c_posterior.
+    Vacuous and negative-precision sites are fine; the posterior must be
+    proper."""
+    return sum(s.natural_log_coeff() for s in sites) \
+        + prior.log_norm_coeff() - posterior.log_norm_coeff()
 
 
 def run_adf(model: ModelBinding, order: Sequence[int] | None = None) -> EPResult:
@@ -239,16 +221,15 @@ def run_adf(model: ModelBinding, order: Sequence[int] | None = None) -> EPResult
 
 
 def run_ep(model: ModelBinding, opts: EPOptions = EPOptions(),
-           sweep_callback: Callable[[SweepSnapshot], None] | None = None,
            record_history: bool = False) -> EPResult:
     """Expectation propagation: refine every term approximation until the
     largest site natural-parameter change in a sweep drops below tolerance.
 
     Sites start vacuous, so with a sequential schedule and no damping the
     state after the first sweep coincides with ADF in the same order.
-    Improper cavities are skipped for the sweep (and counted) when
-    `skip_improper_cavity`, else raised.  Non-convergence is reported, not
-    raised.
+    Improper cavities are skipped for the sweep and counted.  A damped
+    update is `old_site.damped(new_site, damping)`, recombined with the
+    cavity.  Non-convergence is reported, not raised.
     """
     n = model.site_count
     start_ops = model.tally.count
@@ -276,8 +257,6 @@ def run_ep(model: ModelBinding, opts: EPOptions = EPOptions(),
             cav = model.cavity(q, sites[i])
             if cav is None:
                 diag.improper_cavities += 1
-                if not opts.skip_improper_cavity:
-                    raise ArithmeticError(f"improper cavity at site {i}")
                 diag.skipped_sites += 1
                 continue
             updated += 1
@@ -287,22 +266,17 @@ def run_ep(model: ModelBinding, opts: EPOptions = EPOptions(),
                 raise MomentMatchError(i, exc) from exc
             new_site = model.make_site(q_new, cav, log_z, i)
             if opts.damping < 1.0:
-                new_site = apply_damping(sites[i], new_site, opts.damping)
+                new_site = sites[i].damped(new_site, opts.damping)
                 q_new = model.recombine(cav, new_site)
-            delta = np.max(np.abs(model.site_coords(new_site)
-                                  - model.site_coords(sites[i])))
+            delta = np.max(np.abs(new_site.coords() - sites[i].coords()))
             max_change = max(max_change, float(delta))
             sites[i] = new_site
             q = q_new
-        if sweep_callback is not None or record_history:
-            snap = SweepSnapshot(sweep=sweeps, posterior=q,
-                                 log_evidence=model.log_evidence(q, sites),
-                                 operations=model.tally.count - start_ops,
-                                 max_change=max_change)
-            if sweep_callback is not None:
-                sweep_callback(snap)
-            if record_history:
-                history.append(snap)
+        if record_history:
+            history.append(SweepSnapshot(
+                sweep=sweeps, posterior=q,
+                log_evidence=model.log_evidence(q, sites),
+                operations=model.tally.count - start_ops, max_change=max_change))
         if updated == 0:
             break  # every cavity improper: no refinement is possible
         if model.is_degenerate(q):

@@ -13,13 +13,14 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bpm import BpmBinding, dataset_from_csv, make_dataset
+from .bpm import (BpmBinding, _model_from_result, bpm_training_error,
+                  dataset_from_csv, make_dataset)
 from .clutter import ClutterBinding, ClutterDataSpec, generate_clutter_data
 from .engine import EPOptions, Schedule, run_adf, run_ep
 from .factorgraph import DiscreteFactorGraph, Factor, bk_adf, load_network, loopy_ep
@@ -131,29 +132,27 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    opts = config.ep_options
-    return {
-        "kind": config.kind,
-        "seeds": list(config.seeds),
-        "methods": list(config.methods),
-        "ep_options": {
-            "tolerance": opts.tolerance,
-            "max_sweeps": opts.max_sweeps,
-            "damping": opts.damping,
-            "schedule": {"kind": opts.schedule.kind, "seed": opts.schedule.seed},
-        },
-        "x_true": list(config.x_true),
-        "n": config.n,
-        "w": config.w,
-        "dataset_path": config.dataset_path,
-        "slack": config.slack,
-        "add_bias": config.add_bias,
-        "importance_samples": list(config.importance_samples),
-        "network": config.network,
-        "n_vars": config.n_vars,
-        "max_cardinality": config.max_cardinality,
-        "timings": config.timings,
-    }
+    """The configuration as JSON values (tuples become lists)."""
+    return json.loads(json.dumps(asdict(config)))
+
+
+def _fit_rows(experiment: str, seed: int, method: str, binding, opts: EPOptions,
+              errors) -> tuple:
+    """Fit the binding by ADF or EP (`method`) and return the result with its
+    rows: one per recorded EP sweep, else one `final` row.  errors(mean,
+    log_evidence) gives a row's two error columns."""
+    t0 = time.perf_counter()
+    if method == "adf":
+        res = run_adf(binding)
+    else:
+        res = run_ep(binding, opts, record_history=True)
+    dt = (time.perf_counter() - t0) * 1e3
+    points = [(f"sweep{s.sweep}", s.operations, s.posterior, s.log_evidence)
+              for s in res.history] \
+        or [("final", res.diagnostics.operations, res.posterior, res.log_evidence)]
+    return res, [ResultRow(experiment, seed, method, checkpoint, ops,
+                           *errors(post.mean, log_ev), res.converged, res.sweeps, dt)
+                 for checkpoint, ops, post, log_ev in points]
 
 
 # ---------------------------------------------------------------------------
@@ -179,29 +178,10 @@ def run_clutter_experiment(config: ExperimentConfig) -> list[ResultRow]:
         if "oracle" in config.methods:
             rows.append(ResultRow("clutter", seed, "oracle", "exact",
                                   0, 0.0, 0.0, True, 0))
-        if "adf" in config.methods:
-            t0 = time.perf_counter()
-            res = run_adf(ClutterBinding(model))
-            dt = (time.perf_counter() - t0) * 1e3
-            e_ev, e_m = errs(res.posterior.mean, res.log_evidence)
-            rows.append(ResultRow("clutter", seed, "adf", "final",
-                                  res.diagnostics.operations, e_ev, e_m,
-                                  res.converged, res.sweeps, dt))
-        if "ep" in config.methods:
-            t0 = time.perf_counter()
-            res = run_ep(ClutterBinding(model), config.ep_options,
-                         record_history=True)
-            dt = (time.perf_counter() - t0) * 1e3
-            for snap in res.history:
-                e_ev, e_m = errs(snap.posterior.mean, snap.log_evidence)
-                rows.append(ResultRow("clutter", seed, "ep", f"sweep{snap.sweep}",
-                                      snap.operations, e_ev, e_m,
-                                      res.converged, res.sweeps, dt))
-            if not res.history:
-                e_ev, e_m = errs(res.posterior.mean, res.log_evidence)
-                rows.append(ResultRow("clutter", seed, "ep", "final",
-                                      res.diagnostics.operations, e_ev, e_m,
-                                      res.converged, res.sweeps, dt))
+        for method in ("adf", "ep"):
+            if method in config.methods:
+                rows += _fit_rows("clutter", seed, method, ClutterBinding(model),
+                                  config.ep_options, errs)[1]
         if "importance" in config.methods:
             for s_count in config.importance_samples:
                 t0 = time.perf_counter()
@@ -229,14 +209,6 @@ def builtin_bpm_dataset(slack: float = 0.0, add_bias: bool = True):
                         [1.0, -1.0, -1.0], slack=slack, add_bias=add_bias)
 
 
-def _train_error_row(seed, method, dataset, result, wall_ms):
-    from .bpm import _model_from_result, bpm_training_error
-    err = bpm_training_error(_model_from_result(dataset, result))
-    return ResultRow("bpm", seed, method, "train_error",
-                     result.diagnostics.operations, math.nan, err,
-                     result.converged, result.sweeps, wall_ms)
-
-
 def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Ground truth is the importance-sampling Bayes point at the largest
     configured sample count; ADF/EP rows carry the Euclidean distance of the
@@ -255,63 +227,37 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
         dataset = builtin_bpm_dataset(config.slack, config.add_bias)
 
     d = dataset.d
-    directions = dataset.directions
-    noise_sd = math.sqrt(dataset.noise_var)
-
-    from scipy.special import log_ndtr
-
-    def loglik(ws):
-        margins = ws @ directions.T
-        if noise_sd > 0.0:
-            return np.sum(log_ndtr(margins / noise_sd), axis=1)
-        ok = np.all(margins > 0, axis=1)
-        return np.where(ok, 0.0, -math.inf)
-
     rows: list[ResultRow] = []
     s_truth = max(config.importance_samples)
     for seed in config.seeds:
-        truth = importance_sampler(loglik, np.zeros(d), np.eye(d), s_truth, seed)
+        truth = importance_sampler(dataset.log_likelihood, np.zeros(d), np.eye(d),
+                                   s_truth, seed)
         truth_mean = truth.posterior_mean.value
         log_ev_truth = math.log(truth.evidence.value)
+
+        def errs(mean, log_ev):
+            return (abs(log_ev - log_ev_truth),
+                    float(np.linalg.norm(mean - truth_mean)))
 
         if "oracle" in config.methods:
             rows.append(ResultRow("bpm", seed, "oracle", f"samples{s_truth}",
                                   s_truth * (d + 2), 0.0, 0.0, True, 0))
-        if "adf" in config.methods:
-            t0 = time.perf_counter()
-            res = run_adf(BpmBinding(dataset))
-            dt = (time.perf_counter() - t0) * 1e3
-            rows.append(ResultRow(
-                "bpm", seed, "adf", "final", res.diagnostics.operations,
-                abs(res.log_evidence - log_ev_truth),
-                float(np.linalg.norm(res.posterior.mean - truth_mean)),
-                res.converged, res.sweeps, dt))
-            rows.append(_train_error_row(seed, "adf", dataset, res, dt))
-        if "ep" in config.methods:
-            t0 = time.perf_counter()
-            res = run_ep(BpmBinding(dataset), config.ep_options,
-                         record_history=True)
-            dt = (time.perf_counter() - t0) * 1e3
-            for snap in res.history:
-                rows.append(ResultRow(
-                    "bpm", seed, "ep", f"sweep{snap.sweep}", snap.operations,
-                    abs(snap.log_evidence - log_ev_truth),
-                    float(np.linalg.norm(snap.posterior.mean - truth_mean)),
-                    res.converged, res.sweeps, dt))
-            if not res.history:
-                rows.append(ResultRow(
-                    "bpm", seed, "ep", "final", res.diagnostics.operations,
-                    abs(res.log_evidence - log_ev_truth),
-                    float(np.linalg.norm(res.posterior.mean - truth_mean)),
-                    res.converged, res.sweeps, dt))
-            rows.append(_train_error_row(seed, "ep", dataset, res, dt))
+        for method in ("adf", "ep"):
+            if method in config.methods:
+                res, fit_rows = _fit_rows("bpm", seed, method, BpmBinding(dataset),
+                                          config.ep_options, errs)
+                err = bpm_training_error(_model_from_result(dataset, res))
+                rows += fit_rows + [replace(
+                    fit_rows[-1], checkpoint="train_error",
+                    operations=res.diagnostics.operations,
+                    log_evidence_error=math.nan, mean_error=err)]
         if "importance" in config.methods:
             for s_count in config.importance_samples:
                 if s_count == s_truth:
                     continue
                 t0 = time.perf_counter()
-                est = importance_sampler(loglik, np.zeros(d), np.eye(d),
-                                         s_count, seed + 10_000)
+                est = importance_sampler(dataset.log_likelihood, np.zeros(d),
+                                         np.eye(d), s_count, seed + 10_000)
                 dt = (time.perf_counter() - t0) * 1e3
                 e_ev = abs(math.log(est.evidence.value) - log_ev_truth) \
                     if est.evidence.value > 0 else math.inf
@@ -445,8 +391,7 @@ def _fused_visit_error(rng: np.random.Generator, noise: float) -> float:
     moment match, site, damped recombination) on a random positive definite
     posterior and the same visit in dense natural parameters, inv(P -+ tau
     u u^T); 0 when both call the cavity improper, inf when they disagree."""
-    from .bpm import BpmBinding, bpm_moment_match, make_dataset
-    from .engine import apply_damping
+    from .bpm import BpmBinding, bpm_moment_match
     from .gaussians import FullGaussian, ImproperProductError, RankOneSite
 
     d = int(rng.integers(1, 6))
@@ -486,7 +431,7 @@ def _fused_visit_error(rng: np.random.Generator, noise: float) -> float:
               rel(fused.mean, dense.posterior.mean), abs(log_z - dense.log_z),
               rel(Vn, dense.posterior.covariance)]
 
-    damped = apply_damping(site, new_site, 0.5)
+    damped = site.damped(new_site, 0.5)
     Pd = Pc + damped.precision * np.outer(u, u)
     try:
         mixed = binding.recombine(cav, damped)

@@ -186,6 +186,18 @@ class NaturalSpherical:
     def variance(self) -> float:
         return math.inf if self.precision == 0.0 else 1.0 / self.precision
 
+    def coords(self) -> np.ndarray:
+        """Convergence coordinates: precision and shift; log scale excluded
+        (it tracks the others and has no effect on the posterior shape)."""
+        return np.concatenate(([self.precision], self.shift))
+
+    def damped(self, new: "NaturalSpherical", gamma: float) -> "NaturalSpherical":
+        """(1-gamma) * self + gamma * new in precision, shift and log scale."""
+        return NaturalSpherical(
+            precision=(1.0 - gamma) * self.precision + gamma * new.precision,
+            shift=(1.0 - gamma) * self.shift + gamma * new.shift,
+            log_scale=(1.0 - gamma) * self.log_scale + gamma * new.log_scale)
+
     def natural_log_coeff(self) -> float:
         """log c with site(x) = exp(c + shift.x - precision |x|^2 / 2)."""
         if self.precision == 0.0:
@@ -232,6 +244,22 @@ class RankOneSite:
     @property
     def variance(self) -> float:
         return math.inf if self.precision == 0.0 else 1.0 / self.precision
+
+    def coords(self) -> np.ndarray:
+        """Convergence coordinates: precision and shift along the direction."""
+        return np.array([self.precision, self.precision * self.mean])
+
+    def damped(self, new: "RankOneSite", gamma: float) -> "RankOneSite":
+        """(1-gamma) * self + gamma * new in precision, shift (precision *
+        mean) and log scale; both sites must share the direction."""
+        if not np.array_equal(self.direction, new.direction):
+            raise ValueError("cannot damp rank-one sites with different directions")
+        prec = (1.0 - gamma) * self.precision + gamma * new.precision
+        shift = (1.0 - gamma) * self.precision * self.mean + gamma * new.precision * new.mean
+        return RankOneSite(
+            direction=new.direction, precision=prec,
+            mean=shift / prec if prec != 0.0 else 0.0,
+            log_scale=(1.0 - gamma) * self.log_scale + gamma * new.log_scale)
 
     def natural_log_coeff(self) -> float:
         # displaced form has no 1/precision singularity here

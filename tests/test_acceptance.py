@@ -248,12 +248,8 @@ def test_criterion_7_bpm_correctness(bpm_runs):
     model = bpm_train(three_ds, EPOptions(tolerance=1e-6, max_sweeps=50))
     train_err = bpm_training_error(model)
 
-    U = three_ds.labels[:, None] * three_ds.points
-
-    def loglik(ws):
-        return np.where(np.all(ws @ U.T > 0, axis=1), 0.0, -math.inf)
-
-    est = importance_sampler(loglik, np.zeros(3), np.eye(3), 10 ** 6, seed=77)
+    est = importance_sampler(three_ds.log_likelihood, np.zeros(3), np.eye(3),
+                             10 ** 6, seed=77)
     dist = float(np.linalg.norm(three.posterior.mean - est.posterior_mean.value))
     radius = 3.0 * float(np.linalg.norm(est.posterior_mean.standard_error))
     elapsed = time.perf_counter() - t0

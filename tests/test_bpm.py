@@ -9,7 +9,6 @@ import pytest
 from epkit.bpm import (
     BpmBinding,
     BpmDataset,
-    bpm_evidence,
     bpm_moment_match,
     bpm_predict,
     bpm_predict_batch,
@@ -164,10 +163,8 @@ class TestTraining:
         assert bpm_training_error(model) == 0.0
         # within the 3-SE ball of a 10^5-sample Bayes point (full 10^6 battery
         # lives in the acceptance suite)
-        U = ds.labels[:, None] * ds.points
-        def loglik(ws):
-            return np.where(np.all(ws @ U.T > 0, axis=1), 0.0, -math.inf)
-        est = importance_sampler(loglik, np.zeros(3), np.eye(3), 10 ** 5, seed=2)
+        est = importance_sampler(ds.log_likelihood, np.zeros(3), np.eye(3), 10 ** 5,
+                                 seed=2)
         dist = float(np.linalg.norm(model.posterior.mean - est.posterior_mean.value))
         assert dist <= 3 * float(np.linalg.norm(est.posterior_mean.standard_error))
 
@@ -321,12 +318,12 @@ class TestEvidence:
     def test_empty(self):
         model = bpm_train(BpmDataset(points=np.empty((0, 1)),
                                      labels=np.empty(0)))
-        assert bpm_evidence(model) == pytest.approx(0.0, abs=1e-12)
+        assert model.log_evidence == pytest.approx(0.0, abs=1e-12)
 
     def test_one_point_half(self):
         model = bpm_train(make_dataset([[1.0]], [1.0], slack=1.0),
                           EPOptions(tolerance=1e-10))
-        assert bpm_evidence(model) == pytest.approx(math.log(0.5), abs=1e-8)
+        assert model.log_evidence == pytest.approx(math.log(0.5), abs=1e-8)
 
     def test_matches_combined_site_normalizer(self):
         rng = np.random.default_rng(14)
@@ -341,10 +338,8 @@ class TestEvidence:
         ds = make_dataset([[0.0, 2.0], [2.0, 0.0], [-1.0, -1.0]],
                           [1.0, -1.0, -1.0], slack=0.0, add_bias=True)
         model = bpm_train(ds, EPOptions(tolerance=1e-8, max_sweeps=200))
-        U = ds.labels[:, None] * ds.points
-        def loglik(ws):
-            return np.where(np.all(ws @ U.T > 0, axis=1), 0.0, -math.inf)
-        est = importance_sampler(loglik, np.zeros(3), np.eye(3), 10 ** 5, seed=6)
+        est = importance_sampler(ds.log_likelihood, np.zeros(3), np.eye(3), 10 ** 5,
+                                 seed=6)
         assert abs(math.exp(model.log_evidence) - est.evidence.value) \
             <= 3 * est.evidence.standard_error
 

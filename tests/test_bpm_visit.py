@@ -17,7 +17,7 @@ from epkit.bpm import (
     make_dataset,
     rank_one_site_from,
 )
-from epkit.engine import EPOptions, Schedule, apply_damping, run_adf, run_ep
+from epkit.engine import EPOptions, Schedule, run_adf, run_ep
 from epkit.gaussians import (
     FullGaussian,
     ImproperProductError,
@@ -91,7 +91,7 @@ def test_fused_visit_matches_dense_arithmetic(seed, d, t, noise, gamma):
                fused.covariance) <= 1e-10
 
     # damped path: cavity times the damped site, or improper when dense says so
-    damped = apply_damping(site, new_site, gamma)
+    damped = site.damped(new_site, gamma)
     Vd = dense_site_posterior(Pc, u, damped)
     if Vd is None:
         with pytest.raises(ImproperProductError):
@@ -140,12 +140,16 @@ def test_running_posterior_does_not_drift(damping):
 
 
 def test_history_snapshots_are_not_mutated_by_later_sweeps():
+    class Copying(BpmBinding):
+        """Copies the posterior the engine checks at the end of each sweep,
+        the one that sweep's snapshot holds."""
+        def is_degenerate(self, posterior):
+            seen.append((posterior.mean.copy(), posterior.covariance.copy()))
+            return super().is_degenerate(posterior)
+
     ds = probit_data(40, 5, seed=5)
     seen = []
-    res = run_ep(BpmBinding(ds), EPOptions(tolerance=1e-12, max_sweeps=6,
-                                           damping=0.7),
-                 sweep_callback=lambda snap: seen.append(
-                     (snap.posterior.mean.copy(), snap.posterior.covariance.copy())),
+    res = run_ep(Copying(ds), EPOptions(tolerance=1e-12, max_sweeps=6, damping=0.7),
                  record_history=True)
     assert len(seen) == len(res.history) == res.sweeps
     for (mean, cov), snap in zip(seen, res.history):

@@ -14,14 +14,13 @@ from epkit.clutter import (
     ClutterBinding,
     ClutterDataSpec,
     ClutterModel,
-    clutter_log_evidence,
     clutter_moment_match,
     dataset_to_csv,
     generate_clutter_data,
     read_dataset,
     write_dataset,
 )
-from epkit.engine import EPOptions, run_adf, run_ep
+from epkit.engine import EPOptions, ep_log_evidence, run_adf, run_ep
 from epkit.gaussians import (
     SphericalGaussian,
     ZeroNormalizerError,
@@ -130,7 +129,7 @@ class TestEvidence:
     def test_prior_only_is_zero(self):
         prior = SphericalGaussian(mean=np.zeros(2), variance=100.0)
         post = SphericalGaussian(mean=np.zeros(2), variance=100.0)
-        assert clutter_log_evidence(prior, [], post) == pytest.approx(0.0, abs=1e-12)
+        assert ep_log_evidence(prior, post, []) == pytest.approx(0.0, abs=1e-12)
 
     def test_conjugate_matches_closed_form(self):
         model = ClutterModel(data=np.array([[1.0], [0.2], [2.2]]), w=0.0)
@@ -159,6 +158,22 @@ class TestEvidence:
         _, log_norm = combine_sites([spherical_as_site(binding.prior())]
                                     + list(res.sites), dim=1)
         assert res.log_evidence == pytest.approx(log_norm, abs=1e-10)
+
+    @pytest.mark.parametrize("seed,d", [(5, 1), (3, 2)])
+    def test_unconverged_damped_matches_combined_site_normalizer(self, seed, d):
+        # mid-run sites of a damped oscillating fit, some with negative
+        # precision (seed 5 also skips improper cavities)
+        model = generate_clutter_data(ClutterDataSpec(x_true=[2.0] * d, n=12,
+                                                      w=0.5, seed=seed))
+        binding = ClutterBinding(model)
+        res = run_ep(binding, EPOptions(tolerance=1e-12, max_sweeps=5, damping=0.5))
+        assert not res.converged
+        assert any(s.precision < 0.0 for s in res.sites)
+        _, log_norm = combine_sites([spherical_as_site(binding.prior())]
+                                    + list(res.sites), dim=d)
+        got = ep_log_evidence(binding.prior(), res.posterior, res.sites)
+        assert got == pytest.approx(log_norm, abs=1e-10)
+        assert res.log_evidence == got
 
 
 class TestExactnessAndGeometry:

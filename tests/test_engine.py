@@ -12,7 +12,6 @@ from epkit.engine import (
     EPOptions,
     MomentMatchError,
     Schedule,
-    apply_damping,
     check_fixed_point,
     ep_energy,
     run_adf,
@@ -135,8 +134,7 @@ class TestRunEp:
             cav = binding.cavity(q, sites[i])
             q_new, log_z = binding.moment_match(cav, i)
             new_site = binding.make_site(q_new, cav, log_z, i)
-            delta = np.max(np.abs(binding.site_coords(new_site)
-                                  - binding.site_coords(sites[i])))
+            delta = np.max(np.abs(new_site.coords() - sites[i].coords()))
             assert delta < tol
             sites[i] = new_site
             q = q_new
@@ -147,26 +145,14 @@ class TestRunEp:
                      record_history=True)
         ops = [s.operations for s in res.history]
         assert ops == sorted(ops)
-        assert res.history[-1].sweep == res.sweeps
-
-    def test_sweep_callback_sees_every_sweep(self):
-        model = small_model(seed=4, n=6)
-        seen = []
-        res = run_ep(ClutterBinding(model), EPOptions(tolerance=1e-8),
-                     sweep_callback=lambda snap: seen.append(snap.sweep))
-        assert seen == list(range(1, res.sweeps + 1))
+        assert [s.sweep for s in res.history] == list(range(1, res.sweeps + 1))
 
 
 class TestDamping:
-    def test_gamma_one_is_identity(self):
-        old = NaturalSpherical(precision=0.0, shift=np.zeros(1))
-        new = NaturalSpherical(precision=2.0, shift=np.array([1.0]), log_scale=0.3)
-        assert apply_damping(old, new, 1.0) is new
-
     def test_midpoint(self):
         old = NaturalSpherical(precision=0.0, shift=np.zeros(1))
         new = NaturalSpherical(precision=2.0, shift=np.array([1.0]), log_scale=0.4)
-        mid = apply_damping(old, new, 0.5)
+        mid = old.damped(new, 0.5)
         assert mid.precision == pytest.approx(1.0)
         assert mid.shift[0] == pytest.approx(0.5)
         assert mid.log_scale == pytest.approx(0.2)
@@ -175,16 +161,11 @@ class TestDamping:
     def test_rank_one_interpolates_naturals(self, gamma):
         old = RankOneSite(direction=[1.0, 0.0], precision=0.5, mean=1.0)
         new = RankOneSite(direction=[1.0, 0.0], precision=2.0, mean=-0.5)
-        mix = apply_damping(old, new, gamma)
+        mix = old.damped(new, gamma)
         want_prec = (1 - gamma) * 0.5 + gamma * 2.0
         want_shift = (1 - gamma) * 0.5 * 1.0 + gamma * 2.0 * -0.5
         assert mix.precision == pytest.approx(want_prec, rel=1e-12)
         assert mix.precision * mix.mean == pytest.approx(want_shift, rel=1e-12)
-
-    def test_rejects_bad_gamma(self):
-        site = NaturalSpherical(precision=1.0, shift=np.array([0.0]))
-        with pytest.raises(ValueError):
-            apply_damping(site, site, 0.0)
 
     def test_damped_and_undamped_fixed_points_agree(self):
         model = small_model(seed=0, n=6)
@@ -208,10 +189,9 @@ class TestDamping:
             for i in range(len(sites)):
                 cav = binding.cavity(q, sites[i])
                 q_new, log_z = binding.moment_match(cav, i)
-                new_site = apply_damping(
-                    sites[i], binding.make_site(q_new, cav, log_z, i), gamma)
-                delta = np.max(np.abs(binding.site_coords(new_site)
-                                      - binding.site_coords(sites[i])))
+                new_site = sites[i].damped(
+                    binding.make_site(q_new, cav, log_z, i), gamma)
+                delta = np.max(np.abs(new_site.coords() - sites[i].coords()))
                 assert delta <= 1e-10
                 sites[i] = new_site
                 q = binding.recombine(cav, new_site)
