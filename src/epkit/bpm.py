@@ -4,12 +4,12 @@ The posterior over classifier weights is a full-covariance Gaussian with
 prior N(0, I); every training point contributes a probit factor over the
 margin, approximated by a rank-one Gaussian site.  A site constrains one
 direction u, so a visit needs the posterior only through Vu = V u and the
-scalars q = u.Vu and u.m: it costs one matrix-vector product (the cavity,
-kept as the posterior plus scalars) and one rank-one update of the
-posterior (the moment match); the site follows in closed form from the
-match scalars, and the damped path's recombination is a second rank-one
-update.  No d x d matrix is formed for the cavity and none is multiplied by
-another.
+scalars q = u.Vu and u.m.  The cavity is kept as the posterior plus
+scalars, from one matrix-vector product; the moment match works on the
+cavity's margin along u and gives the new site in closed form at O(d) cost;
+the recombination of cavity and site is the visit's one rank-one update of
+the posterior.  No d x d matrix is formed for the cavity and none is
+multiplied by another.
 
 Slack handling: for slack eps > 0 the training points are pre-scaled once
 to y_i x_i / eps and the margin noise variance is 1; eps = 0 keeps the
@@ -124,7 +124,7 @@ class BpmCavity:
     """
 
     __slots__ = ("posterior", "direction", "precision", "vu", "r", "q0",
-                 "mu0", "shift", "match")
+                 "mu0", "shift")
 
     def __init__(self, posterior: FullGaussian, direction: np.ndarray,
                  precision: float, vu: np.ndarray, r: float, q0: float,
@@ -137,7 +137,6 @@ class BpmCavity:
         self.q0 = q0
         self.mu0 = mu0
         self.shift = shift
-        self.match = None  # (log_z, z, alpha, kappa), see _match_scalars
 
     @property
     def mean(self) -> np.ndarray:
@@ -197,29 +196,6 @@ def _probit_match(q0: float, mu0: float, noise_var: float,
     return log_probit(z), z, alpha, kappa
 
 
-def _match_scalars(cav: BpmCavity, noise_var: float) -> tuple:
-    """(log_z, z, alpha, kappa) of the probit match against the cavity,
-    recorded on it for the site extraction."""
-    V, vu = cav.posterior.covariance, cav.vu
-    trace = float(V.trace()) + cav.precision * cav.r * float(vu @ vu)
-    cav.match = _probit_match(cav.q0, cav.mu0, noise_var, trace / vu.shape[0])
-    return cav.match
-
-
-def _match(cav: BpmCavity, noise_var: float) -> tuple[FullGaussian, float]:
-    """Tilted projection of the probit term along the cavity's direction,
-    as one rank-one update of the cavity's posterior N(m, V):
-
-        m' = m + (shift + alpha r) Vu
-        V' = V + (tau r - kappa r^2) Vu Vu^T
-    """
-    log_z, _, alpha, kappa = _match_scalars(cav, noise_var)
-    post, vu, r = cav.posterior, cav.vu, cav.r
-    mean = post.mean + (cav.shift + alpha * r) * vu
-    cov = rank_one_update(post.covariance, vu, (cav.precision - kappa * r) * r)
-    return FullGaussian.trusted(mean, cov), log_z
-
-
 def bpm_moment_match(cavity: FullGaussian, u: np.ndarray,
                      noise_var: float = 1.0) -> BpmMatch:
     """Moment match a probit margin factor against a full-Gaussian cavity.
@@ -231,16 +207,21 @@ def bpm_moment_match(cavity: FullGaussian, u: np.ndarray,
         m' = m + alpha V u
         V' = V - kappa (V u)(V u)^T
 
-    with the scalars of _probit_match, which the BPM binding shares.
+    with the scalars of _probit_match, which the BPM binding shares.  This
+    dense form is the reference the binding's site visit is checked against.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if float(u @ u) == 0.0:
         raise ValueError("moment match requires a non-zero direction")
-    cav = _divide(cavity, u, 0.0, 0.0)
-    if cav is None:
+    V = cavity.covariance
+    vu = V @ u
+    q0 = float(u @ vu)
+    if not 0.0 < q0 < math.inf:
         raise ValueError("degenerate margin variance")
-    posterior, log_z = _match(cav, noise_var)
-    _, z, alpha, _ = cav.match
+    log_z, z, alpha, kappa = _probit_match(
+        q0, float(u @ cavity.mean), noise_var, float(V.trace()) / u.shape[0])
+    posterior = FullGaussian.trusted(cavity.mean + alpha * vu,
+                                     rank_one_update(V, vu, -kappa))
     return BpmMatch(posterior=posterior, log_z=log_z, z_score=z, alpha=alpha)
 
 
@@ -277,16 +258,15 @@ def rank_one_site_from(posterior: FullGaussian, cavity: FullGaussian,
 class BpmBinding(ModelBinding):
     """Engine binding for BPM training (full-Gaussian family, rank-one sites).
 
-    Cavities are BpmCavity objects; run_adf's cavity, the running
-    posterior, is divided by the vacuous site when it is first matched.
-    `moment_match(cavity, i)` expects the cavity of site i.
+    Cavities are BpmCavity objects; `moment_match(cavity, i)` expects the
+    cavity of site i.
 
-    Operation charges per site visit: cavity d^2+2d (one matrix-vector
-    product, two dot products), moment match d^2+3d (one rank-one update,
-    the mean update and the cavity trace), site extraction 1 (closed form
-    from the match scalars); a damped visit's recombination charges d^2+d
-    (a second rank-one update and mean update).  Evidence evaluation charges
-    d^3 once per call for its single dense solve.
+    Operation charges per site visit, damped or not: cavity d^2+2d (one
+    matrix-vector product, two dot products), moment match 2d+1 (the cavity
+    trace, then the site in closed form from the match scalars),
+    recombination d^2+d (one rank-one update and the mean update); 2d^2+5d+1
+    in all.  Evidence evaluation charges d^3 once per call for its single
+    dense solve.
     """
 
     def __init__(self, dataset: BpmDataset):
@@ -301,7 +281,6 @@ class BpmBinding(ModelBinding):
                 "zero training point with zero slack has an undefined "
                 "step likelihood")
         self._prior = FullGaussian(mean=np.zeros(d), covariance=np.eye(d))
-        self._opened: tuple = (None, None, None)  # (posterior, i, its cavity)
 
     @property
     def site_count(self) -> int:
@@ -319,38 +298,28 @@ class BpmBinding(ModelBinding):
         self.tally.add(d * d + 2 * d)
         return _divide(posterior, site.direction, site.precision, site.mean)
 
-    def _cavity_of(self, cavity, i: int) -> BpmCavity:
-        """A BpmCavity as is; a dense Gaussian (run_adf passes the running
-        posterior) divided by site i's vacuous site, reused while the same
-        posterior and site come back."""
-        if isinstance(cavity, BpmCavity):
-            return cavity
-        if self._opened[0] is not cavity or self._opened[1] != i:
-            opened = self.cavity(cavity, self.vacuous_site(i))
-            if opened is None:
-                raise ValueError("degenerate margin variance")
-            self._opened = (cavity, i, opened)
-        return self._opened[2]
-
     def moment_match(self, cavity, i: int):
+        """The probit match against the cavity's margin N(mu0, q0) along the
+        site direction, and the site it implies; O(d), no d x d work."""
         d = self.dataset.d
-        self.tally.add(d * d + 3 * d)
-        return _match(self._cavity_of(cavity, i), self.noise_var)
-
-    def make_site(self, posterior, cavity, log_z: float, i: int) -> RankOneSite:
-        self.tally.add(1)
-        cav = self._cavity_of(cavity, i)
-        # a dense cavity matched before another site was matched against it
-        # comes back reopened, without its scalars
-        _, _, alpha, kappa = cav.match or _match_scalars(cav, self.noise_var)
-        q0, mu0 = cav.q0, cav.mu0
+        self.tally.add(2 * d + 1)
+        vu, q0, mu0 = cavity.vu, cavity.q0, cavity.mu0
+        trace = float(cavity.posterior.covariance.trace()) \
+            + cavity.precision * cavity.r * float(vu @ vu)
+        log_z, _, alpha, kappa = _probit_match(q0, mu0, self.noise_var, trace / d)
         tau, mean, log_scale = _site_from_margins(
             log_z, q0, mu0, q0 * (1.0 - kappa * q0), mu0 + alpha * q0)
-        return RankOneSite.trusted(cav.direction, tau, mean, log_scale)
+        return RankOneSite.trusted(cavity.direction, tau, mean, log_scale), log_z
 
     def recombine(self, cavity, site):
-        """The cavity (a BpmCavity from `cavity`) times a damped site along
-        its direction, as one rank-one update of the cavity's posterior."""
+        """The cavity (a BpmCavity from `cavity`) times a site along its
+        direction, as one rank-one update of the cavity's posterior N(m, V):
+
+            m' = m + (shift + r gain (site mean - mu0)) Vu
+            V' = V + (tau r - gain r^2) Vu Vu^T
+
+        with gain = precision / (1 + precision q0) and tau the precision
+        the cavity removed."""
         d = self.dataset.d
         self.tally.add(d * d + d)
         denom = 1.0 + site.precision * cavity.q0

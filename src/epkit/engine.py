@@ -1,13 +1,16 @@
 """Generic ADF / EP driver over a list of refinable term approximations.
 
 A model binds itself to the engine through `ModelBinding`: it supplies the
-exactly-incorporated prior, one moment-matching projection per data term,
-and the site bookkeeping (cavity division, site extraction, recombination).
-The site types carry their family's rules: `damped` interpolates two sites
-in natural parameters and `coords` gives the convergence coordinates.  The
-engine owns the sweep loop, the improper-cavity policy (skip and count),
-the evidence formula `ep_log_evidence`, and the energy / fixed-point
-diagnostics.
+exactly-incorporated prior and three steps of a site visit.  `cavity`
+divides the site out of the posterior, `moment_match` projects the tilted
+distribution against that cavity and returns the new site Z * q_new /
+cavity, and `recombine` multiplies the cavity by a site.  Every visit, in
+ADF or EP, damped or not, takes that one path, so the posterior is always
+cavity x site.  The site types carry their family's rules: `damped`
+interpolates two sites in natural parameters and `coords` gives the
+convergence coordinates.  The engine owns the sweep loop, the
+improper-cavity policy (skip and count), the evidence formula
+`ep_log_evidence`, and the energy / fixed-point diagnostics.
 
 Cost accounting: bindings charge a documented elementary-operation count to
 the run's tally (length-d vector ops charge d, rank-one d x d updates charge
@@ -117,10 +120,12 @@ class ModelBinding(ABC):
     """Contract between a concrete model and the ADF/EP loop.
 
     The prior term is incorporated exactly; `site_count` counts only the
-    refinable data terms.  `moment_match` must return a member of the same
-    approximating family as its cavity argument.  Sites are
-    `NaturalSpherical` or `RankOneSite`, which own damping and convergence
-    coordinates, so a binding supplies neither.
+    refinable data terms.  A visit of site i is cavity -> moment_match ->
+    recombine: `moment_match` returns the site itself, never a posterior,
+    and the posterior is `recombine(cavity, site)`.  A cavity is whatever
+    object the binding's `cavity` returns; only the binding reads it.
+    Sites are `NaturalSpherical` or `RankOneSite`, which own damping and
+    convergence coordinates, so a binding supplies neither.
     """
 
     tally: OpTally
@@ -140,16 +145,15 @@ class ModelBinding(ABC):
         """Posterior with site i divided out, or None when improper."""
 
     @abstractmethod
-    def moment_match(self, cavity, i: int):
-        """Project term i against the cavity; returns (posterior, log_z)."""
-
-    @abstractmethod
-    def make_site(self, posterior, cavity, log_z: float, i: int) -> Site:
-        """Site = Z * posterior / cavity, in this family's parameters."""
+    def moment_match(self, cavity, i: int) -> tuple[Site, float]:
+        """Project term i against the cavity of site i; returns (site,
+        log_z) with site = Z * q_new / cavity, in this family's parameters,
+        and Z the tilted normalizer."""
 
     @abstractmethod
     def recombine(self, cavity, site: Site):
-        """cavity * site, normalized (used after damped site updates)."""
+        """cavity * site, normalized: the posterior after a visit; raises
+        ImproperProductError when the product is improper."""
 
     @abstractmethod
     def log_evidence(self, posterior, sites: Sequence[Site]) -> float:
@@ -191,13 +195,21 @@ def ep_log_evidence(prior, posterior, sites: Sequence[Site]) -> float:
         + prior.log_norm_coeff() - posterior.log_norm_coeff()
 
 
+def _match(model: ModelBinding, cavity, i: int) -> tuple[Site, float]:
+    """model.moment_match, with a failure rewrapped with the term index."""
+    try:
+        return model.moment_match(cavity, i)
+    except Exception as exc:  # noqa: BLE001 - rewrap with the term index
+        raise MomentMatchError(i, exc) from exc
+
+
 def run_adf(model: ModelBinding, order: Sequence[int] | None = None) -> EPResult:
     """One sequential pass of assumed-density filtering in the given order.
 
-    Each term is incorporated once through the model's moment match; the
-    log evidence is the sum of step normalizers.  The per-term sites implied
-    by the pass (new posterior / old posterior, scaled) are recorded so the
-    result is directly comparable with an EP first sweep.
+    Each term is incorporated once by the same visit as an EP sweep makes
+    against a vacuous site (cavity, moment match, recombine), so the result
+    equals an undamped EP first sweep in the same order bit for bit.  The
+    log evidence is the sum of step normalizers.
     """
     n = model.site_count
     order = list(range(n)) if order is None else list(order)
@@ -208,12 +220,11 @@ def run_adf(model: ModelBinding, order: Sequence[int] | None = None) -> EPResult
     sites: list[Site] = [model.vacuous_site(i) for i in range(n)]
     log_evidence = 0.0
     for i in order:
-        try:
-            q_new, log_z = model.moment_match(q, i)
-        except Exception as exc:  # noqa: BLE001 - rewrap with the term index
-            raise MomentMatchError(i, exc) from exc
-        sites[i] = model.make_site(q_new, q, log_z, i)
-        q = q_new
+        cav = model.cavity(q, sites[i])
+        if cav is None:
+            raise MomentMatchError(i, ValueError("improper cavity"))
+        sites[i], log_z = _match(model, cav, i)
+        q = model.recombine(cav, sites[i])
         log_evidence += log_z
     diag = Diagnostics(operations=model.tally.count - start_ops)
     return EPResult(posterior=q, sites=sites, log_evidence=log_evidence,
@@ -226,10 +237,10 @@ def run_ep(model: ModelBinding, opts: EPOptions = EPOptions(),
     largest site natural-parameter change in a sweep drops below tolerance.
 
     Sites start vacuous, so with a sequential schedule and no damping the
-    state after the first sweep coincides with ADF in the same order.
-    Improper cavities are skipped for the sweep and counted.  A damped
-    update is `old_site.damped(new_site, damping)`, recombined with the
-    cavity.  Non-convergence is reported, not raised.
+    first sweep is `run_adf` in the same order.  Improper cavities are
+    skipped for the sweep and counted.  With damping < 1 the new site is
+    `old_site.damped(new_site, damping)`; either way the posterior is the
+    cavity times the new site.  Non-convergence is reported, not raised.
     """
     n = model.site_count
     start_ops = model.tally.count
@@ -260,18 +271,13 @@ def run_ep(model: ModelBinding, opts: EPOptions = EPOptions(),
                 diag.skipped_sites += 1
                 continue
             updated += 1
-            try:
-                q_new, log_z = model.moment_match(cav, i)
-            except Exception as exc:  # noqa: BLE001 - rewrap with the term index
-                raise MomentMatchError(i, exc) from exc
-            new_site = model.make_site(q_new, cav, log_z, i)
+            new_site, _ = _match(model, cav, i)
             if opts.damping < 1.0:
                 new_site = sites[i].damped(new_site, opts.damping)
-                q_new = model.recombine(cav, new_site)
             delta = np.max(np.abs(new_site.coords() - sites[i].coords()))
             max_change = max(max_change, float(delta))
             sites[i] = new_site
-            q = q_new
+            q = model.recombine(cav, new_site)
         if record_history:
             history.append(SweepSnapshot(
                 sweep=sweeps, posterior=q,
@@ -329,7 +335,8 @@ def check_fixed_point(model: ModelBinding, posterior, sites) -> np.ndarray:
         if cav is None:
             residuals[i] = math.nan
             continue
-        tilted, _ = model.moment_match(cav, i)
+        site, _ = model.moment_match(cav, i)
+        tilted = model.recombine(cav, site)
         residuals[i] = float(np.max(np.abs(q_moments - model.family_moments(tilted))))
     return residuals
 

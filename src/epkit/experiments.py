@@ -155,6 +155,24 @@ def _fit_rows(experiment: str, seed: int, method: str, binding, opts: EPOptions,
                  for checkpoint, ops, post, log_ev in points]
 
 
+def _importance_row(experiment: str, seed: int, log_likelihood,
+                    prior_cov: np.ndarray, s_count: int, sampler_seed: int,
+                    log_evidence: float, mean: np.ndarray) -> ResultRow:
+    """The `samples<s_count>` row of importance sampling from the zero-mean
+    prior, against the reference log evidence and mean; an all-zero
+    evidence estimate has an infinite log-evidence error."""
+    d = prior_cov.shape[0]
+    t0 = time.perf_counter()
+    est = importance_sampler(log_likelihood, np.zeros(d), prior_cov, s_count,
+                             sampler_seed)
+    dt = (time.perf_counter() - t0) * 1e3
+    e_ev = abs(math.log(est.evidence.value) - log_evidence) \
+        if est.evidence.value > 0 else math.inf
+    e_m = float(np.linalg.norm(est.posterior_mean.value - mean))
+    return ResultRow(experiment, seed, "importance", f"samples{s_count}",
+                     s_count * (d + 2), e_ev, e_m, True, 0, dt)
+
+
 # ---------------------------------------------------------------------------
 # clutter experiment
 # ---------------------------------------------------------------------------
@@ -183,19 +201,11 @@ def run_clutter_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 rows += _fit_rows("clutter", seed, method, ClutterBinding(model),
                                   config.ep_options, errs)[1]
         if "importance" in config.methods:
-            for s_count in config.importance_samples:
-                t0 = time.perf_counter()
-                est = importance_sampler(model.log_likelihood, np.zeros(model.d),
-                                         model.prior_variance * np.eye(model.d),
-                                         s_count, seed)
-                dt = (time.perf_counter() - t0) * 1e3
-                e_ev = abs(math.log(est.evidence.value) - exact.log_evidence) \
-                    if est.evidence.value > 0 else math.inf
-                e_m = float(np.linalg.norm(est.posterior_mean.value - exact.mean))
-                rows.append(ResultRow("clutter", seed, "importance",
-                                      f"samples{s_count}",
-                                      s_count * (model.d + 2), e_ev, e_m,
-                                      True, 0, dt))
+            rows += [_importance_row(
+                "clutter", seed, model.log_likelihood,
+                model.prior_variance * np.eye(model.d), s_count, seed,
+                exact.log_evidence, exact.mean)
+                for s_count in config.importance_samples]
     return rows
 
 
@@ -252,20 +262,10 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
                     operations=res.diagnostics.operations,
                     log_evidence_error=math.nan, mean_error=err)]
         if "importance" in config.methods:
-            for s_count in config.importance_samples:
-                if s_count == s_truth:
-                    continue
-                t0 = time.perf_counter()
-                est = importance_sampler(dataset.log_likelihood, np.zeros(d),
-                                         np.eye(d), s_count, seed + 10_000)
-                dt = (time.perf_counter() - t0) * 1e3
-                e_ev = abs(math.log(est.evidence.value) - log_ev_truth) \
-                    if est.evidence.value > 0 else math.inf
-                rows.append(ResultRow(
-                    "bpm", seed, "importance", f"samples{s_count}",
-                    s_count * (d + 2), e_ev,
-                    float(np.linalg.norm(est.posterior_mean.value - truth_mean)),
-                    True, 0, dt))
+            rows += [_importance_row(
+                "bpm", seed, dataset.log_likelihood, np.eye(d), s_count,
+                seed + 10_000, log_ev_truth, truth_mean)
+                for s_count in config.importance_samples if s_count != s_truth]
     return rows
 
 
@@ -388,9 +388,10 @@ def write_results(config: ExperimentConfig, rows: list[ResultRow],
 
 def _fused_visit_error(rng: np.random.Generator, noise: float) -> float:
     """Worst relative difference between one BpmBinding site visit (cavity,
-    moment match, site, damped recombination) on a random positive definite
-    posterior and the same visit in dense natural parameters, inv(P -+ tau
-    u u^T); 0 when both call the cavity improper, inf when they disagree."""
+    moment match, recombination, then a damped recombination) on a random
+    positive definite posterior and the same visit in dense natural
+    parameters, inv(P -+ tau u u^T); 0 when both call the cavity improper,
+    inf when they disagree."""
     from .bpm import BpmBinding, bpm_moment_match
     from .gaussians import FullGaussian, ImproperProductError, RankOneSite
 
@@ -422,8 +423,8 @@ def _fused_visit_error(rng: np.random.Generator, noise: float) -> float:
     Vc = np.linalg.inv(Pc)
     mc = Vc @ (P @ post.mean - tau * site.mean * u)
     dense = bpm_moment_match(FullGaussian(mean=mc, covariance=0.5 * (Vc + Vc.T)), u, noise)
-    fused, log_z = binding.moment_match(cav, 0)
-    new_site = binding.make_site(fused, cav, log_z, 0)
+    new_site, log_z = binding.moment_match(cav, 0)
+    fused = binding.recombine(cav, new_site)
     # the site re-included into the dense cavity gives the dense posterior
     Vn = np.linalg.inv(Pc + new_site.precision * np.outer(u, u))
     errors = [rel(cav.covariance, Vc), rel(cav.mean, mc),

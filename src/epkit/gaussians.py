@@ -173,10 +173,6 @@ class NaturalSpherical:
         return self.shift.shape[0]
 
     @property
-    def is_vacuous(self) -> bool:
-        return self.precision == 0.0
-
-    @property
     def mean(self) -> np.ndarray:
         if self.precision == 0.0:
             return np.zeros(self.dim)
@@ -238,10 +234,6 @@ class RankOneSite:
         return self.direction.shape[0]
 
     @property
-    def is_vacuous(self) -> bool:
-        return self.precision == 0.0
-
-    @property
     def variance(self) -> float:
         return math.inf if self.precision == 0.0 else 1.0 / self.precision
 
@@ -272,7 +264,6 @@ class RankOneSite:
 
 
 Site = NaturalSpherical | RankOneSite
-Gaussian = SphericalGaussian | FullGaussian
 
 
 def vacuous_spherical(dim: int) -> NaturalSpherical:
@@ -416,51 +407,18 @@ def combine_sites(sites: list[Site], dim: int):
     return FullGaussian(mean=mean, covariance=symmetrize(V)), log_coeff + log_int
 
 
-def divide_out(posterior: Gaussian, site: Site):
-    """Cavity = posterior with one site's natural parameters subtracted.
+def divide_out(posterior: SphericalGaussian, site: NaturalSpherical):
+    """Cavity = spherical posterior with one spherical site's natural
+    parameters subtracted.
 
     Returns the cavity Gaussian, or None when the remaining precision is not
     positive (an improper cavity is a flagged outcome, not a crash); policy
-    for the flag lives with the caller.
+    for the flag lives with the caller.  Full-Gaussian cavities are the BPM
+    binding's (`bpm.BpmBinding.cavity`).
     """
-    if isinstance(posterior, SphericalGaussian):
-        if not isinstance(site, NaturalSpherical):
-            raise TypeError("spherical posterior requires a spherical site")
-        tau = posterior.precision - site.precision
-        if tau <= 0.0:
-            return None
-        shift = posterior.shift - site.shift
-        v = 1.0 / tau
-        return SphericalGaussian(mean=v * shift, variance=v)
-
-    if not isinstance(posterior, FullGaussian):
-        raise TypeError(f"unsupported posterior type {type(posterior)!r}")
-    V = posterior.covariance
-    m = posterior.mean
-    if isinstance(site, NaturalSpherical):
-        # dense fallback: subtract tau*I in natural parameters
-        P = np.linalg.inv(V) - site.precision * np.eye(posterior.dim)
-        try:
-            np.linalg.cholesky(P)
-        except np.linalg.LinAlgError:
-            return None
-        Vc = symmetrize(np.linalg.inv(P))
-        return FullGaussian(mean=Vc @ (np.linalg.solve(V, m) - site.shift), covariance=Vc)
-
-    u = site.direction
-    tau = site.precision
-    Vu = V @ u
-    q = float(u @ Vu)
-    denom = 1.0 - tau * q
-    if tau != 0.0 and denom <= 0.0:
+    tau = posterior.precision - site.precision
+    if tau <= 0.0:
         return None
-    if tau == 0.0:
-        return FullGaussian(mean=m.copy(), covariance=V.copy())
-    Vc = rank_one_update(V, Vu, tau / denom)
-    # a site precision at the float edge of 1/q can leave a cavity that is
-    # positive on paper but not in arithmetic; flag it like any improper one
-    if not float(u @ (Vc @ u)) > 0.0:
-        return None
-    # mean from shift subtraction, via Sherman-Morrison on the same rank-one
-    mc = m + (Vu * (tau * (float(u @ m) - site.mean) / denom))
-    return FullGaussian(mean=mc, covariance=Vc)
+    shift = posterior.shift - site.shift
+    v = 1.0 / tau
+    return SphericalGaussian(mean=v * shift, variance=v)

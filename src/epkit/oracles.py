@@ -347,7 +347,9 @@ def importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray],
     index.
     Weights are exponentiated against their max so heavy tails cannot
     overflow.  PCG64 (numpy default_rng) keeps draws reproducible across
-    platforms for a fixed seed.
+    platforms for a fixed seed; the draws are mean + z L^T for standard
+    normal rows z and the Cholesky factor L of the covariance, the same
+    numbers `rng.multivariate_normal(..., method="cholesky")` gives.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -357,8 +359,7 @@ def importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray],
     if cov.ndim == 0:
         cov = float(cov) * np.eye(d)
     rng = np.random.default_rng(seed)
-    xs = rng.multivariate_normal(prior_mean, cov, size=samples,
-                                 method="cholesky")
+    xs = prior_mean + rng.standard_normal((samples, d)) @ np.linalg.cholesky(cov).T
     log_w = np.asarray(log_likelihood(xs), dtype=float)
     if log_w.shape != (samples,):
         raise ValueError(f"log_likelihood must return shape ({samples},), "

@@ -1,4 +1,4 @@
-"""The fused BPM site visit: cavity, moment match, site and damped
+"""The fused BPM site visit: cavity, moment match (the site) and
 recombination as rank-one algebra on the posterior, checked against dense
 natural-parameter arithmetic, plus drift over long runs and the boundary
 checks that keep the visit's inputs valid."""
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epkit import bpm
 from epkit.bpm import (
     BpmBinding,
     BpmDataset,
@@ -72,15 +73,15 @@ def test_fused_visit_matches_dense_arithmetic(seed, d, t, noise, gamma):
     assert rel(cav.mean, mc) <= 1e-10
     assert cav.q0 == pytest.approx(float(u @ Vc @ u), rel=1e-10)
 
-    # moment match and site against the dense cavity
+    # site and the cavity times it against the dense cavity's moment match
     dense_cav = FullGaussian(mean=mc, covariance=0.5 * (Vc + Vc.T))
     dense = bpm_moment_match(dense_cav, u, noise)
-    fused, log_z = binding.moment_match(cav, 0)
+    new_site, log_z = binding.moment_match(cav, 0)
+    assert log_z == pytest.approx(dense.log_z, rel=1e-10, abs=1e-10)
+    fused = binding.recombine(cav, new_site)
     assert rel(fused.covariance, dense.posterior.covariance) <= 1e-10
     assert rel(fused.mean, dense.posterior.mean) <= 1e-10
-    assert log_z == pytest.approx(dense.log_z, rel=1e-10, abs=1e-10)
     assert np.array_equal(fused.covariance, fused.covariance.T)
-    new_site = binding.make_site(fused, cav, log_z, 0)
     ref_site = rank_one_site_from(dense.posterior, dense_cav, dense.log_z, u)
     for got, want in ((new_site.precision, ref_site.precision),
                       (new_site.precision * new_site.mean,
@@ -157,17 +158,31 @@ def test_history_snapshots_are_not_mutated_by_later_sweeps():
         assert np.array_equal(snap.posterior.covariance, cov)
 
 
-def test_adf_and_ep_charge_the_same_visit():
-    # one matrix-vector product, one rank-one update, O(d) terms
+def test_adf_and_ep_charge_the_same_visit(monkeypatch):
+    # one matrix-vector product, one rank-one update, O(d) terms, whether
+    # or not the site is damped
+    updates = []
+
+    def counted(V, a, c):
+        updates.append(c)
+        return rank_one_update(V, a, c)
+
+    monkeypatch.setattr(bpm, "rank_one_update", counted)
     ds = probit_data(6, 4, seed=6)
     d = ds.d
     visit = 2 * d * d + 5 * d + 1
-    ep = BpmBinding(ds)
-    run_ep(ep, EPOptions(tolerance=1e-300, max_sweeps=1))
-    assert ep.tally.count == 6 * visit + d ** 3  # plus one evidence solve
-    adf = BpmBinding(ds)
-    run_adf(adf)
-    assert adf.tally.count == 6 * visit
+    for damping in (None, 1.0, 0.5):
+        updates.clear()
+        binding = BpmBinding(ds)
+        if damping is None:
+            run_adf(binding)
+            visits, evidence = 6, 0
+        else:
+            run_ep(binding, EPOptions(tolerance=1e-300, max_sweeps=2,
+                                      damping=damping))
+            visits, evidence = 12, d ** 3  # two sweeps, one evidence solve
+        assert binding.tally.count == visits * visit + evidence
+        assert len(updates) == visits
 
 
 class TestRankOneUpdate:
@@ -199,20 +214,3 @@ class TestBoundaries:
                        labels=np.array([1.0, -1.0]))
         with pytest.raises(ValueError, match="points must be finite"):
             bpm_train(make_dataset([[bad]], [1.0], slack=1.0))
-
-    def test_moment_match_on_dense_posterior_uses_site_direction(self):
-        # run_adf hands the running posterior to moment_match and make_site;
-        # matching two sites against one posterior must not mix them up
-        ds = probit_data(3, 3, seed=8)
-        binding = BpmBinding(ds)
-        q = binding.prior()
-        a, log_a = binding.moment_match(q, 0)
-        b, log_b = binding.moment_match(q, 1)
-        site_a = binding.make_site(a, q, log_a, 0)
-        ref = bpm_moment_match(q, binding.directions[0], binding.noise_var)
-        assert np.allclose(a.mean, ref.posterior.mean, atol=1e-14)
-        assert np.array_equal(site_a.direction, binding.directions[0])
-        assert site_a.precision == pytest.approx(
-            rank_one_site_from(a, q, log_a, binding.directions[0]).precision,
-            rel=1e-10)
-        assert not np.allclose(a.mean, b.mean)

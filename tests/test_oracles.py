@@ -219,6 +219,22 @@ class TestImportanceSampler:
         assert a.evidence.value == b.evidence.value
         assert np.array_equal(a.posterior_mean.value, b.posterior_mean.value)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_draws_equal_multivariate_normal_cholesky(self, d):
+        rng = np.random.default_rng(d)
+        A = rng.normal(size=(d, d))
+        mean, cov = rng.normal(size=d), A @ A.T + 0.5 * np.eye(d)
+        seen = []
+
+        def loglik(xs):
+            seen.append(xs)
+            return np.zeros(xs.shape[0])
+
+        importance_sampler(loglik, mean, cov, 1_000, seed=41)
+        want = np.random.default_rng(41).multivariate_normal(
+            mean, cov, size=1_000, method="cholesky")
+        assert np.array_equal(seen[0], want)
+
     def test_matches_exact_clutter_within_3se(self):
         rng = np.random.default_rng(21)
         data = np.concatenate([rng.normal(2.0, 1.0, size=(4, 1)),
