@@ -29,14 +29,12 @@ from scipy.special import log_ndtr
 from .engine import (Diagnostics, EPOptions, EPResult, ModelBinding, OpTally,
                      ep_log_evidence, run_ep)
 from .gaussians import (
-    LOG_2PI,
     FullGaussian,
     ImproperProductError,
     RankOneSite,
     log_probit,
     probit_ratio,
     rank_one_update,
-    symmetrize,
 )
 
 
@@ -351,33 +349,6 @@ class BpmBinding(ModelBinding):
             return True
         return False
 
-    # --- family hooks for energy diagnostics -------------------------------
-
-    def natural_coords(self, dist: FullGaussian) -> np.ndarray:
-        P = np.linalg.inv(dist.covariance)
-        b = P @ dist.mean
-        return np.concatenate((b, (-0.5 * symmetrize(P)).ravel()))
-
-    def site_natural_coords(self, site: RankOneSite) -> np.ndarray:
-        u = site.direction
-        return np.concatenate((site.precision * site.mean * u,
-                               (-0.5 * site.precision * np.outer(u, u)).ravel()))
-
-    def family_moments(self, dist: FullGaussian) -> np.ndarray:
-        m = dist.mean
-        return np.concatenate((m, (dist.covariance + np.outer(m, m)).ravel()))
-
-    def log_partition(self, coords: np.ndarray) -> float:
-        d = self.dataset.d
-        b, A = coords[:d], coords[d:].reshape(d, d)
-        P = symmetrize(-2.0 * A)
-        try:
-            L = np.linalg.cholesky(P)
-        except np.linalg.LinAlgError as exc:
-            raise ImproperProductError("improper product") from exc
-        z = np.linalg.solve(L, b)
-        return 0.5 * d * LOG_2PI - float(np.sum(np.log(np.diag(L)))) + 0.5 * float(z @ z)
-
 
 @dataclass(frozen=True)
 class BpmModel:
@@ -413,34 +384,23 @@ def _model_from_result(dataset: BpmDataset, result: EPResult) -> BpmModel:
 def bpm_predict(model: BpmModel, x) -> int:
     """Label of the average classifier, sign(E[w] . x); an exact zero margin
     returns +1 (see bpm_predict_batch for tie counting)."""
-    label, _ = _predict_one(model, x)
-    return label
+    labels, _ = bpm_predict_batch(model, [x])
+    return int(labels[0])
 
 
 def bpm_predict_batch(model: BpmModel, xs) -> tuple[np.ndarray, int]:
-    """Vector of predictions plus the number of zero-margin ties broken
-    toward +1."""
+    """Labels sign(E[w] . x) of the rows of xs, from one matrix-vector
+    product, plus the number of zero-margin ties broken toward +1.  A
+    bias-augmented model appends the constant 1 to rows of d - 1 features."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    out = np.empty(xs.shape[0], dtype=int)
-    ties = 0
-    for k, x in enumerate(xs):
-        out[k], tie = _predict_one(model, x)
-        ties += tie
-    return out, ties
-
-
-def _predict_one(model: BpmModel, x) -> tuple[int, int]:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     d = model.dim
-    if model.dataset.bias_augmented and x.shape[0] == d - 1:
-        x = np.append(x, 1.0)
-    if x.shape[0] != d:
+    if model.dataset.bias_augmented and xs.shape[1] == d - 1:
+        xs = np.hstack([xs, np.ones((xs.shape[0], 1))])
+    if xs.shape[1] != d:
         raise ValueError(f"expected {d} features (or {d - 1} before bias), "
-                         f"got {x.shape[0]}")
-    score = float(model.posterior.mean @ x)
-    if score == 0.0:
-        return 1, 1
-    return (1, 0) if score > 0.0 else (-1, 0)
+                         f"got {xs.shape[1]}")
+    scores = xs @ model.posterior.mean
+    return np.where(scores >= 0.0, 1, -1), int(np.count_nonzero(scores == 0.0))
 
 
 def bpm_training_error(model: BpmModel) -> float:

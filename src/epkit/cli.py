@@ -10,10 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .engine import EPOptions, Schedule
 from .experiments import (
     ConfigError,
     ExperimentConfig,
@@ -37,12 +35,16 @@ def _parse_seed_range(text: str) -> tuple[int, ...]:
         raise ConfigError(f"bad seed range {text!r}; expected a..b or a,b,c") from None
 
 
-def _parse_schedule(text: str) -> Schedule:
+def _parse_schedule(text: str) -> dict:
+    """The `schedule` document of a --schedule flag."""
     if text == "sequential":
-        return Schedule("sequential")
-    if text.startswith("random"):
-        seed = int(text.split(":", 1)[1]) if ":" in text else 0
-        return Schedule("random", seed)
+        return {"kind": "sequential"}
+    kind, colon, seed = text.partition(":")
+    if kind == "random":
+        try:
+            return {"kind": "random", "seed": int(seed) if colon else 0}
+        except ValueError:
+            pass
     raise ConfigError(f"bad schedule {text!r}; expected sequential or random[:seed]")
 
 
@@ -75,30 +77,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(kind: str, args: argparse.Namespace) -> ExperimentConfig:
-    doc = {"kind": kind}
+    """The config document, with the flags written over it, validated once
+    by config_from_dict."""
+    doc = {}
     if args.config is not None:
         try:
-            doc.update(json.loads(Path(args.config).read_text()))
+            doc = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        doc["kind"] = kind
-    config = config_from_dict(doc)
-
-    opts: EPOptions = config.ep_options
-    if args.tolerance is not None:
-        opts = replace(opts, tolerance=args.tolerance)
-    if args.max_sweeps is not None:
-        opts = replace(opts, max_sweeps=args.max_sweeps)
-    if args.damping is not None:
-        opts = replace(opts, damping=args.damping)
+        if not isinstance(doc, dict) or not isinstance(doc.get("ep_options", {}), dict):
+            raise ConfigError("config and its ep_options must be JSON objects")
+    doc["kind"] = kind
+    ep_doc = doc.setdefault("ep_options", {})
+    for key in ("tolerance", "max_sweeps", "damping"):
+        if getattr(args, key) is not None:
+            ep_doc[key] = getattr(args, key)
     if args.schedule is not None:
-        opts = replace(opts, schedule=_parse_schedule(args.schedule))
-    config = replace(config, ep_options=opts)
+        ep_doc["schedule"] = _parse_schedule(args.schedule)
     if args.seed_range is not None:
-        config = replace(config, seeds=_parse_seed_range(args.seed_range))
+        doc["seeds"] = _parse_seed_range(args.seed_range)
     if args.timings:
-        config = replace(config, timings=True)
-    return config
+        doc["timings"] = True
+    return config_from_dict(doc)
 
 
 def main(argv: list[str] | None = None) -> int:

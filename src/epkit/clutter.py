@@ -242,26 +242,6 @@ class ClutterBinding(ModelBinding):
         self.tally.add((len(sites) + 1) * (self.model.d + 2))
         return ep_log_evidence(self._prior, posterior, sites)
 
-    # --- family hooks for energy diagnostics -------------------------------
-
-    def natural_coords(self, dist: SphericalGaussian) -> np.ndarray:
-        return np.concatenate((dist.shift, [-0.5 * dist.precision]))
-
-    def site_natural_coords(self, site: NaturalSpherical) -> np.ndarray:
-        return np.concatenate((site.shift, [-0.5 * site.precision]))
-
-    def family_moments(self, dist: SphericalGaussian) -> np.ndarray:
-        m = dist.mean
-        return np.concatenate((m, [dist.dim * dist.variance + float(m @ m)]))
-
-    def log_partition(self, coords: np.ndarray) -> float:
-        beta, a = coords[:-1], coords[-1]
-        tau = -2.0 * a
-        if tau <= 0.0:
-            raise ImproperProductError("improper product")
-        d = beta.shape[0]
-        return 0.5 * d * (LOG_2PI - math.log(tau)) + 0.5 * float(beta @ beta) / tau
-
 
 # ---------------------------------------------------------------------------
 # dataset CSV interchange

@@ -1,16 +1,16 @@
 """Generic ADF / EP driver over a list of refinable term approximations.
 
-A model binds itself to the engine through `ModelBinding`: it supplies the
-exactly-incorporated prior and three steps of a site visit.  `cavity`
-divides the site out of the posterior, `moment_match` projects the tilted
-distribution against that cavity and returns the new site Z * q_new /
-cavity, and `recombine` multiplies the cavity by a site.  Every visit, in
-ADF or EP, damped or not, takes that one path, so the posterior is always
-cavity x site.  The site types carry their family's rules: `damped`
-interpolates two sites in natural parameters and `coords` gives the
-convergence coordinates.  The engine owns the sweep loop, the
-improper-cavity policy (skip and count), the evidence formula
-`ep_log_evidence`, and the energy / fixed-point diagnostics.
+A model binds itself to the engine through the eight members of
+`ModelBinding`: the exactly-incorporated prior, the site visit, the
+evidence and a degeneracy test.  `cavity` divides the site out of the
+posterior, `moment_match` projects the tilted distribution against that
+cavity and returns the new site Z * q_new / cavity, and `recombine`
+multiplies the cavity by a site; every visit takes that one path, so the
+posterior is always cavity x site.  The family rules live on the Gaussian
+types in `gaussians`: a site's `damped` and `coords` serve the sweep, and
+`natural_coords`, `moments` and log coefficients the energy / fixed-point
+diagnostics.  The engine owns the sweep loop, the improper-cavity policy
+(skip and count), `ep_log_evidence` and those diagnostics.
 
 Cost accounting: bindings charge a documented elementary-operation count to
 the run's tally (length-d vector ops charge d, rank-one d x d updates charge
@@ -117,15 +117,18 @@ class MomentMatchError(RuntimeError):
 
 
 class ModelBinding(ABC):
-    """Contract between a concrete model and the ADF/EP loop.
+    """Contract between a concrete model and the ADF/EP loop: `site_count`,
+    `prior`, `vacuous_site`, the visit (`cavity`, `moment_match`,
+    `recombine`), `log_evidence` and `is_degenerate`.
 
     The prior term is incorporated exactly; `site_count` counts only the
     refinable data terms.  A visit of site i is cavity -> moment_match ->
     recombine: `moment_match` returns the site itself, never a posterior,
     and the posterior is `recombine(cavity, site)`.  A cavity is whatever
     object the binding's `cavity` returns; only the binding reads it.
-    Sites are `NaturalSpherical` or `RankOneSite`, which own damping and
-    convergence coordinates, so a binding supplies neither.
+    Sites (`NaturalSpherical`, `RankOneSite`) and posteriors
+    (`SphericalGaussian`, `FullGaussian`) carry the family rules, so the
+    diagnostics need nothing from a binding beyond the visit.
     """
 
     tally: OpTally
@@ -158,26 +161,6 @@ class ModelBinding(ABC):
     @abstractmethod
     def log_evidence(self, posterior, sites: Sequence[Site]) -> float:
         """log of the integral of prior * prod(sites) (see ep_log_evidence)."""
-
-    # --- diagnostics hooks -------------------------------------------------
-
-    @abstractmethod
-    def natural_coords(self, dist) -> np.ndarray:
-        """Natural parameters of a family member, flat, in fixed order."""
-
-    @abstractmethod
-    def site_natural_coords(self, site: Site) -> np.ndarray:
-        """A site's contribution in the same flat coordinates as
-        natural_coords; defined for any sign of the site precision."""
-
-    @abstractmethod
-    def family_moments(self, dist) -> np.ndarray:
-        """Expected sufficient statistics of a family member, flat."""
-
-    @abstractmethod
-    def log_partition(self, coords: np.ndarray) -> float:
-        """log integral exp(coords . f(x)) dx over the family's statistics;
-        raises ImproperProductError/ValueError off the proper cone."""
 
     def is_degenerate(self, posterior) -> bool:
         """True when refinement has collapsed the posterior beyond numerical
@@ -311,34 +294,26 @@ class EnergyReport:
     unevaluable: tuple[int, ...] = ()
 
 
-def _recover_multipliers(model: ModelBinding, posterior, sites):
-    """nu and per-site lambda_i as family coordinates relative to the prior.
-
-    lambda_i comes from subtracting the site's natural parameters, so it is
-    well defined even when the corresponding cavity distribution would be
-    improper; properness only matters when integrating against it.
-    """
-    prior_coords = model.natural_coords(model.prior())
-    nu = model.natural_coords(posterior) - prior_coords
-    lambdas = [nu - model.site_natural_coords(site) for site in sites]
-    return prior_coords, nu, lambdas
+def _revisit(model: ModelBinding, posterior, sites):
+    """Each site's visit against the given state, which stays as it is:
+    yields (moment residual, new site, tilted posterior = cavity x new
+    site) site by site, or (nan, None, None) when the cavity is improper."""
+    q_moments = posterior.moments()
+    for i, site in enumerate(sites):
+        cav = model.cavity(posterior, site)
+        if cav is None:
+            yield math.nan, None, None
+            continue
+        new_site, _ = model.moment_match(cav, i)
+        tilted = model.recombine(cav, new_site)
+        yield float(np.max(np.abs(q_moments - tilted.moments()))), new_site, tilted
 
 
 def check_fixed_point(model: ModelBinding, posterior, sites) -> np.ndarray:
     """Per-site stationarity residuals: max |E_q[f_j] - E_ptilde[f_j]| where
     ptilde is the tilted distribution of term i against its cavity.  NaN
     marks sites whose cavity is improper."""
-    q_moments = model.family_moments(posterior)
-    residuals = np.empty(len(sites))
-    for i, site in enumerate(sites):
-        cav = model.cavity(posterior, site)
-        if cav is None:
-            residuals[i] = math.nan
-            continue
-        site, _ = model.moment_match(cav, i)
-        tilted = model.recombine(cav, site)
-        residuals[i] = float(np.max(np.abs(q_moments - model.family_moments(tilted))))
-    return residuals
+    return np.array([r for r, _, _ in _revisit(model, posterior, sites)])
 
 
 def ep_energy(model: ModelBinding, posterior, sites) -> EnergyReport:
@@ -346,31 +321,34 @@ def ep_energy(model: ModelBinding, posterior, sites) -> EnergyReport:
     EP fixed points, plus its constraint residual and per-site moment
     residuals.
 
-    The multipliers are recovered from the posterior and the cavities; both
-    integral families are evaluated in closed form through the family's log
-    partition, with each term's tilted normalizer supplied by the model.
-    Sites with improper cavities are reported unevaluable rather than
-    integrated against an improper weight.
+    With c the log coefficient of a factor (`log_norm_coeff`, or a site's
+    `natural_log_coeff`), the log partition of a family member is -c.  A
+    visit's new site is Z q' / cavity, so its log coefficient is
+    log Z + c(q') - c(cavity), and the objective
+
+        (n-1) (c(prior) - c(posterior)) - sum_i [c(prior) + c(site'_i) - c(q'_i)]
+
+    needs neither the cavity's normalizer nor Z.  The constraint residual
+    max |theta(posterior) - theta(prior) - sum_i theta(site_i)| in natural
+    parameters holds whether or not a cavity is proper.  Sites with improper
+    cavities are reported unevaluable rather than integrated against an
+    improper weight.  One revisit per site serves objective and residuals.
     """
     n = model.site_count
-    prior_coords, nu, lambdas = _recover_multipliers(model, posterior, sites)
-    log_z_prior = model.log_partition(prior_coords)
+    prior = model.prior()
+    c_prior = prior.log_norm_coeff()
+    constraint = posterior.natural_coords() - prior.natural_coords() \
+        - sum(site.natural_coords() for site in sites)
 
-    constraint = float(np.max(np.abs((n - 1) * nu - sum(lambdas)))) \
-        if lambdas else float(np.max(np.abs((n - 1) * nu)))
-
-    objective = (n - 1) * (model.log_partition(prior_coords + nu) - log_z_prior)
-    unevaluable = []
-    for i, lam in enumerate(lambdas):
-        cav = model.cavity(posterior, sites[i])
-        if cav is None:
+    objective = (n - 1) * (c_prior - posterior.log_norm_coeff())
+    residuals, unevaluable = [], []
+    for i, (resid, new_site, tilted) in enumerate(_revisit(model, posterior, sites)):
+        residuals.append(resid)
+        if tilted is None:
             unevaluable.append(i)
-            continue
-        _, log_z = model.moment_match(cav, i)
-        objective -= (model.log_partition(prior_coords + lam) - log_z_prior) + log_z
-
-    residuals = check_fixed_point(model, posterior, sites)
+        else:
+            objective -= c_prior + new_site.natural_log_coeff() - tilted.log_norm_coeff()
     return EnergyReport(objective=float(objective),
-                        constraint_residual=constraint,
-                        moment_residuals=residuals,
+                        constraint_residual=float(np.max(np.abs(constraint))),
+                        moment_residuals=np.array(residuals),
                         unevaluable=tuple(unevaluable))

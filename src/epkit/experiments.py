@@ -66,6 +66,13 @@ class ExperimentConfig:
         bad = set(self.methods) - known
         if bad:
             raise ConfigError(f"unknown methods {sorted(bad)}")
+        if not 0.0 <= self.w <= 1.0:
+            raise ConfigError(f"w must lie in [0, 1], got {self.w!r}")
+        for name, low in (("n", 0), ("n_vars", 1), ("max_cardinality", 2)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ConfigError(f"{name} must be an int of at least {low}, "
+                                  f"got {value!r}")
         if self.kind == "clutter" and "oracle" in self.methods and self.n > 20:
             raise ConfigError("n must be <= 20 when the exact oracle is requested")
         counts = self.importance_samples
@@ -114,12 +121,14 @@ def rows_to_csv(rows: list[ResultRow], timings: bool = False) -> str:
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    """The configuration a JSON document describes; any invalid value or
+    unknown key raises ConfigError."""
     doc = dict(doc)
-    ep_doc = dict(doc.pop("ep_options", {}))
-    sched_doc = ep_doc.pop("schedule", None)
-    if sched_doc is not None:
-        ep_doc["schedule"] = Schedule(**sched_doc)
     try:
+        ep_doc = dict(doc.pop("ep_options", {}))
+        sched_doc = ep_doc.pop("schedule", None)
+        if sched_doc is not None:
+            ep_doc["schedule"] = Schedule(**sched_doc)
         opts = EPOptions(**ep_doc)
         for key in ("seeds", "methods", "x_true"):
             if key in doc:

@@ -41,16 +41,16 @@ class ZeroNormalizerError(ValueError):
 
 @dataclass(frozen=True)
 class SphericalGaussian:
-    """N(mean, variance * I_d); variance = +inf denotes the vacuous improper
-    uniform."""
+    """N(mean, variance * I_d) with a finite positive variance (a vacuous
+    site is a `NaturalSpherical` of precision 0, never this type)."""
     mean: np.ndarray
     variance: float
 
     def __post_init__(self):
         m = np.atleast_1d(np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "mean", m)
-        if not (self.variance > 0.0):
-            raise ValueError(f"variance must be positive or +inf, got {self.variance}")
+        if not 0.0 < self.variance < math.inf:
+            raise ValueError(f"variance must be finite and positive, got {self.variance}")
 
     @property
     def dim(self) -> int:
@@ -58,13 +58,10 @@ class SphericalGaussian:
 
     @property
     def precision(self) -> float:
-        return 0.0 if math.isinf(self.variance) else 1.0 / self.variance
+        return 1.0 / self.variance
 
     @property
     def shift(self) -> np.ndarray:
-        # precision * mean; vacuous -> zero shift
-        if math.isinf(self.variance):
-            return np.zeros(self.dim)
         return self.mean / self.variance
 
     def log_norm_coeff(self) -> float:
@@ -72,6 +69,15 @@ class SphericalGaussian:
         d = self.dim
         return -0.5 * d * (LOG_2PI + math.log(self.variance)) \
             - 0.5 * float(self.mean @ self.mean) / self.variance
+
+    def natural_coords(self) -> np.ndarray:
+        """Natural parameters (shift, -precision/2), flat."""
+        return np.concatenate((self.shift, [-0.5 * self.precision]))
+
+    def moments(self) -> np.ndarray:
+        """Expected sufficient statistics (E[x], E[|x|^2]), flat."""
+        m = self.mean
+        return np.concatenate((m, [self.dim * self.variance + float(m @ m)]))
 
 
 @dataclass(frozen=True)
@@ -113,6 +119,17 @@ class FullGaussian:
         half_logdet = float(np.sum(np.log(np.diag(L))))
         z = np.linalg.solve(L, self.mean)
         return -0.5 * self.dim * LOG_2PI - half_logdet - 0.5 * float(z @ z)
+
+    def natural_coords(self) -> np.ndarray:
+        """Natural parameters (P m, -P/2) with P = V^-1, flat, row-major."""
+        P = np.linalg.inv(self.covariance)
+        b = P @ self.mean
+        return np.concatenate((b, (-0.5 * symmetrize(P)).ravel()))
+
+    def moments(self) -> np.ndarray:
+        """Expected sufficient statistics (E[x], E[x x^T]), flat, row-major."""
+        m = self.mean
+        return np.concatenate((m, (self.covariance + np.outer(m, m)).ravel()))
 
 
 def _unvalidated(cls, **fields):
@@ -187,6 +204,10 @@ class NaturalSpherical:
         (it tracks the others and has no effect on the posterior shape)."""
         return np.concatenate(([self.precision], self.shift))
 
+    def natural_coords(self) -> np.ndarray:
+        """The site's term in `SphericalGaussian.natural_coords`."""
+        return np.concatenate((self.shift, [-0.5 * self.precision]))
+
     def damped(self, new: "NaturalSpherical", gamma: float) -> "NaturalSpherical":
         """(1-gamma) * self + gamma * new in precision, shift and log scale."""
         return NaturalSpherical(
@@ -240,6 +261,12 @@ class RankOneSite:
     def coords(self) -> np.ndarray:
         """Convergence coordinates: precision and shift along the direction."""
         return np.array([self.precision, self.precision * self.mean])
+
+    def natural_coords(self) -> np.ndarray:
+        """The site's term in `FullGaussian.natural_coords`."""
+        u = self.direction
+        return np.concatenate((self.precision * self.mean * u,
+                               (-0.5 * self.precision * np.outer(u, u)).ravel()))
 
     def damped(self, new: "RankOneSite", gamma: float) -> "RankOneSite":
         """(1-gamma) * self + gamma * new in precision, shift (precision *

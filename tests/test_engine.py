@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from epkit.bpm import BpmBinding, make_dataset
 from epkit.clutter import ClutterBinding, ClutterDataSpec, ClutterModel, generate_clutter_data
 from epkit.engine import (
     EPOptions,
@@ -17,7 +18,7 @@ from epkit.engine import (
     run_adf,
     run_ep,
 )
-from epkit.gaussians import NaturalSpherical, RankOneSite
+from epkit.gaussians import NaturalSpherical, RankOneSite, SphericalGaussian
 from epkit.oracles import conjugate_gaussian_posterior, tilted_moments_quadrature
 
 
@@ -198,7 +199,81 @@ class TestDamping:
                 q = binding.recombine(cav, new_site)
 
 
+def _natural(g):
+    """(b, P) with g(x) proportional to exp(b.x - x.P x / 2), for a posterior
+    or a site of either family."""
+    if isinstance(g, (NaturalSpherical, SphericalGaussian)):
+        return g.shift, g.precision * np.eye(g.dim)
+    if isinstance(g, RankOneSite):
+        u = g.direction
+        return g.precision * g.mean * u, g.precision * np.outer(u, u)
+    P = np.linalg.inv(g.covariance)
+    return P @ g.mean, P
+
+
+def _log_partition(b, P):
+    """log of the integral of exp(b.x - x.P x / 2) dx."""
+    L = np.linalg.cholesky(P)
+    z = np.linalg.solve(L, b)
+    return 0.5 * len(b) * math.log(2 * math.pi) - float(np.sum(np.log(np.diag(L)))) \
+        + 0.5 * float(z @ z)
+
+
+def _log_partition_objective(binding, posterior, sites):
+    """The energy objective through the family log partition A and the
+    multipliers nu = theta(posterior) - theta(prior), lambda_i = nu -
+    theta(site_i): (n-1) (A(prior + nu) - A(prior)) - sum_i [A(prior +
+    lambda_i) - A(prior) + log Z_i], every cavity proper."""
+    b0, P0 = _natural(binding.prior())
+    bq, Pq = _natural(posterior)
+    a0 = _log_partition(b0, P0)
+    objective = (len(sites) - 1) * (_log_partition(bq, Pq) - a0)
+    for i, site in enumerate(sites):
+        cav = binding.cavity(posterior, site)
+        assert cav is not None
+        _, log_z = binding.moment_match(cav, i)
+        bs, Ps = _natural(site)
+        objective -= _log_partition(bq - bs, Pq - Ps) - a0 + log_z
+    return objective
+
+
+def _bpm_binding(d=4, n=30, seed=3):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d - 1))
+    labels = np.where(x @ rng.normal(size=d - 1) + 0.3 * rng.normal(size=n) > 0,
+                      1.0, -1.0)
+    return BpmBinding(make_dataset(x, labels, slack=1.0, add_bias=True))
+
+
 class TestEnergy:
+    @pytest.mark.parametrize("make_binding, sweeps", [
+        (lambda: ClutterBinding(small_model(seed=4, n=10, d=2)), 2),
+        (_bpm_binding, 1),
+    ], ids=["clutter-d2-sweep2", "bpm-d4-n30-sweep1"])
+    def test_objective_matches_log_partition_form_mid_run(self, make_binding,
+                                                          sweeps):
+        binding = make_binding()
+        res = run_ep(binding, EPOptions(tolerance=1e-12, max_sweeps=sweeps))
+        assert not res.converged
+        rep = ep_energy(binding, res.posterior, res.sites)
+        assert rep.unevaluable == ()
+        want = _log_partition_objective(binding, res.posterior, res.sites)
+        assert rep.objective == pytest.approx(want, rel=1e-12)
+        assert np.array_equal(
+            rep.moment_residuals,
+            check_fixed_point(binding, res.posterior, res.sites), equal_nan=True)
+
+    def test_charges_one_visit_per_site(self):
+        # one cavity, moment match and recombination per site, 10d+16 ops
+        d, n = 2, 7
+        binding = ClutterBinding(small_model(seed=6, n=n, d=d))
+        res = run_ep(binding, EPOptions(tolerance=1e-10, max_sweeps=300))
+        assert res.converged
+        assert all(binding.cavity(res.posterior, s) is not None for s in res.sites)
+        before = binding.tally.count
+        ep_energy(binding, res.posterior, res.sites)
+        assert binding.tally.count - before == n * (10 * d + 16)
+
     def test_single_term_objective_is_minus_log_evidence(self):
         # with one term the constraint forces lambda = 0 and the leading
         # term vanishes, leaving -log int t(x) p(x) dx

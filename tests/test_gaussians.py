@@ -258,6 +258,12 @@ def test_spherical_rejects_nonpositive_variance():
         SphericalGaussian(mean=[0.0], variance=0.0)
 
 
+@pytest.mark.parametrize("variance", [math.inf, math.nan])
+def test_spherical_rejects_non_finite_variance(variance):
+    with pytest.raises(ValueError, match="variance must be finite"):
+        SphericalGaussian(mean=[0.0], variance=variance)
+
+
 def test_vacuous_site_requires_zero_shift():
     with pytest.raises(ValueError):
         NaturalSpherical(precision=0.0, shift=np.array([1.0]))

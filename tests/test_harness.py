@@ -280,6 +280,32 @@ class TestCli:
         cfg_path.write_text(json.dumps({"methods": ["vb"]}))
         assert cli_main(["clutter", "--config", str(cfg_path)]) == 1
 
+    @pytest.mark.parametrize("kind, flags, doc", [
+        ("clutter", ["--tolerance", "inf"], None),
+        ("clutter", ["--tolerance", "nan"], None),
+        ("clutter", ["--damping", "0"], None),
+        ("clutter", ["--max-sweeps", "0"], None),
+        ("clutter", ["--schedule", "random:x"], None),
+        ("clutter", [], {"ep_options": {"schedule": {"kind": "zigzag"}}}),
+        ("clutter", [], {"w": 2}),
+        ("clutter", [], {"n": -1}),
+        ("clutter", [], {"n": 2.5}),
+        ("loopy", [], {"n_vars": 0}),
+        ("loopy", [], {"max_cardinality": 1}),
+    ], ids=["tolerance-inf", "tolerance-nan", "damping-0", "max-sweeps-0",
+            "schedule-random-x", "schedule-zigzag", "w-2", "n-minus-1",
+            "n-2.5", "n-vars-0", "max-cardinality-1"])
+    def test_bad_input_exits_1_with_error_line(self, tmp_path, capsys, kind,
+                                               flags, doc):
+        if doc is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(doc))
+            flags = flags + ["--config", str(cfg_path)]
+        out = tmp_path / "o.csv"
+        assert cli_main([kind, *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_oracle_check_exit_zero(self, capsys):
         assert cli_main(["oracle-check", "--cases", "8"]) == 0
         out = capsys.readouterr().out
