@@ -64,6 +64,7 @@ from .oracles import (
     ExactPosteriorSummary,
     SampleEstimate,
     enumerate_discrete,
+    exact_bpm_step,
     exact_clutter,
     importance_sampler,
     tilted_moments_quadrature,

@@ -180,7 +180,9 @@ def clutter_moment_match(cavity: SphericalGaussian, y: np.ndarray, w: float,
     mean = m + (v * r / (v + 1.0)) * resid
     variance = v - r * v * v / (v + 1.0) \
         + r * (1.0 - r) * v * v * float(resid @ resid) / (d * (v + 1.0) ** 2)
-    return ClutterMatch(posterior=SphericalGaussian(mean=mean, variance=variance),
+    if not 0.0 < variance < math.inf:
+        raise ValueError(f"variance must be finite and positive, got {variance}")
+    return ClutterMatch(posterior=SphericalGaussian.trusted(mean, variance),
                         z=math.exp(log_z), log_z=log_z, r=r)
 
 
@@ -235,8 +237,10 @@ class ClutterBinding(ModelBinding):
         tau = cavity.precision + site.precision
         if tau <= 0.0:
             raise ImproperProductError("improper product")
-        shift = cavity.shift + site.shift
-        return SphericalGaussian(mean=shift / tau, variance=1.0 / tau)
+        variance = 1.0 / tau
+        if not 0.0 < variance < math.inf:
+            raise ValueError(f"variance must be finite and positive, got {variance}")
+        return SphericalGaussian.trusted((cavity.shift + site.shift) / tau, variance)
 
     def log_evidence(self, posterior, sites) -> float:
         self.tally.add((len(sites) + 1) * (self.model.d + 2))

@@ -54,6 +54,9 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ("sequential", "random"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"schedule seed must be a non-negative int, "
+                             f"got {self.seed!r}")
 
     def orders(self, n: int):
         if self.kind == "sequential":

@@ -24,7 +24,8 @@ from .bpm import (BpmBinding, _model_from_result, bpm_training_error,
 from .clutter import ClutterBinding, ClutterDataSpec, generate_clutter_data
 from .engine import EPOptions, Schedule, run_adf, run_ep
 from .factorgraph import DiscreteFactorGraph, Factor, bk_adf, load_network, loopy_ep
-from .oracles import enumerate_discrete, exact_clutter, importance_sampler
+from .oracles import (enumerate_discrete, exact_bpm_step, exact_clutter,
+                      importance_sampler)
 
 CSV_HEADER = ("experiment", "seed", "method", "checkpoint", "operations",
               "log_evidence_error", "mean_error", "converged", "sweeps")
@@ -58,8 +59,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in ("clutter", "bpm", "loopy"):
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
+        if not (self.seeds and all(type(s) is int and s >= 0 for s in self.seeds)):
+            raise ConfigError("seeds must be a non-empty tuple of non-negative "
+                              f"ints, got {self.seeds!r}")
+        if not (self.x_true and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool)
+                and math.isfinite(x) for x in self.x_true)):
+            raise ConfigError("x_true must be a non-empty tuple of finite "
+                              f"numbers, got {self.x_true!r}")
         if not self.methods:
             raise ConfigError("at least one method is required")
         known = {"adf", "ep", "importance", "oracle"}
@@ -229,11 +236,17 @@ def builtin_bpm_dataset(slack: float = 0.0, add_bias: bool = True):
 
 
 def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
-    """Ground truth is the importance-sampling Bayes point at the largest
-    configured sample count; ADF/EP rows carry the Euclidean distance of the
-    posterior mean to it versus cost.  Each trained method also emits a
-    `train_error` checkpoint row whose mean_error column is the training-set
-    error rate (log_evidence_error is marked nan there)."""
+    """ADF/EP rows carry the absolute log-evidence error and the Euclidean
+    distance of the posterior mean to the truth versus cost.
+
+    With zero slack and d <= 3 the truth is exact (`exact_bpm_step`: the
+    prior cut to a polyhedral cone) and its oracle row is `exact` at no
+    cost.  Otherwise it is the per-seed importance-sampling estimate at the
+    largest configured sample count, whose row carries that sampler's cost.
+    Either way the importance rows are the other configured sample counts.
+    Each trained method also emits a `train_error` checkpoint row whose
+    mean_error column is the training-set error rate (log_evidence_error is
+    marked nan there)."""
     if config.dataset_path is not None:
         try:
             text = Path(config.dataset_path).read_text()
@@ -248,19 +261,28 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
     d = dataset.d
     rows: list[ResultRow] = []
     s_truth = max(config.importance_samples)
+    if config.slack == 0.0 and d <= 3:
+        exact = exact_bpm_step(dataset.directions)
+        oracle_checkpoint, oracle_ops = "exact", 0
+    else:
+        exact = None
+        oracle_checkpoint, oracle_ops = f"samples{s_truth}", s_truth * (d + 2)
     for seed in config.seeds:
-        truth = importance_sampler(dataset.log_likelihood, np.zeros(d), np.eye(d),
-                                   s_truth, seed)
-        truth_mean = truth.posterior_mean.value
-        log_ev_truth = math.log(truth.evidence.value)
+        if exact is None:
+            truth = importance_sampler(dataset.log_likelihood, np.zeros(d),
+                                       np.eye(d), s_truth, seed)
+            log_ev_truth = math.log(truth.evidence.value)
+            truth_mean = truth.posterior_mean.value
+        else:
+            log_ev_truth, truth_mean = exact
 
         def errs(mean, log_ev):
             return (abs(log_ev - log_ev_truth),
                     float(np.linalg.norm(mean - truth_mean)))
 
         if "oracle" in config.methods:
-            rows.append(ResultRow("bpm", seed, "oracle", f"samples{s_truth}",
-                                  s_truth * (d + 2), 0.0, 0.0, True, 0))
+            rows.append(ResultRow("bpm", seed, "oracle", oracle_checkpoint,
+                                  oracle_ops, 0.0, 0.0, True, 0))
         for method in ("adf", "ep"):
             if method in config.methods:
                 res, fit_rows = _fit_rows("bpm", seed, method, BpmBinding(dataset),
@@ -553,5 +575,25 @@ def oracle_check_battery(cases: int = 200, seed: int = 1234) -> list[BatteryResu
                     *(float(np.sum(np.abs(res.beliefs[v] - marginals[v])))
                       for v, _ in net.variables))
     results.append(BatteryResult("loopy-tree-vs-enumeration", worst, 1e-8))
+
+    # The closed-form zero-slack BPM posterior against prior importance
+    # sampling, in standard errors of the sampled evidence and mean, on
+    # separable sets in d = 1, 2, 3 whose evidence is at least 0.02 (so at
+    # least about 2000 of the draws land in the cone).
+    worst = 0.0
+    for k in range(min(cases, 12)):
+        d = k % 3 + 1
+        log_z = -math.inf
+        while log_z < math.log(0.02):
+            x = rng.normal(size=(int(rng.integers(1, 7)), d))
+            ds = make_dataset(x, np.where(x @ rng.normal(size=d) > 0.0, 1.0, -1.0))
+            log_z, mean = exact_bpm_step(ds.directions)
+        est = importance_sampler(ds.log_likelihood, np.zeros(d), np.eye(d),
+                                 100_000, int(rng.integers(2 ** 31)))
+        worst = max(worst,
+                    abs(est.evidence.value - math.exp(log_z)) / est.evidence.standard_error,
+                    float(np.max(np.abs(est.posterior_mean.value - mean)
+                                 / est.posterior_mean.standard_error)))
+    results.append(BatteryResult("bpm-exact-step-vs-importance", worst, 5.0))
 
     return results

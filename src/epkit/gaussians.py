@@ -52,6 +52,13 @@ class SphericalGaussian:
         if not 0.0 < self.variance < math.inf:
             raise ValueError(f"variance must be finite and positive, got {self.variance}")
 
+    @classmethod
+    def trusted(cls, mean: np.ndarray, variance: float) -> "SphericalGaussian":
+        """Construct without validation, for inner loops whose mean is
+        already a 1-D float array and whose caller has checked
+        0 < variance < inf."""
+        return _unvalidated(cls, mean=mean, variance=variance)
+
     @property
     def dim(self) -> int:
         return self.mean.shape[0]

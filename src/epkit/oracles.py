@@ -9,6 +9,11 @@ enumeration.  Analytic fast paths elsewhere in the package are tested
 evaluates every one of the 2^n mixture components and shares no moment
 matching or site algebra with the model code, but it does so with array
 operations over all components at once rather than a Python loop.
+
+One oracle is closed-form rather than exhaustive: `exact_bpm_step`, the
+zero-slack BPM posterior in d <= 3, is spherical geometry (the prior cut
+to a polyhedral cone) and shares nothing with EP; it is itself checked
+against prior importance sampling.
 """
 from __future__ import annotations
 
@@ -320,6 +325,143 @@ def conjugate_gaussian_posterior(data: np.ndarray, prior_variance: float):
         - 0.5 * d * (LOG_2PI + math.log(prior_variance))
     log_ml = log_c + 0.5 * d * (LOG_2PI - math.log(tau)) + 0.5 * float(beta @ beta) / tau
     return SphericalGaussian(mean=beta / tau, variance=1.0 / tau), log_ml
+
+
+# ---------------------------------------------------------------------------
+# exact BPM posterior under a step likelihood, d <= 3
+# ---------------------------------------------------------------------------
+
+# Normals closer than this (radians, as |a x b|) to parallel count as one
+# plane, or as an empty cone when they point opposite ways; an edge of the
+# spherical polygon shorter than _MIN_EDGE radians carries no mass.
+_PARALLEL_TOL = 1e-12
+_MIN_EDGE = 1e-12
+
+
+def _arc(normals: np.ndarray) -> tuple[float, float]:
+    """The arc [lo, hi] of unit-circle angles phi with b . (cos phi, sin phi)
+    >= 0 for every row b of `normals` (non-zero 2-vectors); hi <= lo when it
+    has no length.
+
+    Each row allows a half circle centered on its own angle.  Measured from
+    the first row's angle, every other half circle meets the first in one
+    interval, so the arc is the intersection of those intervals.
+    """
+    beta = np.arctan2(normals[:, 1], normals[:, 0])
+    delta = (beta - beta[0] + math.pi) % (2.0 * math.pi) - math.pi
+    lo = float(np.max(delta)) - 0.5 * math.pi
+    hi = float(np.min(delta)) + 0.5 * math.pi
+    return float(beta[0]) + lo, float(beta[0]) + hi
+
+
+def _angle(a: np.ndarray, b: np.ndarray) -> float:
+    """The angle between two 3-vectors, accurate near 0 and pi."""
+    return math.atan2(float(np.linalg.norm(np.cross(a, b))), float(a @ b))
+
+
+def _circle_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An orthonormal pair (p, q) spanning the plane orthogonal to unit a."""
+    axis = np.zeros(3)
+    axis[int(np.argmin(np.abs(a)))] = 1.0
+    p = axis - float(axis @ a) * a
+    p /= np.linalg.norm(p)
+    return p, np.cross(a, p)
+
+
+def exact_bpm_step(directions: np.ndarray) -> tuple[float, np.ndarray]:
+    """Exact log evidence and posterior mean of w ~ N(0, I_d) restricted to
+    the cone {w : a . w > 0 for every row a of `directions`}, for d <= 3.
+
+    This is the zero-slack Bayes Point Machine: the rows are the label-scaled
+    points y_i x_i and the likelihood is a step in every margin.  The prior
+    is rotation invariant, so w = r theta with r ~ chi_d independent of
+    theta, uniform on the unit sphere.  The evidence is then the cone's
+    share of the sphere, and E[w 1_C] = E[r] E[theta 1_C].
+
+    * d = 1: the cone is a half-line (evidence 1/2) when every row has the
+      same sign.
+    * d = 2: the cone cuts an arc [lo, hi] from the circle; the evidence is
+      (hi - lo) / 2 pi and the integral of theta over the arc is
+      (sin hi - sin lo, cos lo - cos hi).
+    * d = 3: the cone cuts a convex spherical polygon P.  Each plane a^perp
+      carries one edge, the arc of its great circle that the other
+      constraints allow, of length theta_a.  The divergence theorem on the
+      solid cone over P gives int_P theta = 1/2 sum theta_a a_hat, and the
+      area of P is its spherical excess (Girard): 2 pi minus the angles
+      between the normals of consecutive edges.  A hemisphere (one edge of
+      length 2 pi) and a lune (two edges of length pi) are the same formula
+      with no or two vertices.
+
+    No rows gives the prior (log evidence 0, mean 0).  An empty or
+    measure-zero cone raises VanishingMassError; that includes a zero row
+    and two opposite rows, whose margins cannot both be positive.
+    """
+    a = np.asarray(directions, dtype=float)
+    if a.ndim != 2 or not 1 <= a.shape[1] <= 3:
+        raise ValueError(f"directions must have shape (n, d) with 1 <= d <= 3, "
+                         f"got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("directions must be finite")
+    n, d = a.shape
+    if n == 0:
+        return 0.0, np.zeros(d)
+    norms = np.linalg.norm(a, axis=1)
+    if not np.all(norms > 0.0):
+        raise VanishingMassError(f"direction {int(np.argmin(norms))} is zero")
+    a = a / norms[:, None]
+
+    if d == 1:
+        if not (np.all(a > 0.0) or np.all(a < 0.0)):
+            raise VanishingMassError("the rows' signs disagree: the cone is empty")
+        return math.log(0.5), np.array([float(a[0, 0]) * math.sqrt(2.0 / math.pi)])
+
+    if d == 2:
+        lo, hi = _arc(a)
+        if not hi - lo > _MIN_EDGE:
+            raise VanishingMassError("the cone has no interior")
+        mean = math.sqrt(0.5 * math.pi) / (hi - lo) * np.array(
+            [math.sin(hi) - math.sin(lo), math.cos(lo) - math.cos(hi)])
+        return math.log((hi - lo) / (2.0 * math.pi)), mean
+
+    unique: list[np.ndarray] = []
+    for row in a:
+        for u in unique:
+            if np.linalg.norm(np.cross(row, u)) <= _PARALLEL_TOL:
+                if float(row @ u) < 0.0:
+                    raise VanishingMassError("two opposite directions: "
+                                             "the cone has no interior")
+                break
+        else:
+            unique.append(row)
+    normals = np.array(unique)
+
+    edges = []   # (length, unit normal, midpoint) of each edge of P
+    for k, u in enumerate(normals):
+        others = np.delete(normals, k, axis=0)
+        if not others.size:
+            edges.append((2.0 * math.pi, u, None))
+            continue
+        p, q = _circle_basis(u)
+        lo, hi = _arc(np.stack([others @ p, others @ q], axis=1))
+        if hi - lo > _MIN_EDGE:
+            mid = 0.5 * (lo + hi)
+            edges.append((hi - lo, u, math.cos(mid) * p + math.sin(mid) * q))
+    if not edges:
+        raise VanishingMassError("the cone has no interior")
+
+    moment = 0.5 * sum(length * u for length, u, _ in edges)   # int_P theta
+    if len(edges) > 2:
+        # Going round P: sort the edges by the angle of their midpoints about
+        # the direction of int_P theta, which lies inside P.
+        p, q = _circle_basis(moment / np.linalg.norm(moment))
+        edges.sort(key=lambda e: math.atan2(float(e[2] @ q), float(e[2] @ p)))
+    turning = sum(_angle(edges[k - 1][1], edges[k][1]) for k in range(len(edges)))
+    area = 2.0 * math.pi - turning
+    if not area > _MIN_EDGE:
+        raise VanishingMassError("the cone has no interior")
+    # E[r] = 2 sqrt(2/pi) for chi_3, and E[theta 1_C] = moment / (4 pi)
+    mean = 2.0 * math.sqrt(2.0 / math.pi) * moment / area
+    return math.log(area / (4.0 * math.pi)), mean
 
 
 # ---------------------------------------------------------------------------

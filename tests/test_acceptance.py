@@ -32,8 +32,8 @@ from epkit.oracles import (
     conjugate_gaussian_posterior,
     directional_tilted_moments,
     enumerate_discrete,
+    exact_bpm_step,
     exact_clutter,
-    importance_sampler,
     probit_margin_term,
 )
 
@@ -248,16 +248,14 @@ def test_criterion_7_bpm_correctness(bpm_runs):
     model = bpm_train(three_ds, EPOptions(tolerance=1e-6, max_sweeps=50))
     train_err = bpm_training_error(model)
 
-    est = importance_sampler(three_ds.log_likelihood, np.zeros(3), np.eye(3),
-                             10 ** 6, seed=77)
-    dist = float(np.linalg.norm(three.posterior.mean - est.posterior_mean.value))
-    radius = 3.0 * float(np.linalg.norm(est.posterior_mean.standard_error))
+    _, exact_mean = exact_bpm_step(three_ds.directions)
+    dist = float(np.linalg.norm(three.posterior.mean - exact_mean))
     elapsed = time.perf_counter() - t0
-    ok = one_ok and train_err == 0.0 and dist <= radius and elapsed < 60.0
+    ok = one_ok and train_err == 0.0 and dist <= 1e-4 and elapsed < 60.0
     report("criterion 7: BPM correctness", ok,
            f"one-point mean_err={abs(one.posterior.mean[0] - 0.5641895835477563):.2e} "
            f"logev_err={abs(one.log_evidence - math.log(0.5)):.2e}; "
-           f"3-point train_err={train_err} dist={dist:.4f} 3SE={radius:.4f} "
+           f"3-point train_err={train_err} dist to exact={dist:.2e} (need 1e-4) "
            f"time={elapsed:.1f}s")
     assert ok
 

@@ -159,7 +159,7 @@ class TestBpmExperiment:
         ep_rows = [r for r in rows if r.method == "ep"
                    and r.checkpoint.startswith("sweep")]
         assert ep_rows[-1].converged
-        # converged EP sits close to the sampled Bayes point
+        # converged EP sits close to the exact Bayes point
         assert ep_rows[-1].mean_error < 0.05
         adf = next(r for r in rows if r.method == "adf"
                    and r.checkpoint == "final")
@@ -180,6 +180,54 @@ class TestBpmExperiment:
         ep = [r for r in rows if r.method == "ep" and r.checkpoint == "final"]
         # posterior is the prior; distance to the sampled prior mean is tiny
         assert ep[-1].mean_error < 0.02
+
+    @staticmethod
+    def _sampler_counts(monkeypatch):
+        """The sample counts of every importance_sampler call the BPM
+        experiment makes."""
+        from epkit import experiments
+        counts, sampler = [], experiments.importance_sampler
+
+        def counted(log_likelihood, prior_mean, prior_cov, samples, seed):
+            counts.append(samples)
+            return sampler(log_likelihood, prior_mean, prior_cov, samples, seed)
+        monkeypatch.setattr(experiments, "importance_sampler", counted)
+        return counts
+
+    def test_step_likelihood_truth_is_exact(self, monkeypatch):
+        counts = self._sampler_counts(monkeypatch)
+        cfg = ExperimentConfig(kind="bpm", seeds=(1, 2),
+                               importance_samples=(500, 2000, 8000))
+        rows = run_bpm_experiment(cfg)
+        oracle = [r for r in rows if r.method == "oracle"]
+        assert [(r.checkpoint, r.operations) for r in oracle] == [("exact", 0)] * 2
+        assert sorted(counts) == [500, 500, 2000, 2000]
+        assert {r.checkpoint for r in rows if r.method == "importance"} \
+            == {"samples500", "samples2000"}
+        # data and truth are the same for every seed, and so are the errors
+        fits = [[(r.method, r.checkpoint, r.log_evidence_error, r.mean_error)
+                 for r in rows if r.seed == seed and r.method in ("adf", "ep")
+                 and r.checkpoint != "train_error"]
+                for seed in (1, 2)]
+        assert fits[0] == fits[1]
+
+    @pytest.mark.parametrize("case", ["slack", "d4"])
+    def test_sampled_truth_with_slack_or_above_three_dimensions(
+            self, monkeypatch, tmp_path, case):
+        counts = self._sampler_counts(monkeypatch)
+        if case == "slack":
+            cfg = ExperimentConfig(kind="bpm", seeds=(1,), slack=1.0,
+                                   importance_samples=(500, 2000))
+        else:
+            path = tmp_path / "d4.csv"
+            path.write_text("x1,x2,x3,x4,label\n1,0,0,0,1\n0,1,0,0,-1\n")
+            cfg = ExperimentConfig(kind="bpm", seeds=(1,), dataset_path=str(path),
+                                   add_bias=False, importance_samples=(500, 2000))
+        rows = run_bpm_experiment(cfg)
+        oracle = next(r for r in rows if r.method == "oracle")
+        assert (oracle.checkpoint, oracle.operations) \
+            == ("samples2000", 2000 * (5 if case == "slack" else 6))
+        assert sorted(counts) == [500, 2000]
 
     def test_unreadable_dataset(self):
         cfg = ExperimentConfig(kind="bpm", seeds=(1,),
@@ -240,6 +288,7 @@ class TestOracleBattery:
             "quadrature-self-consistency",
             "probit-ratio-vs-naive-quotient",
             "loopy-tree-vs-enumeration",
+            "bpm-exact-step-vs-importance",
         }
         for r in results:
             assert r.passed, f"{r.name}: worst {r.worst} > tol {r.tolerance}"
@@ -292,9 +341,18 @@ class TestCli:
         ("clutter", [], {"n": 2.5}),
         ("loopy", [], {"n_vars": 0}),
         ("loopy", [], {"max_cardinality": 1}),
+        ("clutter", [], {"seeds": ["a"]}),
+        ("clutter", [], {"seeds": [-1]}),
+        ("clutter", [], {"ep_options": {"schedule": {"kind": "random", "seed": "x"}}}),
+        ("clutter", [], {"ep_options": {"schedule": {"kind": "random", "seed": -2}}}),
+        ("clutter", [], {"x_true": []}),
+        ("clutter", [], {"x_true": ["a"]}),
+        ("clutter", [], {"x_true": [1e400]}),
     ], ids=["tolerance-inf", "tolerance-nan", "damping-0", "max-sweeps-0",
             "schedule-random-x", "schedule-zigzag", "w-2", "n-minus-1",
-            "n-2.5", "n-vars-0", "max-cardinality-1"])
+            "n-2.5", "n-vars-0", "max-cardinality-1", "seeds-str",
+            "seeds-negative", "schedule-seed-str", "schedule-seed-negative",
+            "x-true-empty", "x-true-str", "x-true-inf"])
     def test_bad_input_exits_1_with_error_line(self, tmp_path, capsys, kind,
                                                flags, doc):
         if doc is not None:

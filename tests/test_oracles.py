@@ -5,8 +5,10 @@ from itertools import product
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import erf, logsumexp
 
+from epkit.bpm import make_dataset
+from epkit.experiments import builtin_bpm_dataset
 from epkit.gaussians import SphericalGaussian, log_normal_pdf
 from epkit.oracles import (
     DegenerateWeightsError,
@@ -16,9 +18,11 @@ from epkit.oracles import (
     conjugate_gaussian_posterior,
     directional_tilted_moments,
     enumerate_discrete,
+    exact_bpm_step,
     exact_clutter,
     importance_sampler,
     probit_margin_term,
+    quad_adaptive,
     tilted_moments_quadrature,
 )
 from epkit.factorgraph import DiscreteFactorGraph, Factor
@@ -321,6 +325,150 @@ class TestImportanceSampler:
                                   np.zeros(1), np.eye(1), 20_000, seed=5)
         assert 0.0 < res.evidence.value < full.evidence.value
         assert res.posterior_mean.value[0] > 0.0
+
+
+HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
+
+
+def _pooled_importance(dataset, draws: int, seed: int, chunk: int = 500_000):
+    """Prior importance sampling over `draws` draws, run as independent
+    chunks so that memory stays at one chunk's.  The evidence is the mean of
+    the chunk estimates, and the mean their evidence-weighted mean, which is
+    what one call over all the draws gives; standard errors add in
+    quadrature.  Returns (evidence, its se, mean, its se)."""
+    d = dataset.d
+    ests = [importance_sampler(dataset.log_likelihood, np.zeros(d), np.eye(d),
+                               chunk, seed + k) for k in range(draws // chunk)]
+    ev = np.array([e.evidence.value for e in ests])
+    share = ev / ev.sum()
+    mean = sum(s * e.posterior_mean.value for s, e in zip(share, ests))
+    mean_se = np.sqrt(sum((s * e.posterior_mean.standard_error) ** 2
+                          for s, e in zip(share, ests)))
+    ev_se = math.sqrt(sum(e.evidence.standard_error ** 2 for e in ests)) / len(ests)
+    return float(ev.mean()), ev_se, mean, mean_se
+
+
+class TestExactBpmStep:
+    def test_builtin_set_pinned(self):
+        log_z, mean = exact_bpm_step(builtin_bpm_dataset().directions)
+        assert log_z == pytest.approx(-2.2166235138, abs=1e-6)
+        assert mean == pytest.approx([-0.4530511608, 1.1841137359, -0.5948140966],
+                                     abs=1e-6)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_separable_3d_within_4se_of_importance(self, seed):
+        rng = np.random.default_rng(seed)
+        log_z = -math.inf
+        while log_z < math.log(0.02):
+            x = rng.normal(size=(int(rng.integers(3, 7)), 3))
+            ds = make_dataset(x, np.where(x @ rng.normal(size=3) > 0.0, 1.0, -1.0))
+            log_z, mean = exact_bpm_step(ds.directions)
+        ev, ev_se, est_mean, mean_se = _pooled_importance(ds, 4_000_000, 100 * seed)
+        assert abs(ev - math.exp(log_z)) <= 4.0 * ev_se
+        assert np.all(np.abs(est_mean - mean) <= 4.0 * mean_se)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_dimension_is_a_half_line(self, sign):
+        log_z, mean = exact_bpm_step([[sign * 0.5], [sign * 3.0]])
+        assert log_z == pytest.approx(math.log(0.5), abs=1e-15)
+        assert mean == pytest.approx([sign * HALF_NORMAL_MEAN], abs=1e-15)
+
+    @pytest.mark.parametrize("turn", [0.0, 0.3, 2.0, -2.9])
+    def test_two_dimensions_quadrant_is_two_half_normals(self, turn):
+        # rotating the quadrant x > 0, y > 0 rotates its mean
+        rot = np.array([[math.cos(turn), -math.sin(turn)],
+                        [math.sin(turn), math.cos(turn)]])
+        log_z, mean = exact_bpm_step(np.array([[2.0, 0.0], [0.0, 0.5]]) @ rot.T)
+        assert log_z == pytest.approx(math.log(0.25), abs=1e-14)
+        assert mean == pytest.approx(rot @ [HALF_NORMAL_MEAN, HALF_NORMAL_MEAN], abs=1e-14)
+
+    def test_two_dimensions_redundant_rows(self):
+        wedge = exact_bpm_step([[1.0, 0.0], [1.0, 1.0]])
+        padded = exact_bpm_step([[1.0, 0.0], [1.0, 1.0], [2.0, 1.0], [1.0, 0.0],
+                                 [3.0, 1.0]])
+        assert wedge[0] == pytest.approx(math.log(3.0 / 8.0), abs=1e-14)
+        assert padded[0] == pytest.approx(wedge[0], abs=1e-14)
+        assert padded[1] == pytest.approx(wedge[1], abs=1e-14)
+
+    def test_hemisphere(self):
+        u = np.array([1.0, -2.0, 2.0])
+        log_z, mean = exact_bpm_step([u, 2.0 * u])
+        assert log_z == pytest.approx(math.log(0.5), abs=1e-14)
+        assert mean == pytest.approx(HALF_NORMAL_MEAN * u / 3.0, abs=1e-14)
+
+    def test_orthogonal_lune_and_octant(self):
+        log_z, mean = exact_bpm_step([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        assert log_z == pytest.approx(math.log(0.25), abs=1e-14)
+        assert mean == pytest.approx([HALF_NORMAL_MEAN, HALF_NORMAL_MEAN, 0.0],
+                                     abs=1e-14)
+        log_z, mean = exact_bpm_step(np.eye(3))
+        assert log_z == pytest.approx(math.log(0.125), abs=1e-14)
+        assert mean == pytest.approx([HALF_NORMAL_MEAN] * 3, abs=1e-14)
+
+    def test_square_pyramid_is_a_sixth_of_space(self):
+        # |x| < z and |y| < z, given with opposite faces next to each other:
+        # z is the largest |coordinate|, so the evidence is 1/6 and z has the
+        # law of the largest of three half-normals
+        log_z, mean = exact_bpm_step([[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0],
+                                      [0.0, 1.0, 1.0], [0.0, -1.0, 1.0]])
+        top = quad_adaptive(lambda t: 1.0 - erf(t / math.sqrt(2.0)) ** 3, 0.0, 40.0)
+        assert log_z == pytest.approx(math.log(1.0 / 6.0), abs=1e-13)
+        assert mean == pytest.approx([0.0, 0.0, top], abs=1e-12)
+
+    def test_lune_is_the_two_dimensional_wedge(self):
+        # w_3 is unconstrained, so the lune is the 2-d wedge times a line
+        lune = exact_bpm_step([[1.0, 0.0, 0.0], [-1.0, 2.0, 0.0], [0.0, 1.0, 0.0]])
+        wedge = exact_bpm_step([[1.0, 0.0], [-1.0, 2.0]])
+        assert lune[0] == pytest.approx(wedge[0], abs=1e-14)
+        assert lune[1] == pytest.approx([*wedge[1], 0.0], abs=1e-14)
+
+    def test_redundant_and_duplicate_constraints(self):
+        octant = exact_bpm_step(np.eye(3))
+        # through a vertex, through an edge, outside, and repeated
+        padded = exact_bpm_step(np.vstack([np.eye(3), [[1.0, 1.0, 0.0],
+                                                       [1.0, 1.0, 1.0],
+                                                       [0.0, 0.0, 5.0]]]))
+        assert padded[0] == pytest.approx(octant[0], abs=1e-14)
+        assert padded[1] == pytest.approx(octant[1], abs=1e-14)
+        a = builtin_bpm_dataset().directions
+        base = exact_bpm_step(a)
+        again = exact_bpm_step(np.vstack([a, 3.0 * a[::-1], a.sum(axis=0)]))
+        assert again[0] == pytest.approx(base[0], abs=1e-13)
+        assert again[1] == pytest.approx(base[1], abs=1e-13)
+
+    @pytest.mark.parametrize("directions", [
+        [[1.0], [-2.0]],
+        [[1.0, 0.0], [-3.0, 0.0]],
+        [[1.0, 0.0], [-0.5, math.sqrt(0.75)], [-0.5, -math.sqrt(0.75)]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -1.0, -1.0]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, 0.0]],
+        [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [-2.0, 0.0, 0.0]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -1.0, 0.0]],
+    ], ids=["1d-opposite", "2d-opposite", "2d-spanning", "3d-empty", "3d-flat",
+            "3d-opposite", "3d-ray"])
+    def test_empty_or_flat_cone_raises(self, directions):
+        with pytest.raises(VanishingMassError):
+            exact_bpm_step(directions)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_zero_direction_raises_as_the_likelihood_vanishes(self, d):
+        points = np.vstack([np.ones((1, d)), np.zeros((1, d))])
+        ds = make_dataset(points, [1.0, 1.0])
+        with pytest.raises(VanishingMassError):
+            exact_bpm_step(ds.directions)
+        # the step likelihood gives margin 0 no mass either
+        with pytest.raises(DegenerateWeightsError):
+            importance_sampler(ds.log_likelihood, np.zeros(d), np.eye(d), 1000, seed=0)
+
+    def test_no_rows_is_the_prior(self):
+        log_z, mean = exact_bpm_step(np.zeros((0, 3)))
+        assert log_z == 0.0 and np.array_equal(mean, np.zeros(3))
+
+    @pytest.mark.parametrize("directions", [np.ones((2, 4)), [[1.0, math.nan]],
+                                            [1.0, 2.0]])
+    def test_rejects_bad_shapes_and_values(self, directions):
+        with pytest.raises(ValueError):
+            exact_bpm_step(directions)
 
 
 class TestEnumerateDiscrete:
