@@ -67,6 +67,7 @@ from .oracles import (
     exact_bpm_step,
     exact_clutter,
     importance_sampler,
+    nested_importance_sampler,
     tilted_moments_quadrature,
 )
 

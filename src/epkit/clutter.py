@@ -24,9 +24,9 @@ from .gaussians import (
     NaturalSpherical,
     SphericalGaussian,
     ZeroNormalizerError,
-    _logsumexp,
     divide_out,
     log_normal_pdf,
+    spherical_log_coeff,
     vacuous_spherical,
 )
 
@@ -37,6 +37,9 @@ DEFAULT_CLUTTER_VARIANCE = 10.0
 # is one float per row (64 KiB at d = 1), so the working set stays in cache
 # and memory does not grow with the sample count.
 LIKELIHOOD_BLOCK_ROWS = 8192
+# Observations per log in `ClutterModel.log_likelihood`: a product of at
+# most 512 factors in [1, 2] is at most 2^512, far below the float maximum.
+LIKELIHOOD_CHUNK_TERMS = 512
 
 
 @dataclass(frozen=True)
@@ -69,49 +72,67 @@ class ClutterModel:
     def d(self) -> int:
         return self.data.shape[1]
 
+    def log_clutter(self) -> np.ndarray:
+        """log(w N(y_i; 0, clutter_variance I)) for each observation; -inf
+        everywhere at w = 0."""
+        if self.w == 0.0:
+            return np.full(self.n, -math.inf)
+        zero = np.zeros(self.d)
+        return np.array([math.log(self.w) + log_normal_pdf(y, zero, self.clutter_variance)
+                         for y in self.data])
+
     def log_likelihood(self, xs: np.ndarray) -> np.ndarray:
         """log p(D | x) for each row x of an (S, d) array: the sum over the
-        observations, in data order, of log((1-w) N(y_i; x, I) + w N(y_i; 0, v I)).
+        observations of log((1-w) N(y_i; x, I) + w N(y_i; 0, v I)).
 
         Each term is a two-term log-sum-exp of log_in = log((1-w) N(y_i; x, I))
         against the observation's clutter constant c_i, written with
-        delta = log_in - c_i as max(log_in, c_i) + log1p(exp(-|delta|)) so
-        that it runs as vector exp/log1p.  At w = 0 or w = 1 one of the two
-        is -inf, so -|delta| is -inf and the term is the other one exactly,
-        as with np.logaddexp.  Rows go through in blocks of
-        LIKELIHOOD_BLOCK_ROWS with preallocated temporaries; a row's value
-        does not depend on the other rows.
+        delta = log_in - c_i as max(log_in, c_i) + log(1 + exp(-|delta|)).
+        The maxima are summed and the factors 1 + exp(-|delta|) multiplied,
+        so one log per row covers a chunk of LIKELIHOOD_CHUNK_TERMS
+        observations; each factor lies in [1, 2], so a chunk's product
+        cannot overflow.  At w = 0 or w = 1 one of log_in and c_i is -inf,
+        so the factor is exactly 1 and the term is the other one exactly.
+        Rows go through in blocks of LIKELIHOOD_BLOCK_ROWS with preallocated
+        temporaries; a row's value does not depend on the other rows.
         """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.d:
             raise ValueError(f"xs must have shape (S, {self.d}), got {xs.shape}")
-        w, d, cv = self.w, self.d, self.clutter_variance
+        w, d = self.w, self.d
         in_const = (math.log1p(-w) if w < 1.0 else -math.inf) - 0.5 * d * LOG_2PI
-        log_cl = [math.log(w) + (-0.5 * d * math.log(2 * math.pi * cv)
-                                 - 0.5 * float(y @ y) / cv) if w > 0.0 else -math.inf
-                  for y in self.data]
+        terms = list(zip(self.data, self.log_clutter()))
         s = xs.shape[0]
         out = np.zeros(s)
         rows = min(s, LIKELIHOOD_BLOCK_ROWS)
-        resid, log_in, tail = np.empty((rows, d)), np.empty(rows), np.empty(rows)
+        resid, log_in = np.empty((rows, d)), np.empty(rows)
+        tail, factor = np.empty(rows), np.empty(rows)
         for start in range(0, s, LIKELIHOOD_BLOCK_ROWS):
             block = xs[start:start + LIKELIHOOD_BLOCK_ROWS]
             acc = out[start:start + LIKELIHOOD_BLOCK_ROWS]
             m = block.shape[0]
-            r, li, t = resid[:m], log_in[:m], tail[:m]
-            for y, c in zip(self.data, log_cl):
-                np.subtract(block, y, out=r)
-                np.multiply(r, r, out=r)
-                np.sum(r, axis=1, out=li)
-                li *= 0.5
-                np.subtract(in_const, li, out=li)
-                np.minimum(li, c, out=t)
-                np.maximum(li, c, out=li)
-                t -= li
-                np.exp(t, out=t)
-                np.log1p(t, out=t)
-                li += t
-                acc += li
+            li, t, f = log_in[:m], tail[:m], factor[:m]
+            # at d = 1 the squared residual is log_in itself: no row sums
+            r = li if d == 1 else resid[:m]
+            x = block[:, 0] if d == 1 else block
+            for first in range(0, len(terms), LIKELIHOOD_CHUNK_TERMS):
+                f.fill(1.0)
+                for y, c in terms[first:first + LIKELIHOOD_CHUNK_TERMS]:
+                    np.subtract(x, y, out=r)
+                    np.multiply(r, r, out=r)
+                    if d > 1:
+                        np.sum(r, axis=1, out=li)
+                    li *= 0.5
+                    np.subtract(in_const, li, out=li)
+                    np.minimum(li, c, out=t)
+                    np.maximum(li, c, out=li)
+                    acc += li
+                    t -= li
+                    np.exp(t, out=t)
+                    t += 1.0
+                    f *= t
+                np.log(f, out=f)
+                acc += f
         return out
 
 
@@ -155,33 +176,46 @@ class ClutterMatch:
     r: float
 
 
+def _tilted_moments(m: np.ndarray, v: float, y: np.ndarray, w: float,
+                    log_clutter: float) -> tuple[np.ndarray, float, float, float]:
+    """(mean, variance, log Z, r) of one observation term against the
+    spherical cavity N(m, v I), where log_clutter is the term's
+    x-independent log(w N(y; 0, clutter_variance I)).
+
+    Z mixes the through-the-cavity inlier density with the clutter density;
+    r is the responsibility of the inlier component.  The variance update
+    carries the mean-shift term divided by d: with E[x' x] matched, the
+    spherical projection is trace/d of the full tilted covariance.
+    """
+    d = m.shape[0]
+    with np.errstate(over="ignore"):  # huge residuals -> -inf log density
+        resid = y - m
+        rr = float(resid @ resid)
+    log_in = math.log1p(-w) + (-0.5 * d * (LOG_2PI + math.log(v + 1.0))
+                               - 0.5 * rr / (v + 1.0)) if w < 1.0 else -math.inf
+    top, low = (log_in, log_clutter) if log_in > log_clutter else (log_clutter, log_in)
+    if top == -math.inf:
+        raise ZeroNormalizerError("zero normalizer")
+    # numpy's exp, as in _logsumexp: math.exp rounds differently
+    log_z = top + math.log(1.0 + float(np.exp(low - top)))
+    r = -math.expm1(log_clutter - log_z)  # 1 - clutter share, in [0, 1]
+    mean = m + (v * r / (v + 1.0)) * resid
+    variance = v - r * v * v / (v + 1.0) \
+        + r * (1.0 - r) * v * v * rr / (d * (v + 1.0) ** 2)
+    if not 0.0 < variance < math.inf:
+        raise ValueError(f"variance must be finite and positive, got {variance}")
+    return mean, variance, log_z, r
+
+
 def clutter_moment_match(cavity: SphericalGaussian, y: np.ndarray, w: float,
                          clutter_variance: float = DEFAULT_CLUTTER_VARIANCE
                          ) -> ClutterMatch:
-    """Spherical moment match of one observation term against the cavity.
-
-    Z mixes the through-the-cavity inlier density with the x-independent
-    clutter density; r is the responsibility of the inlier component.  The
-    variance update carries the mean-shift term divided by d: with
-    E[x' x] matched, the spherical projection is trace/d of the full tilted
-    covariance.
-    """
+    """Spherical moment match of one observation term against the cavity
+    (see `_tilted_moments`)."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    d = cavity.dim
-    m, v = cavity.mean, cavity.variance
-    log_in = math.log1p(-w) + log_normal_pdf(y, m, v + 1.0) if w < 1.0 else -math.inf
-    log_cl = math.log(w) + log_normal_pdf(y, np.zeros(d), clutter_variance) \
+    log_cl = math.log(w) + log_normal_pdf(y, np.zeros(cavity.dim), clutter_variance) \
         if w > 0.0 else -math.inf
-    log_z = _logsumexp((log_in, log_cl))
-    if log_z == -math.inf:
-        raise ZeroNormalizerError("zero normalizer")
-    r = -math.expm1(log_cl - log_z)  # 1 - clutter share, in [0, 1]
-    resid = y - m
-    mean = m + (v * r / (v + 1.0)) * resid
-    variance = v - r * v * v / (v + 1.0) \
-        + r * (1.0 - r) * v * v * float(resid @ resid) / (d * (v + 1.0) ** 2)
-    if not 0.0 < variance < math.inf:
-        raise ValueError(f"variance must be finite and positive, got {variance}")
+    mean, variance, log_z, r = _tilted_moments(cavity.mean, cavity.variance, y, w, log_cl)
     return ClutterMatch(posterior=SphericalGaussian.trusted(mean, variance),
                         z=math.exp(log_z), log_z=log_z, r=r)
 
@@ -200,6 +234,7 @@ class ClutterBinding(ModelBinding):
         self.tally = OpTally()
         self._prior = SphericalGaussian(mean=np.zeros(model.d),
                                         variance=model.prior_variance)
+        self._log_clutter = model.log_clutter().tolist()
 
     @property
     def site_count(self) -> int:
@@ -216,21 +251,19 @@ class ClutterBinding(ModelBinding):
         return divide_out(posterior, site)
 
     def moment_match(self, cavity, i: int):
-        """The oracle-gated `clutter_moment_match` against the cavity, and
-        the site Z * q_new / cavity it implies."""
+        """The site Z * q' / cavity of the oracle-gated tilted moments q'
+        against the cavity, in natural parameters from the moment scalars."""
         self.tally.add(6 * self.model.d + 12)
-        match = clutter_moment_match(cavity, self.model.data[i], self.model.w,
-                                     self.model.clutter_variance)
-        post = match.posterior
-        tau = post.precision - cavity.precision
-        shift = post.shift - cavity.shift
-        coeff = match.log_z + post.log_norm_coeff() - cavity.log_norm_coeff()
+        m, v = cavity.mean, cavity.variance
+        mean, variance, log_z, _ = _tilted_moments(
+            m, v, self.model.data[i], self.model.w, self._log_clutter[i])
+        tau = 1.0 / variance - 1.0 / v
+        shift = mean / variance - m / v
+        coeff = log_z + spherical_log_coeff(mean, variance) - spherical_log_coeff(m, v)
         if tau == 0.0:
-            return NaturalSpherical(precision=0.0, shift=np.zeros_like(shift),
-                                    log_scale=coeff), match.log_z
+            return NaturalSpherical.trusted(0.0, np.zeros_like(shift), coeff), log_z
         log_scale = coeff + 0.5 * float(shift @ shift) / tau
-        return NaturalSpherical(precision=tau, shift=shift,
-                                log_scale=log_scale), match.log_z
+        return NaturalSpherical.trusted(tau, shift, log_scale), log_z
 
     def recombine(self, cavity, site):
         self.tally.add(2 * self.model.d + 2)

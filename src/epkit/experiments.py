@@ -25,7 +25,7 @@ from .clutter import ClutterBinding, ClutterDataSpec, generate_clutter_data
 from .engine import EPOptions, Schedule, run_adf, run_ep
 from .factorgraph import DiscreteFactorGraph, Factor, bk_adf, load_network, loopy_ep
 from .oracles import (enumerate_discrete, exact_bpm_step, exact_clutter,
-                      importance_sampler)
+                      importance_sampler, nested_importance_sampler)
 
 CSV_HEADER = ("experiment", "seed", "method", "checkpoint", "operations",
               "log_evidence_error", "mean_error", "converged", "sweeps")
@@ -171,22 +171,27 @@ def _fit_rows(experiment: str, seed: int, method: str, binding, opts: EPOptions,
                  for checkpoint, ops, post, log_ev in points]
 
 
-def _importance_row(experiment: str, seed: int, log_likelihood,
-                    prior_cov: np.ndarray, s_count: int, sampler_seed: int,
-                    log_evidence: float, mean: np.ndarray) -> ResultRow:
-    """The `samples<s_count>` row of importance sampling from the zero-mean
-    prior, against the reference log evidence and mean; an all-zero
-    evidence estimate has an infinite log-evidence error."""
+def _importance_rows(experiment: str, seed: int, log_likelihood,
+                     prior_cov: np.ndarray, counts, sampler_seed: int,
+                     log_evidence: float, mean: np.ndarray) -> list[ResultRow]:
+    """The `samples<count>` rows of importance sampling from the zero-mean
+    prior, one per count in `counts`, against the reference log evidence and
+    mean.  The counts are nested prefixes of one draw, so each row carries
+    the time of that one call.  An all-zero evidence estimate has an
+    infinite log-evidence error."""
     d = prior_cov.shape[0]
     t0 = time.perf_counter()
-    est = importance_sampler(log_likelihood, np.zeros(d), prior_cov, s_count,
-                             sampler_seed)
+    ests = nested_importance_sampler(log_likelihood, np.zeros(d), prior_cov,
+                                     counts, sampler_seed)
     dt = (time.perf_counter() - t0) * 1e3
-    e_ev = abs(math.log(est.evidence.value) - log_evidence) \
-        if est.evidence.value > 0 else math.inf
-    e_m = float(np.linalg.norm(est.posterior_mean.value - mean))
-    return ResultRow(experiment, seed, "importance", f"samples{s_count}",
-                     s_count * (d + 2), e_ev, e_m, True, 0, dt)
+    rows = []
+    for s_count, est in zip(counts, ests):
+        e_ev = abs(math.log(est.evidence.value) - log_evidence) \
+            if est.evidence.value > 0 else math.inf
+        e_m = float(np.linalg.norm(est.posterior_mean.value - mean))
+        rows.append(ResultRow(experiment, seed, "importance", f"samples{s_count}",
+                              s_count * (d + 2), e_ev, e_m, True, 0, dt))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +201,10 @@ def _importance_row(experiment: str, seed: int, log_likelihood,
 def run_clutter_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Per seed: generate data, compute the exact 2^n posterior, then run
     ADF, per-sweep-checkpointed EP, and prior importance sampling; rows carry
-    absolute log-evidence and posterior-mean errors versus cumulative cost."""
+    absolute log-evidence and posterior-mean errors versus cumulative cost.
+    The importance rows of a seed are nested prefixes of one draw of
+    max(importance_samples) rows (`nested_importance_sampler`), each equal
+    to a separate draw of its own count with the seed."""
     rows: list[ResultRow] = []
     for seed in config.seeds:
         spec = ClutterDataSpec(x_true=np.asarray(config.x_true), n=config.n,
@@ -217,11 +225,10 @@ def run_clutter_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 rows += _fit_rows("clutter", seed, method, ClutterBinding(model),
                                   config.ep_options, errs)[1]
         if "importance" in config.methods:
-            rows += [_importance_row(
+            rows += _importance_rows(
                 "clutter", seed, model.log_likelihood,
-                model.prior_variance * np.eye(model.d), s_count, seed,
-                exact.log_evidence, exact.mean)
-                for s_count in config.importance_samples]
+                model.prior_variance * np.eye(model.d), config.importance_samples,
+                seed, exact.log_evidence, exact.mean)
     return rows
 
 
@@ -292,11 +299,10 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
                     fit_rows[-1], checkpoint="train_error",
                     operations=res.diagnostics.operations,
                     log_evidence_error=math.nan, mean_error=err)]
-        if "importance" in config.methods:
-            rows += [_importance_row(
-                "bpm", seed, dataset.log_likelihood, np.eye(d), s_count,
-                seed + 10_000, log_ev_truth, truth_mean)
-                for s_count in config.importance_samples if s_count != s_truth]
+        counts = [c for c in config.importance_samples if c != s_truth]
+        if "importance" in config.methods and counts:
+            rows += _importance_rows("bpm", seed, dataset.log_likelihood, np.eye(d),
+                                     counts, seed + 10_000, log_ev_truth, truth_mean)
     return rows
 
 

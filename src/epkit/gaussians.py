@@ -73,9 +73,7 @@ class SphericalGaussian:
 
     def log_norm_coeff(self) -> float:
         """log of the coefficient c in N(x) = exp(c + shift.x - prec |x|^2/2)."""
-        d = self.dim
-        return -0.5 * d * (LOG_2PI + math.log(self.variance)) \
-            - 0.5 * float(self.mean @ self.mean) / self.variance
+        return spherical_log_coeff(self.mean, self.variance)
 
     def natural_coords(self) -> np.ndarray:
         """Natural parameters (shift, -precision/2), flat."""
@@ -139,6 +137,13 @@ class FullGaussian:
         return np.concatenate((m, (self.covariance + np.outer(m, m)).ravel()))
 
 
+def spherical_log_coeff(mean: np.ndarray, variance: float) -> float:
+    """`SphericalGaussian.log_norm_coeff` of N(mean, variance I) from its
+    moments, without constructing it."""
+    return -0.5 * mean.shape[0] * (LOG_2PI + math.log(variance)) \
+        - 0.5 * float(mean @ mean) / variance
+
+
 def _unvalidated(cls, **fields):
     """A frozen dataclass instance built without running __post_init__."""
     obj = object.__new__(cls)
@@ -191,6 +196,13 @@ class NaturalSpherical:
         object.__setattr__(self, "shift", s)
         if self.precision == 0.0 and float(s @ s) != 0.0:
             raise ValueError("a zero-precision site must have zero shift")
+
+    @classmethod
+    def trusted(cls, precision: float, shift: np.ndarray,
+                log_scale: float) -> "NaturalSpherical":
+        """Construct without validation, for a shift that is already a 1-D
+        float array and is zero whenever precision is."""
+        return _unvalidated(cls, precision=precision, shift=shift, log_scale=log_scale)
 
     @property
     def dim(self) -> int:
@@ -349,7 +361,7 @@ def log_normal_pdf(y, m, cov) -> float:
 def _logsumexp(a) -> float:
     """log(sum(exp(a))) of a short 1-D vector by a max shift.
 
-    For the 2- to 4-element vectors of the per-site and per-factor hot
+    For the 2- to 4-element vectors of loopy propagation's per-factor hot
     paths, where scipy's general version costs far more than the sum.
     Every entry -inf gives -inf; a +inf or NaN maximum is returned as is.
     No RuntimeWarning either way.
@@ -455,4 +467,6 @@ def divide_out(posterior: SphericalGaussian, site: NaturalSpherical):
         return None
     shift = posterior.shift - site.shift
     v = 1.0 / tau
-    return SphericalGaussian(mean=v * shift, variance=v)
+    if not v < math.inf:
+        raise ValueError(f"variance must be finite and positive, got {v}")
+    return SphericalGaussian.trusted(v * shift, v)

@@ -478,55 +478,76 @@ class ImportanceResult:
 def importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray],
                        prior_mean: np.ndarray, prior_cov,
                        samples: int, seed: int) -> ImportanceResult:
-    """Prior-based importance sampling for evidence and posterior mean.
+    """Prior-based importance sampling for evidence and posterior mean from
+    `samples` draws: the one-count case of `nested_importance_sampler`."""
+    return nested_importance_sampler(log_likelihood, prior_mean, prior_cov,
+                                     (samples,), seed)[0]
 
-    log_likelihood is called once, on the (S, d) array of all S parameter
-    draws, and must return an (S,) array of log likelihood values in which
-    each row's value does not depend on the other rows (so it may evaluate
-    the rows in blocks).  -inf marks a zero likelihood, and all -inf raises
-    DegenerateWeightsError.  An output of another shape is rejected with a
-    ValueError, and so is one holding NaN or +inf, naming the first bad
-    index.
-    Weights are exponentiated against their max so heavy tails cannot
-    overflow.  PCG64 (numpy default_rng) keeps draws reproducible across
-    platforms for a fixed seed; the draws are mean + z L^T for standard
-    normal rows z and the Cholesky factor L of the covariance, the same
-    numbers `rng.multivariate_normal(..., method="cholesky")` gives.
+
+def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray],
+                              prior_mean: np.ndarray, prior_cov,
+                              counts, seed: int) -> tuple[ImportanceResult, ...]:
+    """Prior-based importance sampling for evidence and posterior mean at
+    each sample count in `counts`, from nested prefixes of one draw.
+
+    PCG64 (numpy default_rng) keeps draws reproducible across platforms for
+    a fixed seed, and its standard normal rows are prefix-stable: the first
+    S rows of a larger draw are the rows a draw of S gives.  So the
+    max(counts) draws are made once, as mean + z L^T for standard normal
+    rows z and the Cholesky factor L of the covariance (the same numbers
+    `rng.multivariate_normal(..., method="cholesky")` gives), and
+    log_likelihood is called once, on that (S, d) array.  It must return
+    an (S,) array of log likelihood values in which each row's value does
+    not depend on the other rows (so it may evaluate the rows in blocks);
+    another shape is rejected with a ValueError.
+
+    Each count's estimate reads its prefix, so it equals a separate draw of
+    that count bit for bit.  Its weights are exponentiated against the
+    prefix's own max, so heavy tails cannot overflow; a NaN or +inf in the
+    prefix raises ValueError naming the first bad index, and a prefix of
+    all -inf (zero likelihood) raises DegenerateWeightsError.  Sums over
+    the draws are numpy reductions, not BLAS products, so an estimate does
+    not depend on the BLAS thread count.
     """
-    if samples < 1:
+    counts = tuple(counts)
+    if not counts or min(counts) < 1:
         raise ValueError("need at least one sample")
+    samples = max(counts)
     prior_mean = np.atleast_1d(np.asarray(prior_mean, dtype=float))
     d = prior_mean.shape[0]
     cov = np.asarray(prior_cov, dtype=float)
     if cov.ndim == 0:
         cov = float(cov) * np.eye(d)
     rng = np.random.default_rng(seed)
-    xs = prior_mean + rng.standard_normal((samples, d)) @ np.linalg.cholesky(cov).T
-    log_w = np.asarray(log_likelihood(xs), dtype=float)
-    if log_w.shape != (samples,):
+    draws = prior_mean + rng.standard_normal((samples, d)) @ np.linalg.cholesky(cov).T
+    log_ws = np.asarray(log_likelihood(draws), dtype=float)
+    if log_ws.shape != (samples,):
         raise ValueError(f"log_likelihood must return shape ({samples},), "
-                         f"got {log_w.shape}")
-    max_lw = float(np.max(log_w))
-    if not max_lw < math.inf:  # NaN or +inf somewhere
-        bad = int(np.flatnonzero(np.isnan(log_w) | (log_w == math.inf))[0])
-        raise ValueError(f"log_likelihood must not be NaN or +inf; "
-                         f"index {bad} is {log_w[bad]}")
-    if max_lw == -math.inf:
-        raise DegenerateWeightsError("degenerate weights")
-    w = np.exp(log_w - max_lw)
-    scale = math.exp(max_lw)
+                         f"got {log_ws.shape}")
+    results = []
+    for count in counts:
+        log_w, xs = log_ws[:count], draws[:count]
+        max_lw = float(np.max(log_w))
+        if not max_lw < math.inf:  # NaN or +inf somewhere
+            bad = int(np.flatnonzero(np.isnan(log_w) | (log_w == math.inf))[0])
+            raise ValueError(f"log_likelihood must not be NaN or +inf; "
+                             f"index {bad} is {log_w[bad]}")
+        if max_lw == -math.inf:
+            raise DegenerateWeightsError("degenerate weights")
+        w = np.exp(log_w - max_lw)
+        scale = math.exp(max_lw)
 
-    ev = float(np.mean(w)) * scale
-    ev_se = float(np.std(w, ddof=1)) / math.sqrt(samples) * scale if samples > 1 else 0.0
+        ev = float(np.mean(w)) * scale
+        ev_se = float(np.std(w, ddof=1)) / math.sqrt(count) * scale if count > 1 else 0.0
 
-    wn = w / float(np.sum(w))
-    mean = wn @ xs
-    resid = xs - mean
-    se = np.sqrt(np.sum((wn[:, None] * resid) ** 2, axis=0))
-    return ImportanceResult(
-        evidence=SampleEstimate(ev, ev_se, samples, seed),
-        posterior_mean=SampleEstimate(mean, se, samples, seed),
-        max_log_weight=max_lw)
+        wn = (w / float(np.sum(w)))[:, None]
+        mean = np.sum(wn * xs, axis=0)
+        se = np.sqrt(np.sum((wn * (xs - mean)) ** 2, axis=0))
+        results.append(ImportanceResult(
+            evidence=SampleEstimate(ev, ev_se, count, seed),
+            posterior_mean=SampleEstimate(mean, se, count, seed),
+            max_log_weight=max_lw))
+    return tuple(results)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epkit.clutter import (
+    DEFAULT_CLUTTER_VARIANCE,
     LIKELIHOOD_BLOCK_ROWS,
     ClutterBinding,
     ClutterDataSpec,
@@ -20,7 +21,8 @@ from epkit.clutter import (
     read_dataset,
     write_dataset,
 )
-from epkit.engine import EPOptions, ep_log_evidence, run_adf, run_ep
+from epkit.engine import (EPOptions, MomentMatchError, ep_log_evidence,
+                          run_adf, run_ep)
 from epkit.gaussians import (
     SphericalGaussian,
     ZeroNormalizerError,
@@ -95,6 +97,43 @@ class TestMomentMatch:
         if w == 1.0:
             assert m.r == 0.0
         assert m.posterior.variance > 0.0
+
+
+class TestBindingVisit:
+    @pytest.mark.parametrize("w", [0.0, 0.5, 1.0])
+    def test_site_is_built_from_the_match(self, w):
+        """The binding's site from the moment scalars equals the site Z q' /
+        cavity built from `clutter_moment_match`'s tilted posterior q'."""
+        rng = np.random.default_rng(int(10 * w) + 7)
+        for d in (1, 2, 3):
+            model = ClutterModel(data=rng.normal(size=(5, d)) * 3.0, w=w)
+            binding = ClutterBinding(model)
+            for i in range(model.n):
+                cav = SphericalGaussian(mean=rng.normal(size=d) * 2.0,
+                                        variance=float(rng.uniform(0.3, 30.0)))
+                site, log_z = binding.moment_match(cav, i)
+                match = clutter_moment_match(cav, model.data[i], w,
+                                             model.clutter_variance)
+                post = match.posterior
+                tau = post.precision - cav.precision
+                shift = post.shift - cav.shift
+                coeff = match.log_z + post.log_norm_coeff() - cav.log_norm_coeff()
+                assert log_z == match.log_z
+                assert site.precision == tau
+                if tau == 0.0:
+                    assert w == 1.0
+                    assert np.array_equal(site.shift, np.zeros(d))
+                    assert site.log_scale == coeff
+                else:
+                    assert np.array_equal(site.shift, shift)
+                    assert site.log_scale == coeff + 0.5 * float(shift @ shift) / tau
+
+    def test_failure_is_moment_match_error(self):
+        model = ClutterModel(data=np.array([[0.5], [1e300]]), w=0.0)
+        with pytest.raises(MomentMatchError) as err:
+            run_adf(ClutterBinding(model))
+        assert err.value.term_index == 1
+        assert isinstance(err.value.__cause__, ZeroNormalizerError)
 
 
 class TestGenerate:
@@ -245,15 +284,37 @@ def logaddexp_loop_log_likelihood(model, xs):
 
 
 class TestLogLikelihood:
-    @pytest.mark.parametrize("n", [1, 12])
+    @pytest.mark.parametrize("n", [1, 12, 1500, "far"])
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("w", [0.0, 0.3, 0.5, 1.0])
     def test_agrees_with_logaddexp_loop(self, w, d, n):
-        rng = np.random.default_rng(1000 * n + 10 * d + int(10 * w))
-        model = ClutterModel(data=rng.normal(size=(n, d)) * 3.0, w=w)
-        # prior draws as the importance sampler makes them, plus far tails
+        if n == "far":
+            # one datum at |y| = 1e3, whose clutter constant lies far below
+            # the inlier term of the rows near it
+            rng = np.random.default_rng(10 * d + int(10 * w))
+            y = rng.normal(size=d)
+            data = 1e3 * (y / np.linalg.norm(y))[None, :]
+        elif n == 1500:
+            # every observation at the radius where log_in = c_i at x = 0, so
+            # the rows near 0 multiply 1500 factors of about 2 (2^1500
+            # overflows): the product must be taken in chunks
+            rng = np.random.default_rng(1500 + 10 * d + int(10 * w))
+            u = rng.normal(size=(n, d))
+            odds = math.log((1.0 - w) / w) if 0.0 < w < 1.0 else 0.0
+            cv = DEFAULT_CLUTTER_VARIANCE
+            radius = math.sqrt((2.0 * odds + d * math.log(cv)) / (1.0 - 1.0 / cv))
+            data = radius * u / np.linalg.norm(u, axis=1)[:, None]
+        else:
+            rng = np.random.default_rng(1000 * n + 10 * d + int(10 * w))
+            data = rng.normal(size=(n, d)) * 3.0
+        model = ClutterModel(data=data, w=w)
+        # prior draws as the importance sampler makes them, plus far tails and
+        # rows near the origin and near the first datum
         xs = np.concatenate([rng.normal(size=(3000, d)) * 10.0,
                              rng.normal(size=(50, d)) * 1e3])
+        if n in (1500, "far"):
+            xs = np.concatenate([xs, rng.normal(size=(50, d)) * 1e-3,
+                                 data[0] + rng.normal(size=(50, d))])
         ref = logaddexp_loop_log_likelihood(model, xs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -2,6 +2,7 @@
 and end-to-end surfacing of engine properties."""
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -132,6 +133,24 @@ class TestDeterminism:
         assert (tmp_path / "a.csv.meta.json").read_bytes() \
             == (tmp_path / "b.csv.meta.json").read_bytes()
 
+    def test_csvs_do_not_depend_on_blas_threads(self, tmp_path):
+        """Importance sampling sums over its draws with numpy reductions, so
+        the clutter importance rows and a sampled (slack > 0, d = 3) BPM
+        truth read the same under one and two BLAS threads."""
+        cfg = tmp_path / "slack.json"
+        cfg.write_text(json.dumps({"slack": 1.0}))
+        runs = {"clutter": ["clutter", "--seed-range", "7..12"],
+                "bpm": ["bpm", "--seed-range", "1..3", "--config", str(cfg)]}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            for name, argv in runs.items():
+                subprocess.run([sys.executable, "-m", "epkit.cli", *argv, "--out",
+                                str(tmp_path / f"{name}{threads}.csv")],
+                               env=env, check=True, capture_output=True)
+        for name in runs:
+            assert (tmp_path / f"{name}1.csv").read_bytes() \
+                == (tmp_path / f"{name}2.csv").read_bytes()
+
     def test_sidecar_echoes_config(self, tmp_path):
         cfg = clutter_config()
         out = tmp_path / "r.csv"
@@ -184,14 +203,21 @@ class TestBpmExperiment:
     @staticmethod
     def _sampler_counts(monkeypatch):
         """The sample counts of every importance_sampler call the BPM
-        experiment makes."""
+        experiment makes, and of each count of its nested_importance_sampler
+        calls."""
         from epkit import experiments
-        counts, sampler = [], experiments.importance_sampler
+        counts = []
+        sampler, nested = experiments.importance_sampler, experiments.nested_importance_sampler
 
         def counted(log_likelihood, prior_mean, prior_cov, samples, seed):
             counts.append(samples)
             return sampler(log_likelihood, prior_mean, prior_cov, samples, seed)
+
+        def counted_nested(log_likelihood, prior_mean, prior_cov, nested_counts, seed):
+            counts.extend(nested_counts)
+            return nested(log_likelihood, prior_mean, prior_cov, nested_counts, seed)
         monkeypatch.setattr(experiments, "importance_sampler", counted)
+        monkeypatch.setattr(experiments, "nested_importance_sampler", counted_nested)
         return counts
 
     def test_step_likelihood_truth_is_exact(self, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import erf, logsumexp
 
 from epkit.bpm import make_dataset
+from epkit.clutter import ClutterModel
 from epkit.experiments import builtin_bpm_dataset
 from epkit.gaussians import SphericalGaussian, log_normal_pdf
 from epkit.oracles import (
@@ -21,6 +22,7 @@ from epkit.oracles import (
     exact_bpm_step,
     exact_clutter,
     importance_sampler,
+    nested_importance_sampler,
     probit_margin_term,
     quad_adaptive,
     tilted_moments_quadrature,
@@ -317,6 +319,41 @@ class TestImportanceSampler:
         with pytest.raises(ValueError, match=r"shape \(100,\), got \(99,\)"):
             importance_sampler(lambda xs: -0.5 * xs[1:, 0] ** 2, np.zeros(1),
                                np.eye(1), 100, seed=0)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_nested_prefixes_equal_separate_calls(self, d):
+        rng = np.random.default_rng(30 + d)
+        A = rng.normal(size=(d, d))
+        mean, cov = rng.normal(size=d), A @ A.T + 0.5 * np.eye(d)
+        model = ClutterModel(data=rng.normal(size=(6, d)) * 3.0, w=0.4)
+        counts = (10_000, 300, 1_000, 300)
+        nested = nested_importance_sampler(model.log_likelihood, mean, cov, counts,
+                                           seed=12)
+        assert len(nested) == len(counts)
+        for count, got in zip(counts, nested):
+            want = importance_sampler(model.log_likelihood, mean, cov, count, seed=12)
+            for field in ("evidence", "posterior_mean"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert (a.sample_count, a.seed) == (b.sample_count, b.seed) == (count, 12)
+                assert np.array_equal(a.value, b.value)
+                assert np.array_equal(a.standard_error, b.standard_error)
+            assert got.max_log_weight == want.max_log_weight
+
+    def test_degenerate_prefix_raises(self):
+        def loglik(xs):
+            out = np.zeros(xs.shape[0])
+            out[:100] = -math.inf
+            return out
+        est, = nested_importance_sampler(loglik, np.zeros(1), np.eye(1), (1000,), seed=0)
+        assert est.evidence.value == pytest.approx(0.9)
+        with pytest.raises(DegenerateWeightsError):
+            nested_importance_sampler(loglik, np.zeros(1), np.eye(1), (1000, 100), seed=0)
+
+    @pytest.mark.parametrize("counts", [(), (100, 0)])
+    def test_nested_rejects_empty_or_zero_counts(self, counts):
+        with pytest.raises(ValueError, match="at least one sample"):
+            nested_importance_sampler(lambda xs: np.zeros(xs.shape[0]), np.zeros(1),
+                                      np.eye(1), counts, seed=0)
 
     def test_minus_inf_entries_are_zero_weights(self):
         res = importance_sampler(lambda xs: np.where(xs[:, 0] > 0, 0.0, -math.inf),
