@@ -56,7 +56,6 @@ from .gaussians import (
     divide_out,
     log_normal_pdf,
     log_probit,
-    normal_pdf,
     probit,
     probit_ratio,
 )

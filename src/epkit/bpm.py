@@ -18,10 +18,8 @@ eps -> 0 limit (the probit becomes a step function).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -412,52 +410,17 @@ def bpm_training_error(model: BpmModel) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dataset / model interchange
+# dataset interchange
 # ---------------------------------------------------------------------------
-
-def dataset_to_csv(dataset: BpmDataset) -> str:
-    """Feature columns x1..xd then a label column of -1/+1."""
-    lines = [",".join([f"x{j + 1}" for j in range(dataset.d)] + ["label"])]
-    for row, label in zip(dataset.points, dataset.labels):
-        lines.append(",".join([repr(float(v)) for v in row] + [str(int(label))]))
-    return "\n".join(lines) + "\n"
-
 
 def dataset_from_csv(text: str, slack: float = 0.0,
                      bias_augmented: bool = False) -> BpmDataset:
     lines = [ln for ln in text.strip().splitlines() if ln]
-    header = lines[0].split(",")
+    header = lines[0].split(",") if lines else [""]
     if header[-1] != "label":
-        raise ValueError("last column must be 'label'")
+        raise ValueError("the header's last column must be 'label'")
     rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
     arr = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
     return BpmDataset(points=arr[:, :-1], labels=arr[:, -1], slack=slack,
                       bias_augmented=bias_augmented)
 
-
-def export_model(model: BpmModel) -> dict:
-    """JSON-ready document: posterior mean, covariance (row-major), per-site
-    (mean, variance, log scale), and training diagnostics."""
-    return {
-        "mean": [float(v) for v in model.posterior.mean],
-        "covariance_row_major": [float(v) for v in model.posterior.covariance.ravel()],
-        "sites": [
-            {"mean": float(s.mean), "variance": (None if s.precision == 0.0
-                                                 else 1.0 / s.precision),
-             "log_scale": float(s.log_scale)}
-            for s in model.sites
-        ],
-        "log_evidence": float(model.log_evidence),
-        "diagnostics": {
-            "sweeps": model.sweeps,
-            "converged": model.converged,
-            "skipped_sites": model.diagnostics.skipped_sites,
-            "improper_cavities": model.diagnostics.improper_cavities,
-            "operations": model.diagnostics.operations,
-        },
-    }
-
-
-def write_model(model: BpmModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(export_model(model), indent=2,
-                                     sort_keys=True) + "\n")

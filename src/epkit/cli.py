@@ -58,8 +58,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--damping", type=float, default=None)
     p.add_argument("--schedule", default=None,
                    help="sequential (default) or random[:seed]")
-    p.add_argument("--timings", action="store_true",
-                   help="include wall-clock columns (breaks byte-identical output)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,32 +94,35 @@ def _load_config(kind: str, args: argparse.Namespace) -> ExperimentConfig:
         ep_doc["schedule"] = _parse_schedule(args.schedule)
     if args.seed_range is not None:
         doc["seeds"] = _parse_seed_range(args.seed_range)
-    if args.timings:
-        doc["timings"] = True
     return config_from_dict(doc)
+
+
+def _oracle_check(cases: int, seed: int) -> int:
+    if cases < 1 or seed < 0:
+        raise ConfigError(f"oracle-check needs --cases >= 1 and --seed >= 0, "
+                          f"got {cases} and {seed}")
+    results = oracle_check_battery(cases=cases, seed=seed)
+    width = max(len(r.name) for r in results)
+    for r in results:
+        print(f"{r.name:<{width}}  worst {r.worst:.3e}  "
+              f"tol {r.tolerance:.0e}  {'PASS' if r.passed else 'FAIL'}")
+    return 0 if all(r.passed for r in results) else 2
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-
-    if args.command == "oracle-check":
-        results = oracle_check_battery(cases=args.cases, seed=args.seed)
-        width = max(len(r.name) for r in results)
-        ok = True
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"{r.name:<{width}}  worst {r.worst:.3e}  "
-                  f"tol {r.tolerance:.0e}  {status}")
-            ok = ok and r.passed
-        return 0 if ok else 2
-
     try:
+        if args.command == "oracle-check":
+            return _oracle_check(args.cases, args.seed)
+        out = args.out if args.out is not None else Path(f"{args.command}_results.csv")
+        if out.is_dir() or not out.parent.is_dir():
+            raise ConfigError(f"cannot write {out}: it is a directory or its "
+                              "directory does not exist")
         config = _load_config(args.command, args)
         rows = run_experiment(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out = args.out if args.out is not None else Path(f"{args.command}_results.csv")
     write_results(config, rows, out)
     n_conv = sum(1 for r in rows if r.method == "ep" and not r.converged)
     print(f"wrote {len(rows)} rows to {out}"

@@ -8,12 +8,8 @@ the binding that plugs it into the ADF/EP engine.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -279,56 +275,3 @@ class ClutterBinding(ModelBinding):
         self.tally.add((len(sites) + 1) * (self.model.d + 2))
         return ep_log_evidence(self._prior, posterior, sites)
 
-
-# ---------------------------------------------------------------------------
-# dataset CSV interchange
-# ---------------------------------------------------------------------------
-
-def dataset_to_csv(model: ClutterModel) -> str:
-    """One row per observation, d columns, header y1..yd."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"y{j + 1}" for j in range(model.d)])
-    for row in model.data:
-        writer.writerow([repr(float(x)) for x in row])
-    return buf.getvalue()
-
-
-def dataset_metadata(model: ClutterModel, spec: ClutterDataSpec | None = None) -> dict:
-    meta = {
-        "w": model.w,
-        "prior_variance": model.prior_variance,
-        "clutter_variance": model.clutter_variance,
-        "n": model.n,
-        "d": model.d,
-    }
-    if spec is not None:
-        meta["generator"] = {
-            "x_true": [float(x) for x in spec.x_true],
-            "n": spec.n, "w": spec.w, "seed": spec.seed,
-        }
-    return meta
-
-
-def write_dataset(model: ClutterModel, csv_path: str | Path,
-                  spec: ClutterDataSpec | None = None) -> None:
-    csv_path = Path(csv_path)
-    csv_path.write_text(dataset_to_csv(model))
-    sidecar = csv_path.with_suffix(csv_path.suffix + ".meta.json")
-    sidecar.write_text(json.dumps(dataset_metadata(model, spec), indent=2,
-                                  sort_keys=True) + "\n")
-
-
-def read_dataset(csv_path: str | Path) -> ClutterModel:
-    csv_path = Path(csv_path)
-    with csv_path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not all(h == f"y{j + 1}" for j, h in enumerate(header)):
-            raise ValueError(f"unexpected dataset header {header!r}")
-        data = np.array([[float(x) for x in row] for row in reader])
-    sidecar = csv_path.with_suffix(csv_path.suffix + ".meta.json")
-    meta = json.loads(sidecar.read_text())
-    return ClutterModel(data=data, w=meta["w"],
-                        prior_variance=meta["prior_variance"],
-                        clutter_variance=meta["clutter_variance"])

@@ -78,8 +78,9 @@ class EPOptions:
     def __post_init__(self):
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be finite and positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
+        if type(self.max_sweeps) is not int or self.max_sweeps < 1:
+            raise ValueError(f"max_sweeps must be an int of at least 1, "
+                             f"got {self.max_sweeps!r}")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
 

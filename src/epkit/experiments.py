@@ -4,15 +4,14 @@ importance sampling against exact oracles, emitted as deterministic CSV.
 Every run writes one CSV of result rows plus a JSON sidecar echoing the
 full configuration and library version.  Rows are keyed by (experiment,
 seed, method, checkpoint); the cost axis is the deterministic elementary-
-operation tally.  Wall-clock timings are optional (off by default) so that
-identical configurations yield byte-identical files.
+operation tally and no wall-clock time enters the output, so identical
+configurations yield byte-identical files.
 """
 from __future__ import annotations
 
 import io
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -35,6 +34,10 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _is_finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str  # clutter | bpm | loopy
@@ -54,7 +57,6 @@ class ExperimentConfig:
     network: str = "tree"  # tree | cycle3 | <path to json document>
     n_vars: int = 8
     max_cardinality: int = 4
-    timings: bool = False
 
     def __post_init__(self):
         if self.kind not in ("clutter", "bpm", "loopy"):
@@ -62,11 +64,13 @@ class ExperimentConfig:
         if not (self.seeds and all(type(s) is int and s >= 0 for s in self.seeds)):
             raise ConfigError("seeds must be a non-empty tuple of non-negative "
                               f"ints, got {self.seeds!r}")
-        if not (self.x_true and all(
-                isinstance(x, (int, float)) and not isinstance(x, bool)
-                and math.isfinite(x) for x in self.x_true)):
+        if not (self.x_true and all(_is_finite_number(x) for x in self.x_true)):
             raise ConfigError("x_true must be a non-empty tuple of finite "
                               f"numbers, got {self.x_true!r}")
+        if not (_is_finite_number(self.slack) and self.slack >= 0):
+            raise ConfigError(f"slack must be a finite number >= 0, got {self.slack!r}")
+        if type(self.add_bias) is not bool:
+            raise ConfigError(f"add_bias must be true or false, got {self.add_bias!r}")
         if not self.methods:
             raise ConfigError("at least one method is required")
         known = {"adf", "ep", "importance", "oracle"}
@@ -100,16 +104,12 @@ class ResultRow:
     mean_error: float
     converged: bool
     sweeps: int
-    wall_time_ms: float = 0.0
 
-    def csv_values(self, timings: bool) -> list[str]:
-        vals = [self.experiment, str(self.seed), self.method, self.checkpoint,
+    def csv_values(self) -> list[str]:
+        return [self.experiment, str(self.seed), self.method, self.checkpoint,
                 str(self.operations), _fmt(self.log_evidence_error),
                 _fmt(self.mean_error), str(self.converged).lower(),
                 str(self.sweeps)]
-        if timings:
-            vals.append(_fmt(self.wall_time_ms))
-        return vals
 
 
 def _fmt(x: float) -> str:
@@ -118,12 +118,11 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def rows_to_csv(rows: list[ResultRow], timings: bool = False) -> str:
+def rows_to_csv(rows: list[ResultRow]) -> str:
     buf = io.StringIO()
-    header = CSV_HEADER + (("wall_time_ms",) if timings else ())
-    buf.write(",".join(header) + "\n")
+    buf.write(",".join(CSV_HEADER) + "\n")
     for row in rows:
-        buf.write(",".join(row.csv_values(timings)) + "\n")
+        buf.write(",".join(row.csv_values()) + "\n")
     return buf.getvalue()
 
 
@@ -157,17 +156,15 @@ def _fit_rows(experiment: str, seed: int, method: str, binding, opts: EPOptions,
     """Fit the binding by ADF or EP (`method`) and return the result with its
     rows: one per recorded EP sweep, else one `final` row.  errors(mean,
     log_evidence) gives a row's two error columns."""
-    t0 = time.perf_counter()
     if method == "adf":
         res = run_adf(binding)
     else:
         res = run_ep(binding, opts, record_history=True)
-    dt = (time.perf_counter() - t0) * 1e3
     points = [(f"sweep{s.sweep}", s.operations, s.posterior, s.log_evidence)
               for s in res.history] \
         or [("final", res.diagnostics.operations, res.posterior, res.log_evidence)]
     return res, [ResultRow(experiment, seed, method, checkpoint, ops,
-                           *errors(post.mean, log_ev), res.converged, res.sweeps, dt)
+                           *errors(post.mean, log_ev), res.converged, res.sweeps)
                  for checkpoint, ops, post, log_ev in points]
 
 
@@ -176,21 +173,18 @@ def _importance_rows(experiment: str, seed: int, log_likelihood,
                      log_evidence: float, mean: np.ndarray) -> list[ResultRow]:
     """The `samples<count>` rows of importance sampling from the zero-mean
     prior, one per count in `counts`, against the reference log evidence and
-    mean.  The counts are nested prefixes of one draw, so each row carries
-    the time of that one call.  An all-zero evidence estimate has an
-    infinite log-evidence error."""
+    mean.  The counts are nested prefixes of one draw.  An all-zero evidence
+    estimate has an infinite log-evidence error."""
     d = prior_cov.shape[0]
-    t0 = time.perf_counter()
     ests = nested_importance_sampler(log_likelihood, np.zeros(d), prior_cov,
                                      counts, sampler_seed)
-    dt = (time.perf_counter() - t0) * 1e3
     rows = []
     for s_count, est in zip(counts, ests):
         e_ev = abs(math.log(est.evidence.value) - log_evidence) \
             if est.evidence.value > 0 else math.inf
         e_m = float(np.linalg.norm(est.posterior_mean.value - mean))
         rows.append(ResultRow(experiment, seed, "importance", f"samples{s_count}",
-                              s_count * (d + 2), e_ev, e_m, True, 0, dt))
+                              s_count * (d + 2), e_ev, e_m, True, 0))
     return rows
 
 
@@ -253,26 +247,29 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
     Either way the importance rows are the other configured sample counts.
     Each trained method also emits a `train_error` checkpoint row whose
     mean_error column is the training-set error rate (log_evidence_error is
-    marked nan there)."""
-    if config.dataset_path is not None:
-        try:
-            text = Path(config.dataset_path).read_text()
-        except OSError as exc:
-            raise ConfigError(f"unreadable dataset: {exc}") from exc
-        raw = dataset_from_csv(text, slack=config.slack)
-        dataset = make_dataset(raw.points, raw.labels, slack=config.slack,
-                               add_bias=config.add_bias)
-    else:
-        dataset = builtin_bpm_dataset(config.slack, config.add_bias)
+    marked nan there).  A dataset file that cannot be read or parsed, or
+    that the exact truth cannot score, raises ConfigError before any seed."""
+    path = config.dataset_path
+    try:
+        if path is None:
+            dataset = builtin_bpm_dataset(config.slack, config.add_bias)
+        else:
+            raw = dataset_from_csv(Path(path).read_text(), slack=config.slack)
+            dataset = make_dataset(raw.points, raw.labels, slack=config.slack,
+                                   add_bias=config.add_bias)
+        d = dataset.d
+        exact = exact_bpm_step(dataset.directions) \
+            if config.slack == 0.0 and d <= 3 else None
+    except OSError as exc:
+        raise ConfigError(f"unreadable dataset {path}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"bad dataset {path}: {exc}") from None
 
-    d = dataset.d
     rows: list[ResultRow] = []
     s_truth = max(config.importance_samples)
-    if config.slack == 0.0 and d <= 3:
-        exact = exact_bpm_step(dataset.directions)
+    if exact is not None:
         oracle_checkpoint, oracle_ops = "exact", 0
     else:
-        exact = None
         oracle_checkpoint, oracle_ops = f"samples{s_truth}", s_truth * (d + 2)
     for seed in config.seeds:
         if exact is None:
@@ -342,17 +339,23 @@ def frustrated_cycle_network(coupling: float = 100.0) -> DiscreteFactorGraph:
 
 
 def run_loopy_experiment(config: ExperimentConfig) -> list[ResultRow]:
-    """Per seed: build or load a network, run BK-ADF and loopy EP, and emit
-    one row per (method, variable) with the L1 belief distance against
-    exhaustive enumeration, plus the evidence error and convergence flag."""
+    """Per seed: build a random tree, or take the one cycle3 or JSON-file
+    network, run BK-ADF and loopy EP, and emit one row per (method,
+    variable) with the L1 belief distance against exhaustive enumeration,
+    plus the evidence error and convergence flag.  A network file is read
+    once, before any seed runs."""
+    fixed = None
+    if config.network == "cycle3":
+        fixed = frustrated_cycle_network()
+    elif config.network != "tree":
+        try:
+            fixed = load_network(Path(config.network))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"bad network {config.network}: {exc!r}") from None
     rows: list[ResultRow] = []
     for seed in config.seeds:
-        if config.network == "tree":
-            net = random_tree_network(config.n_vars, config.max_cardinality, seed)
-        elif config.network == "cycle3":
-            net = frustrated_cycle_network()
-        else:
-            net = load_network(Path(config.network))
+        net = fixed if fixed is not None else random_tree_network(
+            config.n_vars, config.max_cardinality, seed)
 
         try:
             marginals, log_partition = enumerate_discrete(net)
@@ -367,22 +370,18 @@ def run_loopy_experiment(config: ExperimentConfig) -> list[ResultRow]:
             return float(np.sum(np.abs(beliefs[vid] - marginals[vid])))
 
         if "adf" in config.methods:
-            t0 = time.perf_counter()
             beliefs, log_ev = bk_adf(net)
-            dt = (time.perf_counter() - t0) * 1e3
             for vid, _ in net.variables:
                 rows.append(ResultRow(
                     "loopy", seed, "adf", vid, len(net.factors),
-                    abs(log_ev - log_partition), l1(beliefs, vid), True, 1, dt))
+                    abs(log_ev - log_partition), l1(beliefs, vid), True, 1))
         if "ep" in config.methods:
-            t0 = time.perf_counter()
             res = loopy_ep(net, config.ep_options)
-            dt = (time.perf_counter() - t0) * 1e3
             for vid, _ in net.variables:
                 rows.append(ResultRow(
                     "loopy", seed, "ep", vid, res.operations,
                     abs(res.log_evidence - log_partition),
-                    l1(res.beliefs, vid), res.converged, res.sweeps, dt))
+                    l1(res.beliefs, vid), res.converged, res.sweeps))
     return rows
 
 
@@ -403,18 +402,15 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
 def write_results(config: ExperimentConfig, rows: list[ResultRow],
                   out_path: str | Path) -> None:
-    """CSV of rows plus a JSON sidecar echoing config and version.  Wall
-    times appear only when config.timings is set, keeping default output
-    byte-identical across repeated runs."""
+    """CSV of rows plus a JSON sidecar echoing config and version; both are
+    byte-identical across repeated runs of one configuration."""
     out_path = Path(out_path)
-    out_path.write_text(rows_to_csv(rows, timings=config.timings))
+    out_path.write_text(rows_to_csv(rows))
     sidecar = {
         "config": config_to_dict(config),
         "version": __version__,
         "rows": len(rows),
     }
-    if config.timings:
-        sidecar["total_wall_time_ms"] = sum(r.wall_time_ms for r in rows)
     out_path.with_suffix(out_path.suffix + ".meta.json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 

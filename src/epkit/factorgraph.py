@@ -354,12 +354,3 @@ def _evidence_from_messages(net: DiscreteFactorGraph,
         total += _logsumexp(log_b)
     return total
 
-
-def beliefs_to_csv(net: DiscreteFactorGraph, beliefs: BeliefSet) -> str:
-    """One row per variable: id then its belief over values 0..card-1."""
-    width = max(c for _, c in net.variables)
-    lines = [",".join(["variable"] + [f"p{k}" for k in range(width)])]
-    for v, c in net.variables:
-        cells = [repr(float(x)) for x in beliefs[v]] + [""] * (width - c)
-        lines.append(",".join([v] + cells))
-    return "\n".join(lines) + "\n"

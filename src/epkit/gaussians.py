@@ -327,12 +327,6 @@ def spherical_as_site(g: SphericalGaussian) -> NaturalSpherical:
 # scalar special functions
 # ---------------------------------------------------------------------------
 
-def normal_pdf(y, m, cov) -> float:
-    """Density N(y; m, cov).  cov may be a scalar (spherical, cov * I) or a
-    full symmetric matrix.  Raises DegenerateCovarianceError on singular cov."""
-    return math.exp(log_normal_pdf(y, m, cov))
-
-
 def log_normal_pdf(y, m, cov) -> float:
     """log N(y; m, cov), exact in log domain (no underflow down to exponents
     of about -700 and beyond)."""

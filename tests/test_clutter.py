@@ -16,10 +16,7 @@ from epkit.clutter import (
     ClutterDataSpec,
     ClutterModel,
     clutter_moment_match,
-    dataset_to_csv,
     generate_clutter_data,
-    read_dataset,
-    write_dataset,
 )
 from epkit.engine import (EPOptions, MomentMatchError, ep_log_evidence,
                           run_adf, run_ep)
@@ -242,23 +239,6 @@ class TestExactnessAndGeometry:
         assert res_rot.posterior.variance == pytest.approx(
             res.posterior.variance, abs=1e-10)
         assert res_rot.log_evidence == pytest.approx(res.log_evidence, abs=1e-10)
-
-
-class TestCsv:
-    def test_round_trip(self, tmp_path):
-        spec = ClutterDataSpec(x_true=[2.0, 0.0], n=5, w=0.25, seed=9)
-        model = generate_clutter_data(spec)
-        path = tmp_path / "data.csv"
-        write_dataset(model, path, spec)
-        back = read_dataset(path)
-        assert np.array_equal(back.data, model.data)
-        assert back.w == model.w
-        assert back.prior_variance == model.prior_variance
-        assert back.clutter_variance == model.clutter_variance
-
-    def test_header(self):
-        model = ClutterModel(data=np.zeros((1, 3)), w=0.0)
-        assert dataset_to_csv(model).splitlines()[0] == "y1,y2,y3"
 
 
 def logaddexp_loop_log_likelihood(model, xs):

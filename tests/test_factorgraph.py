@@ -17,7 +17,6 @@ from epkit.factorgraph import (
     Factor,
     Message,
     belief,
-    beliefs_to_csv,
     bk_adf,
     load_network,
     loopy_ep,
@@ -358,18 +357,6 @@ class TestBelief:
                     ("obs2", "a"): Message(np.array([0.0, 1.0]), 0.0)}
         with pytest.raises(ContradictoryMessagesError, match="'a'"):
             belief(net, messages, "a")
-
-
-def test_beliefs_csv():
-    net = DiscreteFactorGraph(
-        variables=(("a", 2), ("b", 3)),
-        factors=(Factor("fa", ("a",), [1.0, 3.0]),))
-    res = loopy_ep(net, EPOptions(tolerance=1e-10, max_sweeps=10))
-    text = beliefs_to_csv(net, res.beliefs)
-    lines = text.splitlines()
-    assert lines[0] == "variable,p0,p1,p2"
-    assert lines[1].startswith("a,0.25,0.75")
-    assert lines[2].split(",")[1:] == [repr(1 / 3)] * 3
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,13 +17,13 @@ from epkit.experiments import (
     builtin_bpm_dataset,
     config_from_dict,
     oracle_check_battery,
-    rows_to_csv,
     run_bpm_experiment,
     run_clutter_experiment,
     run_experiment,
     run_loopy_experiment,
     write_results,
 )
+from epkit.factorgraph import load_network
 
 
 def clutter_config(**kw):
@@ -159,13 +159,6 @@ class TestDeterminism:
         assert meta["config"]["kind"] == "clutter"
         assert meta["config"]["n"] == 8
         assert meta["version"]
-
-    def test_timings_column_opt_in(self, tmp_path):
-        cfg = clutter_config(timings=True)
-        rows = run_experiment(cfg)
-        text = rows_to_csv(rows, timings=True)
-        assert text.splitlines()[0].endswith("wall_time_ms")
-        assert not rows_to_csv(rows).splitlines()[0].endswith("wall_time_ms")
 
 
 class TestBpmExperiment:
@@ -303,6 +296,19 @@ class TestLoopyExperiment:
             assert r.mean_error <= 1e-12
             assert r.log_evidence_error <= 1e-12
 
+    def test_network_file_is_read_once(self, tmp_path, monkeypatch):
+        from epkit import experiments
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({
+            "variables": [{"id": "a", "cardinality": 2}],
+            "factors": [{"id": "f", "scope": ["a"], "table": [0.4, 0.6]}]}))
+        calls = []
+        monkeypatch.setattr(experiments, "load_network",
+                            lambda p: calls.append(p) or load_network(p))
+        run_loopy_experiment(ExperimentConfig(kind="loopy", seeds=(1, 2, 3),
+                                              network=str(path)))
+        assert calls == [path]
+
 
 class TestOracleBattery:
     def test_all_pass(self):
@@ -374,11 +380,18 @@ class TestCli:
         ("clutter", [], {"x_true": []}),
         ("clutter", [], {"x_true": ["a"]}),
         ("clutter", [], {"x_true": [1e400]}),
+        ("bpm", [], {"slack": math.nan}),
+        ("bpm", [], {"slack": math.inf}),
+        ("bpm", [], {"slack": -1}),
+        ("bpm", [], {"add_bias": "yes"}),
+        ("clutter", [], {"ep_options": {"max_sweeps": 2.5}}),
+        ("clutter", [], {"timings": True}),
     ], ids=["tolerance-inf", "tolerance-nan", "damping-0", "max-sweeps-0",
             "schedule-random-x", "schedule-zigzag", "w-2", "n-minus-1",
             "n-2.5", "n-vars-0", "max-cardinality-1", "seeds-str",
             "seeds-negative", "schedule-seed-str", "schedule-seed-negative",
-            "x-true-empty", "x-true-str", "x-true-inf"])
+            "x-true-empty", "x-true-str", "x-true-inf", "slack-nan", "slack-inf",
+            "slack-negative", "add-bias-str", "max-sweeps-float", "timings-key"])
     def test_bad_input_exits_1_with_error_line(self, tmp_path, capsys, kind,
                                                flags, doc):
         if doc is not None:
@@ -389,6 +402,61 @@ class TestCli:
         assert cli_main([kind, *flags, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind, doc, content", [
+        ("bpm", {}, "x1,x2,label\n1,2,3\n"),
+        ("bpm", {}, "x1,x2,y\n1,2,1\n"),
+        ("bpm", {}, "x1,x2,label\nnan,2,1\n"),
+        ("bpm", {}, "x1,x2,label\n1,1,1\n-1,-1,1\n1,-1,-1\n-1,1,-1\n"),
+        ("bpm", {"add_bias": False}, "x1,x2,label\n0,0,1\n"),
+        ("bpm", {}, ""),
+        ("bpm", {}, None),
+        ("bpm", {}, "dir"),
+        ("loopy", {}, None),
+        ("loopy", {}, "dir"),
+        ("loopy", {}, "{"),
+        ("loopy", {}, '{"factors": []}'),
+        ("loopy", {}, '{"variables": [], "factors": '
+                      '[{"id": "f", "scope": ["a"], "table": [1.0]}]}'),
+    ], ids=["dataset-label-3", "dataset-header", "dataset-nan", "dataset-nonseparable",
+            "dataset-zero-row", "dataset-empty-file", "dataset-missing", "dataset-dir",
+            "network-missing", "network-dir", "network-bad-json", "network-no-variables",
+            "network-unknown-variable"])
+    def test_bad_input_file_exits_1_naming_it(self, tmp_path, capsys, kind, doc,
+                                              content):
+        path = tmp_path / "input"
+        if content == "dir":
+            path.mkdir()
+        elif content is not None:
+            path.write_text(content)
+        doc = dict(doc, **{"dataset_path" if kind == "bpm" else "network": str(path)})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "o.csv"
+        assert cli_main([kind, "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["missing/o.csv", "."])
+    def test_unwritable_out_exits_1_before_running(self, tmp_path, capsys,
+                                                   monkeypatch, out):
+        from epkit import cli
+        monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("ran"))
+        assert cli_main(["loopy", "--out", str(tmp_path / out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_timings_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["clutter", "--timings"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags", [["--cases", "0"], ["--cases", "-3"],
+                                       ["--seed", "-1"]])
+    def test_oracle_check_refuses_vacuous_runs(self, capsys, flags):
+        assert cli_main(["oracle-check", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "PASS" not in captured.out
 
     def test_oracle_check_exit_zero(self, capsys):
         assert cli_main(["oracle-check", "--cases", "8"]) == 0
