@@ -23,8 +23,8 @@ from .bpm import (BpmBinding, _model_from_result, bpm_training_error,
 from .clutter import ClutterBinding, ClutterDataSpec, generate_clutter_data
 from .engine import EPOptions, Schedule, run_adf, run_ep
 from .factorgraph import DiscreteFactorGraph, Factor, bk_adf, load_network, loopy_ep
-from .oracles import (enumerate_discrete, exact_bpm_step, exact_clutter,
-                      importance_sampler, nested_importance_sampler)
+from .oracles import (DegenerateWeightsError, enumerate_discrete, exact_bpm_step,
+                      exact_clutter, importance_sampler, nested_importance_sampler)
 
 CSV_HEADER = ("experiment", "seed", "method", "checkpoint", "operations",
               "log_evidence_error", "mean_error", "converged", "sweeps")
@@ -248,7 +248,9 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
     Each trained method also emits a `train_error` checkpoint row whose
     mean_error column is the training-set error rate (log_evidence_error is
     marked nan there).  A dataset file that cannot be read or parsed, or
-    that the exact truth cannot score, raises ConfigError before any seed."""
+    that the exact truth cannot score, raises ConfigError before any seed;
+    one whose sampled truth gets no draw of nonzero likelihood raises it at
+    that seed."""
     path = config.dataset_path
     try:
         if path is None:
@@ -273,8 +275,14 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
         oracle_checkpoint, oracle_ops = f"samples{s_truth}", s_truth * (d + 2)
     for seed in config.seeds:
         if exact is None:
-            truth = importance_sampler(dataset.log_likelihood, np.zeros(d),
-                                       np.eye(d), s_truth, seed)
+            try:
+                truth = importance_sampler(dataset.log_likelihood, np.zeros(d),
+                                           np.eye(d), s_truth, seed)
+            except DegenerateWeightsError:
+                raise ConfigError(
+                    f"bad dataset {path}: none of the {s_truth} truth draws on "
+                    f"seed {seed} has nonzero likelihood (with zero slack, no "
+                    f"weight vector or too few separate the labels)") from None
             log_ev_truth = math.log(truth.evidence.value)
             truth_mean = truth.posterior_mean.value
         else:

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import EPOptions, OpTally
+from .engine import EPOptions
 from .gaussians import _logsumexp
 
 _FLOOR = 1e-300
@@ -162,14 +162,17 @@ def _expand(vec: np.ndarray, axis: int, rank: int) -> np.ndarray:
     return vec.reshape((1,) * axis + (-1,) + (1,) * (rank - axis - 1))
 
 
-def _tilted(table: np.ndarray, shape: tuple[int, ...],
-            cavities: list[np.ndarray]):
-    """Per-variable partial sum-products of a factor against its cavities
-    (the factor summed against every cavity except the variable's own), and
-    the full normalizer.  Division-free, so zero cavity components are
-    handled exactly."""
-    rank = len(shape)
-    joint = table.reshape(shape)
+def _tilted(joint: np.ndarray, cavities: list[np.ndarray]):
+    """Per-variable partial sum-products of a factor's table, shaped to its
+    scope, against its cavities (the factor summed against every cavity
+    except the variable's own), and the full normalizer.  Division-free, so
+    zero cavity components are handled exactly.  A pairwise factor takes two
+    matrix-vector products; other ranks broadcast one cavity at a time."""
+    if joint.ndim == 2:
+        c0, c1 = cavities
+        partial = [joint @ c1, c0 @ joint]
+        return float(partial[0] @ c0), partial
+    rank = joint.ndim
     partial = []
     for axis in range(rank):
         p = joint
@@ -180,6 +183,18 @@ def _tilted(table: np.ndarray, shape: tuple[int, ...],
         partial.append(p.sum(axis=other) if other else p.copy())
     z = float(partial[0] @ cavities[0])
     return z, partial
+
+
+def _exp_normalize(log_a: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """exp(log_a) scaled to sum 1, and log(sum(exp(log_a))), from one exp.
+    A maximum that is not finite is returned with None: every entry -inf
+    gives (None, -inf)."""
+    top = float(log_a.max())
+    if not math.isfinite(top):
+        return None, top
+    e = np.exp(log_a - top)
+    s = float(e.sum())
+    return e / s, top + math.log(s)
 
 
 def bk_adf(net: DiscreteFactorGraph,
@@ -200,8 +215,8 @@ def bk_adf(net: DiscreteFactorGraph,
     log_evidence = 0.0
     for idx in order:
         f = net.factors[idx]
-        shape = _factor_shape(net, f)
-        z, partial = _tilted(f.table, shape, [beliefs[v] for v in f.scope])
+        joint = f.table.reshape(_factor_shape(net, f))
+        z, partial = _tilted(joint, [beliefs[v] for v in f.scope])
         if z <= 0.0:
             raise ContradictoryEvidenceError(
                 f"contradictory evidence at factor {f.id!r}")
@@ -225,10 +240,10 @@ def belief(net: DiscreteFactorGraph, messages: MessageSet,
     with np.errstate(divide="ignore"):  # zero message entries -> -inf
         for f in net.incident(vid):
             log_b = log_b + np.log(messages[(f.id, vid)].values)
-    lse = _logsumexp(log_b)
+    values, lse = _exp_normalize(log_b)
     if lse == -math.inf:
         raise ContradictoryMessagesError(f"contradictory messages at {vid!r}")
-    return np.exp(log_b - lse)
+    return values
 
 
 def loopy_ep(net: DiscreteFactorGraph,
@@ -236,36 +251,46 @@ def loopy_ep(net: DiscreteFactorGraph,
     """Loopy belief propagation as EP with a disconnected approximation.
 
     Messages start as the constant 1 (uniform values, log-cardinality
-    scale), so the first sequential sweep reproduces bk_adf.  Damping
-    interpolates log message values.  Non-convergence after max_sweeps is
-    reported, not raised.  Messages are floored at 1e-300 to stay positive;
-    the tilted normalizer is checked with the floored entries that stand for
-    exact zeros taken as zero, so contradictory evidence raises
+    scale), so the first sequential sweep reproduces bk_adf.  A factor
+    visit normalizes each cavity, the sum of its incoming log messages, with
+    one exp.  An undamped message is the partial sum-product scaled to sum
+    1, with no log or exp, so on a tree it settles bit for bit once its
+    cavities do; damping interpolates log message values and normalizes
+    them like a cavity.  Non-convergence after max_sweeps is reported, not
+    raised.  Messages are floored at 1e-300 to stay positive; the tilted
+    normalizer is checked with the floored entries that stand for exact
+    zeros taken as zero, so contradictory evidence raises
     ContradictoryEvidenceError wherever bk_adf raises it.
     """
-    tally = OpTally()
+    damping = opts.damping
     floor_events = 0
-    messages: MessageSet = {}
-    # np.log of each message's values, refreshed only when it is written
-    logs: dict[tuple[str, str], np.ndarray] = {}
+    # per message: its values and its log scale
+    values: dict[tuple[str, str], np.ndarray] = {}
+    scales: dict[tuple[str, str], float] = {}
     for f in net.factors:
         for v in f.scope:
             c = net.cardinality(v)
-            key = (f.id, v)
-            messages[key] = Message(values=np.full(c, 1.0 / c),
-                                    log_scale=math.log(c))
-            logs[key] = np.log(messages[key].values)
+            values[(f.id, v)] = np.full(c, 1.0 / c)
+            scales[(f.id, v)] = math.log(c)
 
-    # per factor, built once: its shape, its tally charge, its own message
-    # keys and, per scope variable, the keys of the other messages into that
-    # variable in graph order (the terms of its cavity)
+    # per factor, built once: its table shaped to its scope, its tally
+    # charge, the share of its log normalizer each message carries, its own
+    # message keys and, per scope variable, the keys of the other messages
+    # into that variable in graph order (the terms of its cavity) and the
+    # uniform cavity it has when there are none
     plan = []
     for f in net.factors:
         shape = _factor_shape(net, f)
         own = tuple((f.id, v) for v in f.scope)
         others = tuple(tuple((g.id, v) for g in net.incident(v) if g.id != f.id)
                        for v in f.scope)
-        plan.append((shape, len(shape) * int(np.prod(shape)), own, others))
+        uniform = tuple(np.full(c, 1.0 / c) for c in shape)
+        plan.append((f.table.reshape(shape), len(shape) * int(np.prod(shape)),
+                     1.0 / len(shape) - 1.0, own, others, uniform))
+    # np.log of the values of each message that is one of several terms of
+    # some cavity, refreshed whenever the message is written
+    logs = {key: np.log(values[key]) for _, _, _, _, others, _ in plan
+            for keys in others if len(keys) > 1 for key in keys}
 
     # entries of floored messages whose value was exactly zero: the floor
     # keeps every message positive, so only these masks tell a tilted
@@ -275,71 +300,84 @@ def loopy_ep(net: DiscreteFactorGraph,
     m = len(net.factors)
     converged = m == 0
     sweeps = 0
-    for order in opts.schedule.orders(m) if m else ():
-        if sweeps >= opts.max_sweeps:
-            break
-        sweeps += 1
-        max_change = 0.0
-        for idx in order:
-            f = net.factors[idx]
-            shape, charge, own, others = plan[idx]
-            tally.add(charge)
-            cavities = []
-            live = []  # the cavities with zero-mass entries set to zero
-            masked = False
-            for axis, keys in enumerate(others):
-                log_c = np.zeros(shape[axis])
-                dead = None
-                for key in keys:
-                    log_c = log_c + logs[key]
-                    if key in zeros:
-                        dead = zeros[key] if dead is None else dead | zeros[key]
-                lse = _logsumexp(log_c)
-                if lse == -math.inf:
-                    raise ContradictoryMessagesError(
-                        f"contradictory messages at {f.scope[axis]!r}")
-                cavities.append(np.exp(log_c - lse))
-                if dead is None:
-                    live.append(cavities[-1])
-                else:
-                    live.append(np.where(dead, 0.0, cavities[-1]))
-                    masked = True
-            z, partial = _tilted(f.table, shape, cavities)
-            if z <= 0.0 or (masked and _tilted(f.table, shape, live)[0] <= 0.0):
-                raise ContradictoryEvidenceError(
-                    f"contradictory evidence at factor {f.id!r}")
-            share = math.log(z) * (1.0 / len(shape) - 1.0)
-            for ps, key in zip(partial, own):
-                log_new = np.full_like(ps, -math.inf)
-                pos = ps > 0.0
-                log_new[pos] = np.log(ps[pos]) + share
-                if opts.damping < 1.0:
-                    log_old = logs[key] + messages[key].log_scale
-                    log_new = (1.0 - opts.damping) * log_old + opts.damping * log_new
-                lse = _logsumexp(log_new)
-                values = np.exp(log_new - lse)
-                floored = values < _FLOOR
-                if zeros:
-                    zeros.pop(key, None)
-                if floored.any():
-                    floor_events += int(floored.sum())
-                    if not values.all():
-                        zeros[key] = values == 0.0
-                    values = np.maximum(values, _FLOOR)
-                    values = values / values.sum()
-                old = messages[key].values
-                max_change = max(max_change, float(np.abs(values - old).max()))
-                messages[key] = Message(values=values, log_scale=lse)
-                logs[key] = np.log(values)
-        if max_change < opts.tolerance:
-            converged = True
-            break
+    operations = 0
+    with np.errstate(divide="ignore"):  # log of a zero partial -> -inf
+        for order in opts.schedule.orders(m) if m else ():
+            if sweeps >= opts.max_sweeps:
+                break
+            sweeps += 1
+            max_change = 0.0
+            for idx in order:
+                joint, charge, share, own, others, uniform = plan[idx]
+                operations += charge
+                cavities = []
+                live = []  # the cavities with zero-mass entries set to zero
+                masked = False
+                for axis, keys in enumerate(others):
+                    if len(keys) == 1:  # a lone message is already normalized
+                        cavity = values[keys[0]]
+                    elif keys:
+                        log_c = logs[keys[0]]
+                        for key in keys[1:]:
+                            log_c = log_c + logs[key]
+                        cavity, lse = _exp_normalize(log_c)
+                        if lse == -math.inf:
+                            raise ContradictoryMessagesError(
+                                f"contradictory messages at "
+                                f"{net.factors[idx].scope[axis]!r}")
+                    else:
+                        cavity = uniform[axis]
+                    cavities.append(cavity)
+                    dead = None
+                    if zeros:
+                        for key in keys:
+                            if key in zeros:
+                                dead = zeros[key] if dead is None \
+                                    else dead | zeros[key]
+                    if dead is None:
+                        live.append(cavity)
+                    else:
+                        live.append(np.where(dead, 0.0, cavity))
+                        masked = True
+                z, partial = _tilted(joint, cavities)
+                if z <= 0.0 or (masked and _tilted(joint, live)[0] <= 0.0):
+                    raise ContradictoryEvidenceError(
+                        f"contradictory evidence at factor {net.factors[idx].id!r}")
+                share_z = math.log(z) * share
+                for ps, key in zip(partial, own):
+                    if damping < 1.0:
+                        log_old = np.log(values[key]) + scales[key]
+                        log_new = np.log(ps) + share_z
+                        new, log_scale = _exp_normalize(
+                            (1.0 - damping) * log_old + damping * log_new)
+                    else:
+                        total = float(ps.sum())
+                        new, log_scale = ps / total, math.log(total) + share_z
+                    if zeros:
+                        zeros.pop(key, None)
+                    if new.min() < _FLOOR:
+                        floor_events += int(np.count_nonzero(new < _FLOOR))
+                        if not new.all():
+                            zeros[key] = new == 0.0
+                        new = np.maximum(new, _FLOOR)
+                        new = new / new.sum()
+                    max_change = max(max_change,
+                                     float(np.abs(new - values[key]).max()))
+                    values[key] = new
+                    scales[key] = log_scale
+                    if key in logs:
+                        logs[key] = np.log(new)
+            if max_change < opts.tolerance:
+                converged = True
+                break
 
+    messages = {key: Message(values=values[key], log_scale=scales[key])
+                for key in values}
     beliefs = {v: belief(net, messages, v) for v, _ in net.variables}
     log_evidence = _evidence_from_messages(net, messages)
     return LoopyResult(beliefs=beliefs, messages=messages, converged=converged,
                        log_evidence=log_evidence, sweeps=sweeps,
-                       floor_events=floor_events, operations=tally.count)
+                       floor_events=floor_events, operations=operations)
 
 
 def _evidence_from_messages(net: DiscreteFactorGraph,

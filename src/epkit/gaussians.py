@@ -355,10 +355,11 @@ def log_normal_pdf(y, m, cov) -> float:
 def _logsumexp(a) -> float:
     """log(sum(exp(a))) of a short 1-D vector by a max shift.
 
-    For the 2- to 4-element vectors of loopy propagation's per-factor hot
-    paths, where scipy's general version costs far more than the sum.
-    Every entry -inf gives -inf; a +inf or NaN maximum is returned as is.
-    No RuntimeWarning either way.
+    For the per-variable evidence sum that closes a loopy propagation fit,
+    where scipy's general version costs far more than the sum.  A factor
+    visit does not call it: it needs the normalized vector as well, and
+    takes both from one exp.  Every entry -inf gives -inf; a +inf or NaN
+    maximum is returned as is.  No RuntimeWarning either way.
     """
     a = np.asarray(a, dtype=float)
     top = float(a.max())

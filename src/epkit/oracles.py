@@ -495,7 +495,9 @@ def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray]
     S rows of a larger draw are the rows a draw of S gives.  So the
     max(counts) draws are made once, as mean + z L^T for standard normal
     rows z and the Cholesky factor L of the covariance (the same numbers
-    `rng.multivariate_normal(..., method="cholesky")` gives), and
+    `rng.multivariate_normal(..., method="cholesky")` gives; a diagonal
+    covariance scales z by the standard deviations instead, which gives the
+    same bits without a matrix product), and
     log_likelihood is called once, on that (S, d) array.  It must return
     an (S,) array of log likelihood values in which each row's value does
     not depend on the other rows (so it may evaluate the rows in blocks);
@@ -519,7 +521,15 @@ def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray]
     if cov.ndim == 0:
         cov = float(cov) * np.eye(d)
     rng = np.random.default_rng(seed)
-    draws = prior_mean + rng.standard_normal((samples, d)) @ np.linalg.cholesky(cov).T
+    if cov.shape == (d, d) and np.count_nonzero(cov) == d \
+            and bool(np.all(np.diagonal(cov) > 0.0)):
+        # diagonal: L = diag(sqrt(cov_ii)), so scaling z in place gives z L^T
+        draws = rng.standard_normal((samples, d))
+        draws *= np.sqrt(np.diagonal(cov))
+        draws += prior_mean
+    else:
+        L = np.linalg.cholesky(cov)
+        draws = prior_mean + rng.standard_normal((samples, d)) @ L.T
     log_ws = np.asarray(log_likelihood(draws), dtype=float)
     if log_ws.shape != (samples,):
         raise ValueError(f"log_likelihood must return shape ({samples},), "

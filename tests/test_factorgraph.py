@@ -3,6 +3,7 @@ tree exactness, and message/belief bookkeeping."""
 import dataclasses
 import json
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from epkit.factorgraph import (
     DiscreteFactorGraph,
     Factor,
     Message,
+    _tilted,
     belief,
     bk_adf,
     load_network,
@@ -146,7 +148,10 @@ class TestLookups:
         counts = []
         for sweeps in (1, 10):
             calls.update(incident=0, cardinality=0)
-            res = loopy_ep(net, EPOptions(tolerance=1e-300, max_sweeps=sweeps))
+            # damped messages never settle bit for bit, so every sweep runs
+            res = loopy_ep(net, EPOptions(tolerance=1e-300, max_sweeps=sweeps,
+                                          damping=0.5,
+                                          schedule=Schedule("random", 7)))
             assert res.sweeps == sweeps
             counts.append(dict(calls))
         assert counts[0] == counts[1]
@@ -256,6 +261,38 @@ class TestLoopyEp:
         with pytest.raises(ContradictoryEvidenceError, match="obs2"):
             loopy_ep(net, EPOptions(damping=damping))
 
+    def test_three_variable_factor_on_a_tree_is_exact(self):
+        # a tree-shaped factor graph whose factors have one, two and three
+        # variables, so loopy_ep runs the generic contraction as well as the
+        # pairwise one
+        rng = np.random.default_rng(3)
+        cards = {"a": 2, "b": 3, "c": 2, "d": 4, "e": 3, "g": 2}
+        scopes = {"pa": ("a",), "fabc": ("a", "b", "c"), "fcd": ("c", "d"),
+                  "fbeg": ("b", "e", "g"), "pd": ("d",)}
+        net = DiscreteFactorGraph(
+            variables=tuple(cards.items()),
+            factors=tuple(Factor(fid, scope, rng.uniform(
+                0.1, 2.0, size=math.prod(cards[v] for v in scope)))
+                for fid, scope in scopes.items()))
+        marg, log_z = enumerate_discrete(net)
+        for damping in (1.0, 0.5):
+            res = loopy_ep(net, EPOptions(tolerance=1e-13, max_sweeps=200,
+                                          damping=damping))
+            assert res.converged
+            for v in cards:
+                assert np.allclose(res.beliefs[v], marg[v], atol=1e-12)
+            assert res.log_evidence == pytest.approx(log_z, abs=1e-12)
+
+    @pytest.mark.parametrize("n_vars", [2, 5, 16, 64])
+    def test_undamped_tree_settles_exactly(self, n_vars):
+        # an undamped message does not depend on its log scale, so on a tree
+        # every message stops changing at all within a sweep per level
+        for seed in range(6):
+            net = random_tree_network(n_vars, 4, seed)
+            res = loopy_ep(net, EPOptions(tolerance=1e-300, max_sweeps=200))
+            assert res.converged
+            assert res.sweeps <= tree_diameter(net) + 2
+
     def test_frustrated_cycle_reported(self):
         net = frustrated_cycle_network()
         res = loopy_ep(net, EPOptions(tolerance=1e-8, max_sweeps=40))
@@ -311,6 +348,53 @@ class TestLoopyEp:
         assert np.allclose(res_p.beliefs[target], res.beliefs[target][perm],
                            atol=1e-12)
         assert res_p.log_evidence == pytest.approx(res.log_evidence, abs=1e-10)
+
+
+def tree_diameter(net: DiscreteFactorGraph) -> int:
+    """Longest path, in pairwise factors, between two variables of a graph
+    whose pairwise factors form a tree."""
+    adjacent = {v: [] for v, _ in net.variables}
+    for f in net.factors:
+        if len(f.scope) == 2:
+            a, b = f.scope
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+
+    def farthest(start):
+        dist = {start: 0}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in adjacent[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        end = max(dist, key=dist.get)
+        return end, dist[end]
+
+    return farthest(farthest(net.variables[0][0])[0])[1]
+
+
+class TestTilted:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.integers(2, 4), st.integers(0, 2 ** 32 - 1),
+           st.booleans())
+    def test_pairwise_contraction_matches_generic_loop(self, k0, k1, seed,
+                                                       zero_entries):
+        # a trailing axis of size one, against a cavity [1.0], sends the same
+        # table through the generic loop
+        rng = np.random.default_rng(seed)
+        joint = rng.uniform(0.0, 2.0, size=(k0, k1))
+        cavities = [rng.dirichlet(np.ones(k)) for k in (k0, k1)]
+        if zero_entries:
+            for cav in cavities:
+                cav[rng.integers(len(cav))] = 0.0
+        z, partial = _tilted(joint, cavities)
+        z_loop, partial_loop = _tilted(joint[:, :, None], cavities + [np.ones(1)])
+        assert z == pytest.approx(z_loop, abs=1e-14)
+        for got, want in zip(partial, partial_loop):
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=0.0, atol=1e-14)
 
 
 class TestBelief:

@@ -409,6 +409,7 @@ class TestCli:
         ("bpm", {}, "x1,x2,label\nnan,2,1\n"),
         ("bpm", {}, "x1,x2,label\n1,1,1\n-1,-1,1\n1,-1,-1\n-1,1,-1\n"),
         ("bpm", {"add_bias": False}, "x1,x2,label\n0,0,1\n"),
+        ("bpm", {"add_bias": False}, "x1,x2,x3,x4,label\n1,0,0,0,1\n1,0,0,0,-1\n"),
         ("bpm", {}, ""),
         ("bpm", {}, None),
         ("bpm", {}, "dir"),
@@ -419,7 +420,8 @@ class TestCli:
         ("loopy", {}, '{"variables": [], "factors": '
                       '[{"id": "f", "scope": ["a"], "table": [1.0]}]}'),
     ], ids=["dataset-label-3", "dataset-header", "dataset-nan", "dataset-nonseparable",
-            "dataset-zero-row", "dataset-empty-file", "dataset-missing", "dataset-dir",
+            "dataset-zero-row", "dataset-nonseparable-d4", "dataset-empty-file",
+            "dataset-missing", "dataset-dir",
             "network-missing", "network-dir", "network-bad-json", "network-no-variables",
             "network-unknown-variable"])
     def test_bad_input_file_exits_1_naming_it(self, tmp_path, capsys, kind, doc,
