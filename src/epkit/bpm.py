@@ -268,7 +268,7 @@ class BpmBinding(ModelBinding):
     def __init__(self, dataset: BpmDataset):
         self.dataset = dataset
         self.tally = OpTally()
-        d = dataset.d
+        self.d = d = dataset.d
         self.directions = dataset.directions
         self.noise_var = dataset.noise_var
         if self.noise_var == 0.0 and dataset.n and float(
@@ -290,14 +290,14 @@ class BpmBinding(ModelBinding):
                            mean=0.0, log_scale=0.0)
 
     def cavity(self, posterior, site):
-        d = self.dataset.d
+        d = self.d
         self.tally.add(d * d + 2 * d)
         return _divide(posterior, site.direction, site.precision, site.mean)
 
     def moment_match(self, cavity, i: int):
         """The probit match against the cavity's margin N(mu0, q0) along the
         site direction, and the site it implies; O(d), no d x d work."""
-        d = self.dataset.d
+        d = self.d
         self.tally.add(2 * d + 1)
         vu, q0, mu0 = cavity.vu, cavity.q0, cavity.mu0
         trace = float(cavity.posterior.covariance.trace()) \
@@ -316,7 +316,7 @@ class BpmBinding(ModelBinding):
 
         with gain = precision / (1 + precision q0) and tau the precision
         the cavity removed."""
-        d = self.dataset.d
+        d = self.d
         self.tally.add(d * d + d)
         denom = 1.0 + site.precision * cavity.q0
         if denom <= 0.0:
@@ -328,7 +328,7 @@ class BpmBinding(ModelBinding):
         return FullGaussian.trusted(mean, cov)
 
     def log_evidence(self, posterior, sites) -> float:
-        d = self.dataset.d
+        d = self.d
         self.tally.add(d * d * d)
         return ep_log_evidence(self._prior, posterior, sites)
 

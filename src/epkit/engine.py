@@ -7,7 +7,7 @@ posterior, `moment_match` projects the tilted distribution against that
 cavity and returns the new site Z * q_new / cavity, and `recombine`
 multiplies the cavity by a site; every visit takes that one path, so the
 posterior is always cavity x site.  The family rules live on the Gaussian
-types in `gaussians`: a site's `damped` and `coords` serve the sweep, and
+types in `gaussians`: a site's `damped` and `change` serve the sweep, and
 `natural_coords`, `moments` and log coefficients the energy / fixed-point
 diagnostics.  The engine owns the sweep loop, the improper-cavity policy
 (skip and count), `ep_log_evidence` and those diagnostics.
@@ -65,7 +65,7 @@ class Schedule:
         else:
             rng = np.random.default_rng(self.seed)
             while True:
-                yield list(rng.permutation(n))
+                yield rng.permutation(n).tolist()
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,9 @@ class ModelBinding(ABC):
     and the posterior is `recombine(cavity, site)`.  A cavity is whatever
     object the binding's `cavity` returns; only the binding reads it.
     Sites (`NaturalSpherical`, `RankOneSite`) and posteriors
-    (`SphericalGaussian`, `FullGaussian`) carry the family rules, so the
-    diagnostics need nothing from a binding beyond the visit.
+    (`SphericalGaussian`, `FullGaussian`) carry the family rules: a site's
+    `damped` and `change` serve the sweep, and the diagnostics need nothing
+    from a binding beyond the visit.
     """
 
     tally: OpTally
@@ -227,7 +228,9 @@ def run_ep(model: ModelBinding, opts: EPOptions = EPOptions(),
     first sweep is `run_adf` in the same order.  Improper cavities are
     skipped for the sweep and counted.  With damping < 1 the new site is
     `old_site.damped(new_site, damping)`; either way the posterior is the
-    cavity times the new site.  Non-convergence is reported, not raised.
+    cavity times the new site.  A site change is `new_site.change(old_site)`;
+    a NaN change is kept as the sweep's maximum, so it never counts as
+    converged.  Non-convergence is reported, not raised.
     """
     n = model.site_count
     start_ops = model.tally.count
@@ -243,6 +246,7 @@ def run_ep(model: ModelBinding, opts: EPOptions = EPOptions(),
                         sweeps=0, converged=True, diagnostics=diag,
                         history=history)
 
+    damping = opts.damping
     converged = False
     sweeps = 0
     for order in opts.schedule.orders(n):
@@ -259,10 +263,11 @@ def run_ep(model: ModelBinding, opts: EPOptions = EPOptions(),
                 continue
             updated += 1
             new_site, _ = _match(model, cav, i)
-            if opts.damping < 1.0:
-                new_site = sites[i].damped(new_site, opts.damping)
-            delta = np.max(np.abs(new_site.coords() - sites[i].coords()))
-            max_change = max(max_change, float(delta))
+            if damping < 1.0:
+                new_site = sites[i].damped(new_site, damping)
+            delta = new_site.change(sites[i])
+            if delta > max_change or delta != delta:
+                max_change = delta  # a NaN change stays the sweep's maximum
             sites[i] = new_site
             q = model.recombine(cav, new_site)
         if record_history:

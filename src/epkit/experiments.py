@@ -174,15 +174,19 @@ def _importance_rows(experiment: str, seed: int, log_likelihood,
     """The `samples<count>` rows of importance sampling from the zero-mean
     prior, one per count in `counts`, against the reference log evidence and
     mean.  The counts are nested prefixes of one draw.  An all-zero evidence
-    estimate has an infinite log-evidence error."""
+    estimate has an infinite log-evidence error, and a count whose prefix
+    has no draw of nonzero likelihood infinite errors in both columns."""
     d = prior_cov.shape[0]
     ests = nested_importance_sampler(log_likelihood, np.zeros(d), prior_cov,
-                                     counts, sampler_seed)
+                                     counts, sampler_seed, allow_degenerate=True)
     rows = []
     for s_count, est in zip(counts, ests):
-        e_ev = abs(math.log(est.evidence.value) - log_evidence) \
-            if est.evidence.value > 0 else math.inf
-        e_m = float(np.linalg.norm(est.posterior_mean.value - mean))
+        if est is None:
+            e_ev = e_m = math.inf
+        else:
+            e_ev = abs(math.log(est.evidence.value) - log_evidence) \
+                if est.evidence.value > 0 else math.inf
+            e_m = float(np.linalg.norm(est.posterior_mean.value - mean))
         rows.append(ResultRow(experiment, seed, "importance", f"samples{s_count}",
                               s_count * (d + 2), e_ev, e_m, True, 0))
     return rows

@@ -147,8 +147,7 @@ def spherical_log_coeff(mean: np.ndarray, variance: float) -> float:
 def _unvalidated(cls, **fields):
     """A frozen dataclass instance built without running __post_init__."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 
@@ -218,10 +217,12 @@ class NaturalSpherical:
     def variance(self) -> float:
         return math.inf if self.precision == 0.0 else 1.0 / self.precision
 
-    def coords(self) -> np.ndarray:
-        """Convergence coordinates: precision and shift; log scale excluded
-        (it tracks the others and has no effect on the posterior shape)."""
-        return np.concatenate(([self.precision], self.shift))
+    def change(self, other: "NaturalSpherical") -> float:
+        """Convergence measure: the largest absolute difference in precision
+        and shift, NaN when any of them is NaN; log scale excluded (it
+        tracks the others and has no effect on the posterior shape)."""
+        return _max_abs(self.precision - other.precision,
+                        float(np.max(np.abs(self.shift - other.shift))))
 
     def natural_coords(self) -> np.ndarray:
         """The site's term in `SphericalGaussian.natural_coords`."""
@@ -277,9 +278,12 @@ class RankOneSite:
     def variance(self) -> float:
         return math.inf if self.precision == 0.0 else 1.0 / self.precision
 
-    def coords(self) -> np.ndarray:
-        """Convergence coordinates: precision and shift along the direction."""
-        return np.array([self.precision, self.precision * self.mean])
+    def change(self, other: "RankOneSite") -> float:
+        """Convergence measure: the larger absolute difference in precision
+        and in shift (precision * mean) along the direction, NaN when either
+        is NaN."""
+        return _max_abs(self.precision - other.precision,
+                        self.precision * self.mean - other.precision * other.mean)
 
     def natural_coords(self) -> np.ndarray:
         """The site's term in `FullGaussian.natural_coords`."""
@@ -290,14 +294,14 @@ class RankOneSite:
     def damped(self, new: "RankOneSite", gamma: float) -> "RankOneSite":
         """(1-gamma) * self + gamma * new in precision, shift (precision *
         mean) and log scale; both sites must share the direction."""
-        if not np.array_equal(self.direction, new.direction):
+        if new.direction is not self.direction \
+                and not np.array_equal(self.direction, new.direction):
             raise ValueError("cannot damp rank-one sites with different directions")
         prec = (1.0 - gamma) * self.precision + gamma * new.precision
         shift = (1.0 - gamma) * self.precision * self.mean + gamma * new.precision * new.mean
-        return RankOneSite(
-            direction=new.direction, precision=prec,
-            mean=shift / prec if prec != 0.0 else 0.0,
-            log_scale=(1.0 - gamma) * self.log_scale + gamma * new.log_scale)
+        return RankOneSite.trusted(
+            new.direction, prec, shift / prec if prec != 0.0 else 0.0,
+            (1.0 - gamma) * self.log_scale + gamma * new.log_scale)
 
     def natural_log_coeff(self) -> float:
         # displaced form has no 1/precision singularity here
@@ -310,6 +314,15 @@ class RankOneSite:
 
 
 Site = NaturalSpherical | RankOneSite
+
+
+def _max_abs(a: float, b: float) -> float:
+    """max(|a|, |b|) as a Python float; NaN when either is NaN (the
+    builtin max would drop a NaN that comes second)."""
+    a, b = abs(float(a)), abs(float(b))
+    if a != a or b != b:
+        return math.nan
+    return a if a >= b else b
 
 
 def vacuous_spherical(dim: int) -> NaturalSpherical:

@@ -486,7 +486,8 @@ def importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray],
 
 def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray],
                               prior_mean: np.ndarray, prior_cov,
-                              counts, seed: int) -> tuple[ImportanceResult, ...]:
+                              counts, seed: int, allow_degenerate: bool = False
+                              ) -> tuple[ImportanceResult | None, ...]:
     """Prior-based importance sampling for evidence and posterior mean at
     each sample count in `counts`, from nested prefixes of one draw.
 
@@ -507,9 +508,10 @@ def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray]
     that count bit for bit.  Its weights are exponentiated against the
     prefix's own max, so heavy tails cannot overflow; a NaN or +inf in the
     prefix raises ValueError naming the first bad index, and a prefix of
-    all -inf (zero likelihood) raises DegenerateWeightsError.  Sums over
-    the draws are numpy reductions, not BLAS products, so an estimate does
-    not depend on the BLAS thread count.
+    all -inf (zero likelihood) raises DegenerateWeightsError, or with
+    `allow_degenerate` gives None in place of that count's estimate.  Sums
+    over the draws are numpy reductions, not BLAS products, so an estimate
+    does not depend on the BLAS thread count.
     """
     counts = tuple(counts)
     if not counts or min(counts) < 1:
@@ -543,6 +545,9 @@ def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray]
             raise ValueError(f"log_likelihood must not be NaN or +inf; "
                              f"index {bad} is {log_w[bad]}")
         if max_lw == -math.inf:
+            if allow_degenerate:
+                results.append(None)
+                continue
             raise DegenerateWeightsError("degenerate weights")
         w = np.exp(log_w - max_lw)
         scale = math.exp(max_lw)

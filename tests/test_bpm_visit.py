@@ -140,6 +140,54 @@ def test_running_posterior_does_not_drift(damping):
     assert rel(res.posterior.mean, m_ref) <= 1e-10
 
 
+def test_damped_random_run_matches_reference_loop_bitwise():
+    # the sweep the engine makes, written out with the validating site
+    # constructor and the site change as a numpy max |delta| over (precision,
+    # shift): posterior, sites and every sweep's largest change agree bit
+    # for bit
+    n, d, gamma, sweeps = 120, 50, 0.5, 3
+    ds = probit_data(n, d, seed=8)
+    res = run_ep(BpmBinding(ds), EPOptions(tolerance=1e-300, max_sweeps=sweeps,
+                                           damping=gamma,
+                                           schedule=Schedule("random", 13)),
+                 record_history=True)
+
+    binding = BpmBinding(ds)
+    q = binding.prior()
+    sites = [binding.vacuous_site(i) for i in range(n)]
+    rng = np.random.default_rng(13)
+    changes = []
+    for _ in range(sweeps):
+        largest = 0.0
+        for i in rng.permutation(n):
+            cav = binding.cavity(q, sites[i])
+            assert cav is not None
+            new, _ = binding.moment_match(cav, i)
+            old = sites[i]
+            prec = (1.0 - gamma) * old.precision + gamma * new.precision
+            shift = (1.0 - gamma) * old.precision * old.mean \
+                + gamma * new.precision * new.mean
+            new = RankOneSite(direction=new.direction, precision=prec,
+                              mean=shift / prec if prec != 0.0 else 0.0,
+                              log_scale=(1.0 - gamma) * old.log_scale
+                              + gamma * new.log_scale)
+            delta = np.max(np.abs(np.array([new.precision, new.precision * new.mean])
+                                  - np.array([old.precision, old.precision * old.mean])))
+            largest = max(largest, float(delta))
+            sites[i] = new
+            q = binding.recombine(cav, new)
+        changes.append(largest)
+
+    assert res.sweeps == sweeps and not res.converged
+    assert [snap.max_change for snap in res.history] == changes
+    assert np.array_equal(res.posterior.mean, q.mean)
+    assert np.array_equal(res.posterior.covariance, q.covariance)
+    for got, want in zip(res.sites, sites):
+        assert (got.precision, got.mean, got.log_scale) \
+            == (want.precision, want.mean, want.log_scale)
+        assert np.array_equal(got.direction, want.direction)
+
+
 def test_history_snapshots_are_not_mutated_by_later_sweeps():
     class Copying(BpmBinding):
         """Copies the posterior the engine checks at the end of each sweep,

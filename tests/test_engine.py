@@ -11,14 +11,17 @@ from epkit.bpm import BpmBinding, make_dataset
 from epkit.clutter import ClutterBinding, ClutterDataSpec, ClutterModel, generate_clutter_data
 from epkit.engine import (
     EPOptions,
+    ModelBinding,
     MomentMatchError,
+    OpTally,
     Schedule,
     check_fixed_point,
     ep_energy,
     run_adf,
     run_ep,
 )
-from epkit.gaussians import NaturalSpherical, RankOneSite, SphericalGaussian
+from epkit.gaussians import (NaturalSpherical, RankOneSite, SphericalGaussian,
+                             vacuous_spherical)
 from epkit.oracles import conjugate_gaussian_posterior, tilted_moments_quadrature
 
 
@@ -38,6 +41,40 @@ class FailingAtTerm(ClutterBinding):
         if i == self.bad_term:
             raise ValueError(f"moment match fails on purpose at term {i}")
         return super().moment_match(cavity, i)
+
+
+class NanSiteBinding(ModelBinding):
+    """n one-dimensional sites; the match of site `nan_at` is a NaN site and
+    every other match a unit-precision site, and the posterior stays the
+    prior."""
+
+    def __init__(self, n, nan_at):
+        self.tally = OpTally()
+        self.n, self.nan_at = n, nan_at
+
+    @property
+    def site_count(self):
+        return self.n
+
+    def prior(self):
+        return SphericalGaussian(mean=np.zeros(1), variance=1.0)
+
+    def vacuous_site(self, i):
+        return vacuous_spherical(1)
+
+    def cavity(self, posterior, site):
+        return posterior
+
+    def moment_match(self, cavity, i):
+        if i == self.nan_at:
+            return NaturalSpherical.trusted(math.nan, np.array([math.nan]), 0.0), 0.0
+        return NaturalSpherical(precision=1.0, shift=np.array([0.5])), 0.0
+
+    def recombine(self, cavity, site):
+        return cavity
+
+    def log_evidence(self, posterior, sites):
+        return 0.0
 
 
 class TestRunAdf:
@@ -96,7 +133,7 @@ class TestRunEp:
             assert np.array_equal(ep.posterior.mean, adf.posterior.mean)
             assert ep.posterior.variance == adf.posterior.variance
             for a, e in zip(adf.sites, ep.sites):
-                assert np.array_equal(a.coords(), e.coords())
+                assert a.change(e) == 0.0
                 assert a.log_scale == e.log_scale
             assert ep.log_evidence == pytest.approx(adf.log_evidence, abs=1e-12)
 
@@ -138,10 +175,27 @@ class TestRunEp:
         for i in range(len(sites)):
             cav = binding.cavity(q, sites[i])
             new_site, _ = binding.moment_match(cav, i)
-            delta = np.max(np.abs(new_site.coords() - sites[i].coords()))
-            assert delta < tol
+            assert new_site.change(sites[i]) < tol
             sites[i] = new_site
             q = binding.recombine(cav, new_site)
+
+    @pytest.mark.parametrize("n, nan_at", [(1, 0), (2, 0), (3, 1)])
+    def test_nan_site_change_never_converges(self, n, nan_at):
+        # max(0.0, nan) is 0.0, so a sweep maximum built with the builtin
+        # would call a NaN site converged after one sweep; the NaN must stay
+        # the maximum whichever site comes after it
+        res = run_ep(NanSiteBinding(n, nan_at), EPOptions(max_sweeps=4),
+                     record_history=True)
+        assert not res.converged
+        assert res.sweeps == 4
+        assert all(math.isnan(s.max_change) for s in res.history)
+
+    def test_random_schedule_failure_index_is_int(self):
+        with pytest.raises(MomentMatchError) as err:
+            run_ep(FailingAtTerm(small_model(n=5), 3),
+                   EPOptions(schedule=Schedule("random", seed=4)))
+        assert type(err.value.term_index) is int
+        assert err.value.term_index == 3
 
     def test_history_snapshots_monotone_ops(self):
         model = small_model(seed=4, n=6)
@@ -171,6 +225,22 @@ class TestDamping:
         assert mix.precision == pytest.approx(want_prec, rel=1e-12)
         assert mix.precision * mix.mean == pytest.approx(want_shift, rel=1e-12)
 
+    def test_rank_one_across_equal_distinct_directions(self):
+        u = np.array([0.3, -1.2, 2.0])
+        old = RankOneSite(direction=u, precision=0.5, mean=1.0, log_scale=0.1)
+        same = old.damped(RankOneSite(direction=u, precision=2.0, mean=-0.5,
+                                      log_scale=0.3), 0.3)
+        copy = RankOneSite(direction=u.copy(), precision=2.0, mean=-0.5,
+                           log_scale=0.3)
+        mix = old.damped(copy, 0.3)
+        assert (mix.precision, mix.mean, mix.log_scale) \
+            == (same.precision, same.mean, same.log_scale)
+        assert mix.direction is copy.direction
+        other = RankOneSite(direction=u + np.array([0.0, 0.0, 1e-12]),
+                            precision=2.0, mean=-0.5)
+        with pytest.raises(ValueError, match="different directions"):
+            old.damped(other, 0.3)
+
     def test_damped_and_undamped_fixed_points_agree(self):
         model = small_model(seed=0, n=6)
         plain = run_ep(ClutterBinding(model), EPOptions(tolerance=1e-10,
@@ -193,10 +263,46 @@ class TestDamping:
             for i in range(len(sites)):
                 cav = binding.cavity(q, sites[i])
                 new_site = sites[i].damped(binding.moment_match(cav, i)[0], gamma)
-                delta = np.max(np.abs(new_site.coords() - sites[i].coords()))
-                assert delta <= 1e-10
+                assert new_site.change(sites[i]) <= 1e-10
                 sites[i] = new_site
                 q = binding.recombine(cav, new_site)
+
+
+_value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan]),
+                  st.floats(allow_infinity=False, min_value=-1e150, max_value=1e150))
+
+
+def _bits(x):
+    """x's IEEE bytes, with every NaN read as one value."""
+    return b"nan" if math.isnan(x) else np.float64(x).tobytes()
+
+
+class TestSiteChange:
+    """`change` against a numpy max |delta| over (precision, shift)."""
+
+    @given(st.tuples(_value, _value), st.tuples(_value, _value))
+    def test_rank_one_matches_numpy_and_is_symmetric(self, a, b):
+        u = np.array([1.0, -2.0])
+        sa = RankOneSite(direction=u, precision=a[0], mean=a[1])
+        sb = RankOneSite(direction=u, precision=b[0], mean=b[1])
+        want = np.max(np.abs(np.array([sa.precision, sa.precision * sa.mean])
+                             - np.array([sb.precision, sb.precision * sb.mean])))
+        got = sa.change(sb)
+        assert type(got) is float
+        assert _bits(got) == _bits(float(want)) == _bits(sb.change(sa))
+
+    @given(st.tuples(_value, _value),
+           st.lists(st.tuples(_value, _value), min_size=1, max_size=4))
+    def test_spherical_matches_numpy_and_is_symmetric(self, precisions, shifts):
+        # a zero precision keeps a zero shift, as a valid site must
+        (pa, pb), (xa, xb), zero = precisions, np.array(shifts).T, np.zeros(len(shifts))
+        sa = NaturalSpherical(precision=pa, shift=xa if pa != 0.0 else zero)
+        sb = NaturalSpherical(precision=pb, shift=xb if pb != 0.0 else zero)
+        want = np.max(np.abs(np.concatenate(([sa.precision], sa.shift))
+                             - np.concatenate(([sb.precision], sb.shift))))
+        got = sa.change(sb)
+        assert type(got) is float
+        assert _bits(got) == _bits(float(want)) == _bits(sb.change(sa))
 
 
 def _natural(g):
@@ -380,6 +486,14 @@ class TestSchedule:
         a = Schedule("random", seed=5).orders(6)
         b = Schedule("random", seed=5).orders(6)
         assert [next(a) for _ in range(3)] == [next(b) for _ in range(3)]
+
+    def test_random_orders_are_python_ints_of_the_seeded_permutation(self):
+        gen = Schedule("random", seed=5).orders(6)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            order = next(gen)
+            assert order == list(rng.permutation(6))
+            assert all(type(i) is int for i in order)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

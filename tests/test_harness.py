@@ -206,9 +206,11 @@ class TestBpmExperiment:
             counts.append(samples)
             return sampler(log_likelihood, prior_mean, prior_cov, samples, seed)
 
-        def counted_nested(log_likelihood, prior_mean, prior_cov, nested_counts, seed):
+        def counted_nested(log_likelihood, prior_mean, prior_cov, nested_counts, seed,
+                           **kwargs):
             counts.extend(nested_counts)
-            return nested(log_likelihood, prior_mean, prior_cov, nested_counts, seed)
+            return nested(log_likelihood, prior_mean, prior_cov, nested_counts, seed,
+                          **kwargs)
         monkeypatch.setattr(experiments, "importance_sampler", counted)
         monkeypatch.setattr(experiments, "nested_importance_sampler", counted_nested)
         return counts
@@ -490,6 +492,38 @@ class TestCli:
         lines = out.read_text().splitlines()
         methods = {ln.split(",")[2] for ln in lines[1:]}
         assert {"adf", "ep", "importance", "oracle"} <= methods
+
+    def test_thin_cone_importance_rows_need_no_traceback(self, tmp_path, capsys):
+        # a zero-slack d = 4 set separable only through a thin cone: an
+        # importance count whose prefix has no draw of nonzero likelihood
+        # gets a row of infinite errors and the other counts keep their
+        # estimates, while a seed whose truth draw has no such draw (seed 2)
+        # still exits 1 with an error line
+        path = tmp_path / "thin.csv"
+        path.write_text("x1,x2,x3,x4,label\n1,0,0,0,1\n0,1,0,0,1\n0,0,1,0,1\n"
+                        "0,0,0,1,1\n1,-8,-8,-8,1\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dataset_path": str(path), "add_bias": False}))
+        out = tmp_path / "o.csv"
+        argv = ["bpm", "--config", str(cfg_path), "--out", str(out), "--seed-range"]
+        assert cli_main(argv + ["1..3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and "seed 2" in err
+        assert not out.exists()
+        assert cli_main(argv + ["1..1"]) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        errors = {r[3]: (float(r[5]), float(r[6])) for r in rows if r[2] == "importance"}
+        assert errors["samples1000"] == (math.inf, math.inf)
+        assert all(math.isfinite(e) for e in errors["samples10000"])
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        # importing scipy.linalg costs start-up time and memory that every
+        # CLI run and benchmark pass would pay
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, epkit; print('scipy.linalg' in sys.modules)"],
+            capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
     def test_console_entry_point(self, tmp_path):
         # the installed script must behave like the module entry point

@@ -349,6 +349,18 @@ class TestImportanceSampler:
         with pytest.raises(DegenerateWeightsError):
             nested_importance_sampler(loglik, np.zeros(1), np.eye(1), (1000, 100), seed=0)
 
+    def test_degenerate_prefix_allowed_gives_none(self):
+        def loglik(xs):
+            out = np.zeros(xs.shape[0])
+            out[:100] = -math.inf
+            return out
+        est, = nested_importance_sampler(loglik, np.zeros(1), np.eye(1), (1000,), seed=0)
+        got = nested_importance_sampler(loglik, np.zeros(1), np.eye(1), (100, 1000, 50),
+                                        seed=0, allow_degenerate=True)
+        assert got[0] is None and got[2] is None
+        assert got[1].evidence.value == est.evidence.value
+        assert np.array_equal(got[1].posterior_mean.value, est.posterior_mean.value)
+
     @pytest.mark.parametrize("counts", [(), (100, 0)])
     def test_nested_rejects_empty_or_zero_counts(self, counts):
         with pytest.raises(ValueError, match="at least one sample"):
