@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .engine import (Diagnostics, EPOptions, EPResult, ModelBinding, OpTally,
                      ep_log_evidence, run_ep)
@@ -86,6 +85,7 @@ class BpmDataset:
         is positive and -inf otherwise (the step)."""
         margins = ws @ self.directions.T
         if self.slack > 0.0:
+            from scipy.special import log_ndtr
             return np.sum(log_ndtr(margins), axis=1)
         return np.where(np.all(margins > 0, axis=1), 0.0, -math.inf)
 

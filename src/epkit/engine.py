@@ -29,7 +29,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .gaussians import Site
+from .gaussians import CancelledPrecisionError, Site
 
 
 class OpTally:
@@ -228,9 +228,12 @@ def run_ep(model: ModelBinding, opts: EPOptions = EPOptions(),
     first sweep is `run_adf` in the same order.  Improper cavities are
     skipped for the sweep and counted.  With damping < 1 the new site is
     `old_site.damped(new_site, damping)`; either way the posterior is the
-    cavity times the new site.  A site change is `new_site.change(old_site)`;
-    a NaN change is kept as the sweep's maximum, so it never counts as
-    converged.  Non-convergence is reported, not raised.
+    cavity times the new site.  Damping that cancels the precisions but
+    not the shifts, a site no family can hold, raises MomentMatchError
+    with the term index, as a failed moment match does.  A site change is
+    `new_site.change(old_site)`; a NaN change is kept as the sweep's
+    maximum, so it never counts as converged.  Non-convergence is
+    reported, not raised.
     """
     n = model.site_count
     start_ops = model.tally.count
@@ -264,7 +267,10 @@ def run_ep(model: ModelBinding, opts: EPOptions = EPOptions(),
             updated += 1
             new_site, _ = _match(model, cav, i)
             if damping < 1.0:
-                new_site = sites[i].damped(new_site, damping)
+                try:
+                    new_site = sites[i].damped(new_site, damping)
+                except CancelledPrecisionError as exc:
+                    raise MomentMatchError(i, exc) from exc
             delta = new_site.change(sites[i])
             if delta > max_change or delta != delta:
                 max_change = delta  # a NaN change stays the sweep's maximum

@@ -488,6 +488,32 @@ def _fused_visit_error(rng: np.random.Generator, noise: float) -> float:
     return max(errors + [rel(mixed.covariance, Vd), rel(mixed.mean, md)])
 
 
+def _probit_kernel_error() -> float:
+    """Largest relative difference of `probit` from scipy's ndtr on
+    z in [-37, 40], and of `log_probit` from log_ndtr and `probit_ratio`
+    from sqrt(2/pi) / erfcx(-z/sqrt(2)) on z in [-1e3, 40].  Where scipy's
+    value is not a normal float (zero or subnormal), the kernel's must not
+    be one either, or the difference is inf."""
+    from scipy import special
+
+    from .gaussians import log_probit, probit, probit_ratio
+
+    def rel(kernel, z, want):
+        got = np.array([kernel(float(v)) for v in z])
+        normal = np.abs(want) >= np.finfo(float).tiny
+        if np.any(np.abs(got[~normal]) >= np.finfo(float).tiny):
+            return math.inf
+        return float(np.max(np.abs(got - want)[normal] / np.abs(want[normal])))
+
+    z = np.linspace(-37.0, 40.0, 3081)
+    wide = np.concatenate((np.linspace(-1e3, -37.0, 3853), z))
+    with np.errstate(over="ignore"):  # erfcx(-x) overflows for z > 37.6
+        ratio = math.sqrt(2.0 / math.pi) / special.erfcx(-wide / math.sqrt(2.0))
+    return max(rel(probit, z, special.ndtr(z)),
+               rel(log_probit, wide, special.log_ndtr(wide)),
+               rel(probit_ratio, wide, ratio))
+
+
 @dataclass(frozen=True)
 class BatteryResult:
     name: str
@@ -577,6 +603,7 @@ def oracle_check_battery(cases: int = 200, seed: int = 1234) -> list[BatteryResu
         naive = math.exp(-0.5 * z * z - 0.5 * math.log(2 * math.pi)) / probit(z)
         worst = max(worst, abs(probit_ratio(float(z)) - naive) / naive)
     results.append(BatteryResult("probit-ratio-vs-naive-quotient", worst, 1e-10))
+    results.append(BatteryResult("probit-kernels-vs-scipy", _probit_kernel_error(), 1e-12))
 
     # loopy propagation is exact on trees once its messages settle
     worst = 0.0

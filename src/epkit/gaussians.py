@@ -17,10 +17,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 LOG_2PI = math.log(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
+# (x + c) - c rounds 0 <= x < 2^30 to a multiple of 2^-21
+_ROUND_2M21 = 3.0 * 2.0 ** 30
 
 
 class DegenerateCovarianceError(ValueError):
@@ -33,6 +36,11 @@ class ImproperProductError(ValueError):
 
 class ZeroNormalizerError(ValueError):
     """A tilted-distribution normalizer came out exactly zero."""
+
+
+class CancelledPrecisionError(ValueError):
+    """Damping two sites left zero precision with a non-zero shift, a site
+    neither family can represent."""
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +237,16 @@ class NaturalSpherical:
         return np.concatenate((self.shift, [-0.5 * self.precision]))
 
     def damped(self, new: "NaturalSpherical", gamma: float) -> "NaturalSpherical":
-        """(1-gamma) * self + gamma * new in precision, shift and log scale."""
-        return NaturalSpherical(
-            precision=(1.0 - gamma) * self.precision + gamma * new.precision,
-            shift=(1.0 - gamma) * self.shift + gamma * new.shift,
-            log_scale=(1.0 - gamma) * self.log_scale + gamma * new.log_scale)
+        """(1-gamma) * self + gamma * new in precision, shift and log scale;
+        raises CancelledPrecisionError when the precisions cancel and the
+        shifts do not."""
+        prec = (1.0 - gamma) * self.precision + gamma * new.precision
+        shift = (1.0 - gamma) * self.shift + gamma * new.shift
+        if prec == 0.0 and np.any(shift):
+            raise CancelledPrecisionError(
+                f"damped precision is 0 with shift {shift.tolist()}")
+        return NaturalSpherical.trusted(
+            prec, shift, (1.0 - gamma) * self.log_scale + gamma * new.log_scale)
 
     def natural_log_coeff(self) -> float:
         """log c with site(x) = exp(c + shift.x - precision |x|^2 / 2)."""
@@ -293,12 +306,16 @@ class RankOneSite:
 
     def damped(self, new: "RankOneSite", gamma: float) -> "RankOneSite":
         """(1-gamma) * self + gamma * new in precision, shift (precision *
-        mean) and log scale; both sites must share the direction."""
+        mean) and log scale; both sites must share the direction.  Raises
+        CancelledPrecisionError when the precisions cancel and the shifts
+        do not."""
         if new.direction is not self.direction \
                 and not np.array_equal(self.direction, new.direction):
             raise ValueError("cannot damp rank-one sites with different directions")
         prec = (1.0 - gamma) * self.precision + gamma * new.precision
         shift = (1.0 - gamma) * self.precision * self.mean + gamma * new.precision * new.mean
+        if prec == 0.0 and shift != 0.0:
+            raise CancelledPrecisionError(f"damped precision is 0 with shift {shift}")
         return RankOneSite.trusted(
             new.direction, prec, shift / prec if prec != 0.0 else 0.0,
             (1.0 - gamma) * self.log_scale + gamma * new.log_scale)
@@ -365,45 +382,74 @@ def log_normal_pdf(y, m, cov) -> float:
     return -0.5 * d * LOG_2PI - float(np.sum(np.log(np.diag(L)))) - 0.5 * float(z @ z)
 
 
-def _logsumexp(a) -> float:
-    """log(sum(exp(a))) of a short 1-D vector by a max shift.
+def _logsumexp(a, axis=None):
+    """log(sum(exp(a))) by a max shift: a Python float over the whole array,
+    or an array reduced over `axis` (an int or a tuple of ints).
 
-    For the per-variable evidence sum that closes a loopy propagation fit,
-    where scipy's general version costs far more than the sum.  A factor
-    visit does not call it: it needs the normalized vector as well, and
-    takes both from one exp.  Every entry -inf gives -inf; a +inf or NaN
+    For the per-variable evidence sum that closes a loopy propagation fit
+    and for the oracles' sums over mixture components and joint states.  A
+    factor visit does not call it: it needs the normalized vector as well,
+    and takes both from one exp.  Every entry -inf gives -inf; a +inf or NaN
     maximum is returned as is.  No RuntimeWarning either way.
     """
     a = np.asarray(a, dtype=float)
-    top = float(a.max())
-    if not math.isfinite(top):
-        return top
-    return top + math.log(float(np.exp(a - top).sum()))
+    if axis is None:
+        top = float(a.max())
+        if not math.isfinite(top):
+            return top
+        return top + math.log(float(np.exp(a - top).sum()))
+    top = a.max(axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0  # exp then gives 0, inf or NaN, as wanted
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - top).sum(axis=axis)) + np.squeeze(top, axis=axis)
 
 
 def probit(z: float) -> float:
     """Standard normal CDF."""
-    return float(sp.ndtr(z))
+    return 0.5 * math.erfc(-z * _SQRT_HALF)
 
 
 def log_probit(z: float) -> float:
     """log of the standard normal CDF, stable far into the left tail."""
-    return float(sp.log_ndtr(z))
+    if z > 0.0:
+        return math.log1p(-0.5 * math.erfc(z * _SQRT_HALF))
+    x = -z * _SQRT_HALF
+    if x < 26.0:  # erfc(x) is a normal float
+        return math.log(0.5 * math.erfc(x))
+    return -x * x - math.log(_TWO_SQRT_PI * x / _erfcx_series(x))
 
 
 def probit_ratio(z: float) -> float:
     """N(z; 0, 1) / probit(z), evaluated stably.
 
-    For z < 0 the quotient is computed through the scaled complementary
-    error function (itself a continued-fraction/rational evaluation), which
-    stays accurate as both numerator and denominator underflow; for z >= 0
-    the direct quotient is already well conditioned.  The z -> -inf
-    asymptote is -z.
+    For z < 0 this is sqrt(2/pi) / erfcx(x) with x = -z/sqrt(2) and the
+    scaled complementary error function erfcx(x) = exp(x^2) erfc(x), which
+    stays accurate as numerator and denominator underflow.  Below x = 26
+    erfcx is the product of math.erfc(x) and exp(x^2), with x^2 split as
+    hi^2 + (x - hi)(x + hi) and hi^2 exact, so no rounding of x^2 is
+    magnified by the exponential; beyond, erfc underflows and the
+    asymptotic series takes over.  For z >= 0 the direct quotient is
+    already well conditioned.  The z -> -inf asymptote is -z.
     """
-    if z < 0.0:
-        return _SQRT_2_OVER_PI / float(sp.erfcx(-z / math.sqrt(2.0)))
-    phi = float(sp.ndtr(z))  # >= 0.5 here
-    return math.exp(-0.5 * z * z - 0.5 * LOG_2PI) / phi
+    if z >= 0.0:
+        return math.exp(-0.5 * z * z - 0.5 * LOG_2PI) / probit(z)
+    x = -z * _SQRT_HALF
+    if x < 26.0:
+        hi = (x + _ROUND_2M21) - _ROUND_2M21  # at most 26 significant bits
+        return _SQRT_2_OVER_PI / (math.exp(hi * hi) * math.exp((x - hi) * (x + hi))
+                                  * math.erfc(x))
+    return math.sqrt(2.0) * x / _erfcx_series(x)
+
+
+def _erfcx_series(x: float) -> float:
+    """sqrt(pi) x erfcx(x) for x >= 26 by its asymptotic series
+    1 - 1/(2x^2) + 1*3/(2x^2)^2 - ..., cut after the (2x^2)^-8 term; the
+    first term left out is below 1e-20 there."""
+    r = 0.5 / (x * x)
+    s = 1.0
+    for k in (15.0, 13.0, 11.0, 9.0, 7.0, 5.0, 3.0, 1.0):
+        s = 1.0 - k * r * s
+    return s
 
 
 # ---------------------------------------------------------------------------

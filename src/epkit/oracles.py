@@ -23,9 +23,8 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import logsumexp
 
-from .gaussians import LOG_2PI, SphericalGaussian, log_normal_pdf
+from .gaussians import LOG_2PI, SphericalGaussian, _logsumexp, log_normal_pdf
 
 
 class VanishingMassError(ValueError):
@@ -303,7 +302,7 @@ def exact_clutter(data: np.ndarray, w: float, prior_variance: float = 100.0,
     log_ws, means, variances = clutter_mixture_components(
         data, w, prior_variance, clutter_variance)
     d = means.shape[1]
-    log_evidence = float(logsumexp(log_ws))
+    log_evidence = _logsumexp(log_ws)
     if log_evidence == -math.inf:
         raise VanishingMassError("all mixture components carry zero weight")
     p = np.exp(log_ws - log_evidence)
@@ -593,10 +592,10 @@ def enumerate_discrete(net) -> tuple[dict, float]:
                 range(len(axes)), axes)
             log_joint = log_joint + expanded
 
-    log_partition = float(logsumexp(log_joint))
+    log_partition = _logsumexp(log_joint)
     marginals = {}
     for vid, axis in index.items():
         other = tuple(a for a in range(len(cards)) if a != axis)
-        lm = logsumexp(log_joint, axis=other) if other else log_joint
+        lm = _logsumexp(log_joint, axis=other) if other else log_joint
         marginals[vid] = np.exp(lm - log_partition)
     return marginals, log_partition

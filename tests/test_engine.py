@@ -20,8 +20,8 @@ from epkit.engine import (
     run_adf,
     run_ep,
 )
-from epkit.gaussians import (NaturalSpherical, RankOneSite, SphericalGaussian,
-                             vacuous_spherical)
+from epkit.gaussians import (CancelledPrecisionError, NaturalSpherical, RankOneSite,
+                             SphericalGaussian, vacuous_spherical)
 from epkit.oracles import conjugate_gaussian_posterior, tilted_moments_quadrature
 
 
@@ -75,6 +75,30 @@ class NanSiteBinding(ModelBinding):
 
     def log_evidence(self, posterior, sites):
         return 0.0
+
+
+class ScriptedSiteBinding(NanSiteBinding):
+    """One site whose k-th match is matches[k]; the posterior stays the
+    prior."""
+
+    def __init__(self, vacuous, matches):
+        super().__init__(1, None)
+        self.vacuous, self.matches = vacuous, iter(matches)
+
+    def vacuous_site(self, i):
+        return self.vacuous
+
+    def moment_match(self, cavity, i):
+        return next(self.matches), 0.0
+
+
+_U = np.array([0.6, -0.8])
+# (first, second): sites whose precisions cancel when damped at 0.5, and
+# whose shifts (precision * mean for a rank-one site) do not
+CANCELLING_SITES = [
+    (NaturalSpherical(0.3, np.array([1.0])), NaturalSpherical(-0.3, np.array([2.0]))),
+    (RankOneSite(_U, 0.3, 1.0), RankOneSite(_U, -0.3, -5.0)),
+]
 
 
 class TestRunAdf:
@@ -240,6 +264,36 @@ class TestDamping:
                             precision=2.0, mean=-0.5)
         with pytest.raises(ValueError, match="different directions"):
             old.damped(other, 0.3)
+
+    @pytest.mark.parametrize("first, second", CANCELLING_SITES)
+    def test_cancelling_precisions_with_a_shift_raise(self, first, second):
+        with pytest.raises(CancelledPrecisionError):
+            first.damped(second, 0.5)
+
+    @pytest.mark.parametrize("first, second", [
+        (NaturalSpherical(0.3, np.array([1.0])),
+         NaturalSpherical(-0.3, np.array([-1.0]), log_scale=0.4)),
+        (RankOneSite(_U, 0.3, 1.0), RankOneSite(_U, -0.3, 1.0, log_scale=0.4)),
+    ])
+    def test_cancelling_precisions_and_shifts_give_a_vacuous_site(self, first, second):
+        mix = first.damped(second, 0.5)
+        assert (mix.precision, mix.log_scale) == (0.0, 0.2)
+        assert not np.any(mix.natural_coords())
+
+    @pytest.mark.parametrize("vacuous, first_match, cancelling", [
+        (vacuous_spherical(1), NaturalSpherical(0.6, np.array([2.0])),
+         CANCELLING_SITES[0][1]),
+        (RankOneSite(_U, 0.0), RankOneSite(_U, 0.6, 1.0), CANCELLING_SITES[1][1]),
+    ])
+    def test_run_ep_reports_cancellation_as_moment_match_error(
+            self, vacuous, first_match, cancelling):
+        # sweep 1 damps the vacuous site to the first site of
+        # CANCELLING_SITES, sweep 2 damps that against its partner
+        binding = ScriptedSiteBinding(vacuous, [first_match, cancelling])
+        with pytest.raises(MomentMatchError) as err:
+            run_ep(binding, EPOptions(damping=0.5, max_sweeps=3))
+        assert err.value.term_index == 0
+        assert isinstance(err.value.__cause__, CancelledPrecisionError)
 
     def test_damped_and_undamped_fixed_points_agree(self):
         model = small_model(seed=0, n=6)

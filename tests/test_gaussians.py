@@ -1,10 +1,13 @@
 """Gaussian types, natural-parameter arithmetic, and scalar special functions."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy import special
 from scipy.special import logsumexp
 
 from epkit.bpm import BpmBinding, make_dataset
@@ -18,6 +21,7 @@ from epkit.gaussians import (
     combine_sites,
     divide_out,
     log_normal_pdf,
+    log_probit,
     probit,
     probit_ratio,
     _logsumexp,
@@ -117,6 +121,45 @@ class TestProbitRatio:
         vals = [probit_ratio(float(z)) for z in zs]
         assert all(math.isfinite(v) for v in vals)
         assert all(b < a for a, b in zip(vals, vals[1:]))  # decreasing toward 0
+
+
+def _assert_relative(kernel, z, want, tol=1e-12):
+    """kernel(z) within tol of want, relative, wherever want is a normal
+    float; where it is zero or subnormal, the kernel's value must be too."""
+    got = np.array([kernel(float(v)) for v in z])
+    normal = np.abs(want) >= np.finfo(float).tiny
+    assert np.all(np.abs(got[~normal]) < np.finfo(float).tiny), z[~normal]
+    err = np.abs(got - want)[normal] / np.abs(want[normal])
+    assert err.max() <= tol, (z[normal][err.argmax()], err.max())
+
+
+class TestKernelsVsScipy:
+    """The math-module probit kernels against scipy.special."""
+
+    Z = np.linspace(-37.0, 40.0, 15401)
+    WIDE = np.concatenate((-np.logspace(3.0, -3.0, 6001), Z))
+
+    def test_probit_vs_ndtr(self):
+        _assert_relative(probit, self.Z, special.ndtr(self.Z))
+
+    def test_log_probit_vs_log_ndtr(self):
+        _assert_relative(log_probit, self.WIDE, special.log_ndtr(self.WIDE))
+
+    def test_probit_ratio_vs_erfcx(self):
+        with np.errstate(over="ignore"):  # erfcx(-x) overflows for z > 37.6
+            want = math.sqrt(2.0 / math.pi) / special.erfcx(-self.WIDE / math.sqrt(2.0))
+        _assert_relative(probit_ratio, self.WIDE, want)
+        # for z < 0 the split x^2 keeps erfcx to a few ulp; exp(x * x) alone
+        # is up to 6e-14 off near x = 26
+        left = self.WIDE < 0.0
+        _assert_relative(probit_ratio, self.WIDE[left], want[left], tol=1e-14)
+
+    def test_infinite_and_nan_arguments(self):
+        assert (probit(-math.inf), probit(math.inf)) == (0.0, 1.0)
+        assert (log_probit(-math.inf), log_probit(math.inf)) == (-math.inf, 0.0)
+        assert (probit_ratio(-math.inf), probit_ratio(math.inf)) == (math.inf, 0.0)
+        for f in (probit, log_probit, probit_ratio):
+            assert math.isnan(f(math.nan))
 
 
 class TestCombineSites:
@@ -273,14 +316,32 @@ _LSE_ENTRIES = st.one_of(st.floats(min_value=-1e4, max_value=1e4),
 
 class TestLogSumExp:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(_LSE_ENTRIES, min_size=1, max_size=6))
-    def test_matches_scipy(self, entries):
-        got = _logsumexp(np.array(entries))
-        if all(e == -math.inf for e in entries):
-            assert got == -math.inf
-        else:
-            assert got == pytest.approx(float(logsumexp(entries)),
-                                        rel=1e-13, abs=1e-13)
+    @given(arrays(float, array_shapes(min_dims=3, max_dims=3, max_side=3),
+                  elements=_LSE_ENTRIES),
+           st.sampled_from([None, 0, 2, (0, 2), (0, 1, 2)]))
+    def test_matches_scipy(self, a, axis):
+        got = _logsumexp(a, axis=axis)
+        with np.errstate(divide="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = logsumexp(a, axis=axis)
+        if axis is None:
+            assert type(got) is float
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+    def test_non_finite_maxima_without_warnings(self):
+        a = np.array([[0.0, -math.inf, 3.0],
+                      [-math.inf, -math.inf, -math.inf],
+                      [math.inf, 1.0, -math.inf],
+                      [math.nan, 1.0, math.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = _logsumexp(a, axis=1)
+            whole = [_logsumexp(row) for row in a]
+            tuple_axis = _logsumexp(np.full((2, 3, 2), -math.inf), axis=(0, 2))
+        for got in (rows, whole):
+            assert got[0] == pytest.approx(math.log(1.0 + math.exp(3.0)), rel=1e-15)
+            assert got[1] == -math.inf and got[2] == math.inf and math.isnan(got[3])
+        assert tuple_axis.tolist() == [-math.inf] * 3
 
     @pytest.mark.parametrize("entries", [[-math.inf], [-math.inf] * 4,
                                          (-math.inf, -math.inf)])

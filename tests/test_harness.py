@@ -321,6 +321,7 @@ class TestOracleBattery:
             "bpm-fused-visit-vs-dense",
             "quadrature-self-consistency",
             "probit-ratio-vs-naive-quotient",
+            "probit-kernels-vs-scipy",
             "loopy-tree-vs-enumeration",
             "bpm-exact-step-vs-importance",
         }
@@ -516,14 +517,30 @@ class TestCli:
         assert errors["samples1000"] == (math.inf, math.inf)
         assert all(math.isfinite(e) for e in errors["samples10000"])
 
-    def test_import_leaves_scipy_linalg_unloaded(self):
-        # importing scipy.linalg costs start-up time and memory that every
-        # CLI run and benchmark pass would pay
+    # Importing any part of scipy costs start-up time and memory that every
+    # CLI run and benchmark pass would pay; only slack > 0 likelihoods and
+    # oracle-check need it.
+    _SCIPY_MODULES = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+
+    def test_import_loads_no_scipy(self):
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, epkit; print('scipy.linalg' in sys.modules)"],
+            [sys.executable, "-c", f"import sys, epkit; print({self._SCIPY_MODULES})"],
             capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
+
+    def test_default_runs_load_no_scipy(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from epkit.cli import main\n"
+            "for kind in ('clutter', 'bpm', 'loopy'):\n"
+            "    out = sys.argv[1] + '/' + kind + '.csv'\n"
+            "    assert main([kind, '--seed-range', '1..2', '--out', out]) == 0\n"
+            f"print({self._SCIPY_MODULES})\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) \
+            == ["bpm.csv", "clutter.csv", "loopy.csv"]
 
     def test_console_entry_point(self, tmp_path):
         # the installed script must behave like the module entry point
