@@ -271,11 +271,20 @@ class BpmBinding(ModelBinding):
         self.d = d = dataset.d
         self.directions = dataset.directions
         self.noise_var = dataset.noise_var
-        if self.noise_var == 0.0 and dataset.n and float(
-                np.min(np.linalg.norm(self.directions, axis=1))) == 0.0:
-            raise ValueError(
-                "zero training point with zero slack has an undefined "
-                "step likelihood")
+        # y x / slack needs a positive, finite squared norm: a zero point,
+        # or a slack that makes it overflow or underflow, fails deep in the
+        # first visit otherwise
+        with np.errstate(over="ignore", under="ignore"):
+            sq = np.sum(self.directions * self.directions, axis=1)
+        bad = np.flatnonzero(~((sq > 0.0) & (sq < math.inf)))
+        if bad.size:
+            i = int(bad[0])
+            if self.noise_var == 0.0 and sq[i] == 0.0:
+                raise ValueError(f"training point {i} is zero, which with zero "
+                                 "slack has an undefined step likelihood")
+            raise ValueError(f"training point {i} has a margin direction y x / slack "
+                             f"of squared norm {float(sq[i])!r} at slack "
+                             f"{dataset.slack!r}; it must be positive and finite")
         self._prior = FullGaussian(mean=np.zeros(d), covariance=np.eye(d))
 
     @property
@@ -414,13 +423,12 @@ def bpm_training_error(model: BpmModel) -> float:
 # ---------------------------------------------------------------------------
 
 def dataset_from_csv(text: str, slack: float = 0.0,
-                     bias_augmented: bool = False) -> BpmDataset:
+                     add_bias: bool = False) -> BpmDataset:
     lines = [ln for ln in text.strip().splitlines() if ln]
     header = lines[0].split(",") if lines else [""]
     if header[-1] != "label":
         raise ValueError("the header's last column must be 'label'")
     rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
     arr = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
-    return BpmDataset(points=arr[:, :-1], labels=arr[:, -1], slack=slack,
-                      bias_augmented=bias_augmented)
+    return make_dataset(arr[:, :-1], arr[:, -1], slack=slack, add_bias=add_bias)
 

@@ -17,6 +17,7 @@ from .experiments import (
     ExperimentConfig,
     config_from_dict,
     oracle_check_battery,
+    require_scipy,
     run_experiment,
     write_results,
 )
@@ -101,6 +102,7 @@ def _oracle_check(cases: int, seed: int) -> int:
     if cases < 1 or seed < 0:
         raise ConfigError(f"oracle-check needs --cases >= 1 and --seed >= 0, "
                           f"got {cases} and {seed}")
+    require_scipy("oracle-check")
     results = oracle_check_battery(cases=cases, seed=seed)
     width = max(len(r.name) for r in results)
     for r in results:

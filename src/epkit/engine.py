@@ -191,23 +191,21 @@ def _match(model: ModelBinding, cavity, i: int) -> tuple[Site, float]:
         raise MomentMatchError(i, exc) from exc
 
 
-def run_adf(model: ModelBinding, order: Sequence[int] | None = None) -> EPResult:
-    """One sequential pass of assumed-density filtering in the given order.
+def run_adf(model: ModelBinding) -> EPResult:
+    """One pass of assumed-density filtering over the terms in index order.
 
     Each term is incorporated once by the same visit as an EP sweep makes
     against a vacuous site (cavity, moment match, recombine), so the result
-    equals an undamped EP first sweep in the same order bit for bit.  The
-    log evidence is the sum of step normalizers.
+    equals an undamped sequential EP first sweep bit for bit.  Another order
+    is the same pass over permuted data.  The log evidence is the sum of
+    step normalizers.
     """
     n = model.site_count
-    order = list(range(n)) if order is None else list(order)
-    if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of range(site_count)")
     start_ops = model.tally.count
     q = model.prior()
     sites: list[Site] = [model.vacuous_site(i) for i in range(n)]
     log_evidence = 0.0
-    for i in order:
+    for i in range(n):
         cav = model.cavity(q, sites[i])
         if cav is None:
             raise MomentMatchError(i, ValueError("improper cavity"))
@@ -225,15 +223,15 @@ def run_ep(model: ModelBinding, opts: EPOptions = EPOptions(),
     largest site natural-parameter change in a sweep drops below tolerance.
 
     Sites start vacuous, so with a sequential schedule and no damping the
-    first sweep is `run_adf` in the same order.  Improper cavities are
-    skipped for the sweep and counted.  With damping < 1 the new site is
-    `old_site.damped(new_site, damping)`; either way the posterior is the
-    cavity times the new site.  Damping that cancels the precisions but
-    not the shifts, a site no family can hold, raises MomentMatchError
-    with the term index, as a failed moment match does.  A site change is
-    `new_site.change(old_site)`; a NaN change is kept as the sweep's
-    maximum, so it never counts as converged.  Non-convergence is
-    reported, not raised.
+    first sweep is `run_adf`; with no sites that sweep is empty and
+    converges.  Improper cavities are skipped for the sweep and counted.
+    With damping < 1 the new site is `old_site.damped(new_site, damping)`;
+    either way the posterior is the cavity times the new site.  Damping
+    that cancels the precisions but not the shifts, a site no family can
+    hold, raises MomentMatchError with the term index, as a failed moment
+    match does.  A site change is `new_site.change(old_site)`; a NaN change
+    is kept as the sweep's maximum, so it never counts as converged.
+    Non-convergence is reported, not raised.
     """
     n = model.site_count
     start_ops = model.tally.count
@@ -241,14 +239,6 @@ def run_ep(model: ModelBinding, opts: EPOptions = EPOptions(),
     sites: list[Site] = [model.vacuous_site(i) for i in range(n)]
     q = model.prior()
     history: list[SweepSnapshot] = []
-
-    if n == 0:
-        diag.operations = model.tally.count - start_ops
-        return EPResult(posterior=q, sites=sites,
-                        log_evidence=model.log_evidence(q, sites),
-                        sweeps=0, converged=True, diagnostics=diag,
-                        history=history)
-
     damping = opts.damping
     converged = False
     sweeps = 0
@@ -281,7 +271,7 @@ def run_ep(model: ModelBinding, opts: EPOptions = EPOptions(),
                 sweep=sweeps, posterior=q,
                 log_evidence=model.log_evidence(q, sites),
                 operations=model.tally.count - start_ops, max_change=max_change))
-        if updated == 0:
+        if n and not updated:
             break  # every cavity improper: no refinement is possible
         if model.is_degenerate(q):
             diag.degenerate = True

@@ -22,9 +22,11 @@ from .bpm import (BpmBinding, _model_from_result, bpm_training_error,
                   dataset_from_csv, make_dataset)
 from .clutter import ClutterBinding, ClutterDataSpec, generate_clutter_data
 from .engine import EPOptions, Schedule, run_adf, run_ep
-from .factorgraph import DiscreteFactorGraph, Factor, bk_adf, load_network, loopy_ep
-from .oracles import (DegenerateWeightsError, enumerate_discrete, exact_bpm_step,
-                      exact_clutter, importance_sampler, nested_importance_sampler)
+from .factorgraph import (ContradictoryEvidenceError, ContradictoryMessagesError,
+                          DiscreteFactorGraph, Factor, bk_adf, load_network, loopy_ep)
+from .oracles import (DegenerateWeightsError, VanishingMassError, enumerate_discrete,
+                      exact_bpm_step, exact_clutter, importance_sampler,
+                      nested_importance_sampler)
 
 CSV_HEADER = ("experiment", "seed", "method", "checkpoint", "operations",
               "log_evidence_error", "mean_error", "converged", "sweeps")
@@ -32,6 +34,14 @@ CSV_HEADER = ("experiment", "seed", "method", "checkpoint", "operations",
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+def require_scipy(purpose: str) -> None:
+    """Raise ConfigError unless scipy, which `purpose` needs, imports."""
+    try:
+        import scipy.special  # noqa: F401
+    except ImportError:
+        raise ConfigError(f"{purpose} needs scipy, which is not installed") from None
 
 
 def _is_finite_number(x) -> bool:
@@ -42,7 +52,6 @@ def _is_finite_number(x) -> bool:
 class ExperimentConfig:
     kind: str  # clutter | bpm | loopy
     seeds: tuple[int, ...] = tuple(range(1, 21))
-    methods: tuple[str, ...] = ("adf", "ep", "importance", "oracle")
     ep_options: EPOptions = field(default_factory=EPOptions)
     # clutter parameters
     x_true: tuple[float, ...] = (2.0,)
@@ -67,16 +76,16 @@ class ExperimentConfig:
         if not (self.x_true and all(_is_finite_number(x) for x in self.x_true)):
             raise ConfigError("x_true must be a non-empty tuple of finite "
                               f"numbers, got {self.x_true!r}")
+        if math.hypot(*self.x_true) > 1e150:
+            # keeps the squared residuals of the fits and the 2^n oracle,
+            # up to about (20 |y|)^2, below 1e303: no overflow
+            raise ConfigError("x_true must have a Euclidean norm of at most "
+                              "1e150, or the clutter residuals overflow, got "
+                              f"{self.x_true!r}")
         if not (_is_finite_number(self.slack) and self.slack >= 0):
             raise ConfigError(f"slack must be a finite number >= 0, got {self.slack!r}")
         if type(self.add_bias) is not bool:
             raise ConfigError(f"add_bias must be true or false, got {self.add_bias!r}")
-        if not self.methods:
-            raise ConfigError("at least one method is required")
-        known = {"adf", "ep", "importance", "oracle"}
-        bad = set(self.methods) - known
-        if bad:
-            raise ConfigError(f"unknown methods {sorted(bad)}")
         if not 0.0 <= self.w <= 1.0:
             raise ConfigError(f"w must lie in [0, 1], got {self.w!r}")
         for name, low in (("n", 0), ("n_vars", 1), ("max_cardinality", 2)):
@@ -84,8 +93,8 @@ class ExperimentConfig:
             if type(value) is not int or value < low:
                 raise ConfigError(f"{name} must be an int of at least {low}, "
                                   f"got {value!r}")
-        if self.kind == "clutter" and "oracle" in self.methods and self.n > 20:
-            raise ConfigError("n must be <= 20 when the exact oracle is requested")
+        if self.kind == "clutter" and self.n > 20:
+            raise ConfigError("n must be <= 20 for the exact 2^n clutter oracle")
         counts = self.importance_samples
         if not (isinstance(counts, tuple) and counts
                 and all(type(c) is int and c > 0 for c in counts)):
@@ -136,7 +145,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if sched_doc is not None:
             ep_doc["schedule"] = Schedule(**sched_doc)
         opts = EPOptions(**ep_doc)
-        for key in ("seeds", "methods", "x_true"):
+        for key in ("seeds", "x_true"):
             if key in doc:
                 doc[key] = tuple(doc[key])
         if isinstance(doc.get("importance_samples"), list):
@@ -215,18 +224,14 @@ def run_clutter_experiment(config: ExperimentConfig) -> list[ResultRow]:
             return (abs(log_ev - exact.log_evidence),
                     float(np.linalg.norm(np.atleast_1d(mean) - exact.mean)))
 
-        if "oracle" in config.methods:
-            rows.append(ResultRow("clutter", seed, "oracle", "exact",
-                                  0, 0.0, 0.0, True, 0))
+        rows.append(ResultRow("clutter", seed, "oracle", "exact", 0, 0.0, 0.0, True, 0))
         for method in ("adf", "ep"):
-            if method in config.methods:
-                rows += _fit_rows("clutter", seed, method, ClutterBinding(model),
-                                  config.ep_options, errs)[1]
-        if "importance" in config.methods:
-            rows += _importance_rows(
-                "clutter", seed, model.log_likelihood,
-                model.prior_variance * np.eye(model.d), config.importance_samples,
-                seed, exact.log_evidence, exact.mean)
+            rows += _fit_rows("clutter", seed, method, ClutterBinding(model),
+                              config.ep_options, errs)[1]
+        rows += _importance_rows(
+            "clutter", seed, model.log_likelihood,
+            model.prior_variance * np.eye(model.d), config.importance_samples,
+            seed, exact.log_evidence, exact.mean)
     return rows
 
 
@@ -251,25 +256,28 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
     Either way the importance rows are the other configured sample counts.
     Each trained method also emits a `train_error` checkpoint row whose
     mean_error column is the training-set error rate (log_evidence_error is
-    marked nan there).  A dataset file that cannot be read or parsed, or
-    that the exact truth cannot score, raises ConfigError before any seed;
-    one whose sampled truth gets no draw of nonzero likelihood raises it at
-    that seed."""
+    marked nan there).  A dataset file that cannot be read or parsed, a
+    point whose margin direction the binding rejects, a dataset that the
+    exact truth cannot score, or slack > 0 without scipy raises ConfigError
+    before any seed; one whose sampled truth gets no draw of likelihood
+    above zero in floating point raises it at that seed."""
     path = config.dataset_path
+    if config.slack > 0.0:
+        require_scipy("bpm with slack > 0")
     try:
         if path is None:
             dataset = builtin_bpm_dataset(config.slack, config.add_bias)
         else:
-            raw = dataset_from_csv(Path(path).read_text(), slack=config.slack)
-            dataset = make_dataset(raw.points, raw.labels, slack=config.slack,
-                                   add_bias=config.add_bias)
+            dataset = dataset_from_csv(Path(path).read_text(), slack=config.slack,
+                                       add_bias=config.add_bias)
+        binding = BpmBinding(dataset)
         d = dataset.d
         exact = exact_bpm_step(dataset.directions) \
             if config.slack == 0.0 and d <= 3 else None
     except OSError as exc:
         raise ConfigError(f"unreadable dataset {path}: {exc}") from None
     except ValueError as exc:
-        raise ConfigError(f"bad dataset {path}: {exc}") from None
+        raise ConfigError(f"bad dataset {path or '(built-in)'}: {exc}") from None
 
     rows: list[ResultRow] = []
     s_truth = max(config.importance_samples)
@@ -283,10 +291,13 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 truth = importance_sampler(dataset.log_likelihood, np.zeros(d),
                                            np.eye(d), s_truth, seed)
             except DegenerateWeightsError:
+                truth = None
+            if truth is None or truth.evidence.value == 0.0:
                 raise ConfigError(
-                    f"bad dataset {path}: none of the {s_truth} truth draws on "
-                    f"seed {seed} has nonzero likelihood (with zero slack, no "
-                    f"weight vector or too few separate the labels)") from None
+                    f"bad dataset {path or '(built-in)'}: none of the {s_truth} "
+                    f"truth draws on seed {seed} has a likelihood above zero in "
+                    "floating point (no weight vector, or too few, fit the labels "
+                    "within the slack)")
             log_ev_truth = math.log(truth.evidence.value)
             truth_mean = truth.posterior_mean.value
         else:
@@ -296,20 +307,18 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
             return (abs(log_ev - log_ev_truth),
                     float(np.linalg.norm(mean - truth_mean)))
 
-        if "oracle" in config.methods:
-            rows.append(ResultRow("bpm", seed, "oracle", oracle_checkpoint,
-                                  oracle_ops, 0.0, 0.0, True, 0))
+        rows.append(ResultRow("bpm", seed, "oracle", oracle_checkpoint,
+                              oracle_ops, 0.0, 0.0, True, 0))
         for method in ("adf", "ep"):
-            if method in config.methods:
-                res, fit_rows = _fit_rows("bpm", seed, method, BpmBinding(dataset),
-                                          config.ep_options, errs)
-                err = bpm_training_error(_model_from_result(dataset, res))
-                rows += fit_rows + [replace(
-                    fit_rows[-1], checkpoint="train_error",
-                    operations=res.diagnostics.operations,
-                    log_evidence_error=math.nan, mean_error=err)]
+            res, fit_rows = _fit_rows("bpm", seed, method, binding,
+                                      config.ep_options, errs)
+            err = bpm_training_error(_model_from_result(dataset, res))
+            rows += fit_rows + [replace(
+                fit_rows[-1], checkpoint="train_error",
+                operations=res.diagnostics.operations,
+                log_evidence_error=math.nan, mean_error=err)]
         counts = [c for c in config.importance_samples if c != s_truth]
-        if "importance" in config.methods and counts:
+        if counts:
             rows += _importance_rows("bpm", seed, dataset.log_likelihood, np.eye(d),
                                      counts, seed + 10_000, log_ev_truth, truth_mean)
     return rows
@@ -355,7 +364,8 @@ def run_loopy_experiment(config: ExperimentConfig) -> list[ResultRow]:
     network, run BK-ADF and loopy EP, and emit one row per (method,
     variable) with the L1 belief distance against exhaustive enumeration,
     plus the evidence error and convergence flag.  A network file is read
-    once, before any seed runs."""
+    once, before any seed runs; a network whose evidence contradicts itself
+    raises ConfigError naming it and the factor."""
     fixed = None
     if config.network == "cycle3":
         fixed = frustrated_cycle_network()
@@ -370,30 +380,31 @@ def run_loopy_experiment(config: ExperimentConfig) -> list[ResultRow]:
             config.n_vars, config.max_cardinality, seed)
 
         try:
+            beliefs, log_ev = bk_adf(net)
+            res = loopy_ep(net, config.ep_options)
+        except (ContradictoryEvidenceError, ContradictoryMessagesError) as exc:
+            raise ConfigError(f"bad network {config.network}: {exc}") from None
+        try:
             marginals, log_partition = enumerate_discrete(net)
-            have_oracle = True
-        except ValueError:
-            marginals, log_partition = {}, math.nan
-            have_oracle = False
+        except VanishingMassError as exc:
+            raise ConfigError(f"bad network {config.network}: {exc}") from None
+        except ValueError:  # more joint states than enumerate_discrete takes
+            marginals, log_partition = None, math.nan
 
         def l1(beliefs, vid):
-            if not have_oracle:
+            if marginals is None:
                 return math.nan
             return float(np.sum(np.abs(beliefs[vid] - marginals[vid])))
 
-        if "adf" in config.methods:
-            beliefs, log_ev = bk_adf(net)
-            for vid, _ in net.variables:
-                rows.append(ResultRow(
-                    "loopy", seed, "adf", vid, len(net.factors),
-                    abs(log_ev - log_partition), l1(beliefs, vid), True, 1))
-        if "ep" in config.methods:
-            res = loopy_ep(net, config.ep_options)
-            for vid, _ in net.variables:
-                rows.append(ResultRow(
-                    "loopy", seed, "ep", vid, res.operations,
-                    abs(res.log_evidence - log_partition),
-                    l1(res.beliefs, vid), res.converged, res.sweeps))
+        for vid, _ in net.variables:
+            rows.append(ResultRow(
+                "loopy", seed, "adf", vid, len(net.factors),
+                abs(log_ev - log_partition), l1(beliefs, vid), True, 1))
+        for vid, _ in net.variables:
+            rows.append(ResultRow(
+                "loopy", seed, "ep", vid, res.operations,
+                abs(res.log_evidence - log_partition),
+                l1(res.beliefs, vid), res.converged, res.sweeps))
     return rows
 
 

@@ -112,17 +112,13 @@ class DiscreteFactorGraph:
         return list(self._incident.get(vid, ()))
 
 
-def load_network(document: dict | str | Path) -> DiscreteFactorGraph:
-    """Build a validated graph from a JSON document (dict, JSON text, or a
-    path to a JSON file) with variables {id, cardinality} and factors
-    {id, scope, table}; observed variables arrive already sliced into the
-    factor tables."""
+def load_network(document: dict | Path) -> DiscreteFactorGraph:
+    """Build a validated graph from a JSON document (a dict, or the path of
+    a JSON file) with variables {id, cardinality} and factors {id, scope,
+    table}; observed variables arrive already sliced into the factor
+    tables."""
     if isinstance(document, Path):
         document = json.loads(document.read_text())
-    elif isinstance(document, str):
-        text = document if document.lstrip().startswith("{") \
-            else Path(document).read_text()
-        document = json.loads(text)
     variables = [(v["id"], v["cardinality"]) for v in document["variables"]]
     factors = [Factor(id=str(f["id"]), scope=tuple(str(s) for s in f["scope"]),
                       table=np.asarray(f["table"], dtype=float))
@@ -197,24 +193,20 @@ def _exp_normalize(log_a: np.ndarray) -> tuple[np.ndarray | None, float]:
     return e / s, top + math.log(s)
 
 
-def bk_adf(net: DiscreteFactorGraph,
-           order: list[int] | None = None) -> tuple[BeliefSet, float]:
-    """One Boyen-Koller pass: after each factor, the in-scope beliefs become
-    the marginals of (factor x current disconnected beliefs).
+def bk_adf(net: DiscreteFactorGraph) -> tuple[BeliefSet, float]:
+    """One Boyen-Koller pass over the factors in graph order: after each
+    factor, the in-scope beliefs become the marginals of (factor x current
+    disconnected beliefs).  Another order is the same pass over a graph
+    with its factors permuted.
 
     Log evidence sums the step normalizers; each variable's log-cardinality
     scale is consumed when a factor first touches it, and variables no
     factor touches contribute their full log cardinality.
     """
-    m = len(net.factors)
-    order = list(range(m)) if order is None else list(order)
-    if sorted(order) != list(range(m)):
-        raise ValueError("order must be a permutation of the factor indices")
     beliefs: BeliefSet = {v: np.full(c, 1.0 / c) for v, c in net.variables}
     untouched = {v for v, _ in net.variables}
     log_evidence = 0.0
-    for idx in order:
-        f = net.factors[idx]
+    for f in net.factors:
         joint = f.table.reshape(_factor_shape(net, f))
         z, partial = _tilted(joint, [beliefs[v] for v in f.scope])
         if z <= 0.0:

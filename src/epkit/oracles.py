@@ -572,7 +572,8 @@ def enumerate_discrete(net) -> tuple[dict, float]:
     """Exact marginals and log partition of a DiscreteFactorGraph by summing
     the factor product over every joint configuration (log-sum-exp).
 
-    Refuses joint state spaces above 10^7.
+    Refuses joint state spaces above 10^7; a product that is zero at every
+    joint state raises VanishingMassError.
     """
     cards = [c for _, c in net.variables]
     total = 1
@@ -593,6 +594,8 @@ def enumerate_discrete(net) -> tuple[dict, float]:
             log_joint = log_joint + expanded
 
     log_partition = _logsumexp(log_joint)
+    if log_partition == -math.inf:
+        raise VanishingMassError("the factor product is zero at every joint state")
     marginals = {}
     for vid, axis in index.items():
         other = tuple(a for a in range(len(cards)) if a != axis)

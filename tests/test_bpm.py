@@ -225,6 +225,20 @@ class TestTraining:
         with pytest.raises(ValueError, match="step likelihood"):
             bpm_train(make_dataset([[0.0, 0.0]], [1.0], slack=0.0))
 
+    @pytest.mark.parametrize("points, slack, norm", [
+        ([[1.0, 1.0], [0.0, 0.0]], 1.0, "0.0"),
+        ([[1.0, 1.0]], 1e-300, "inf"),
+        ([[0.0, 1e-10]], 1e300, "0.0"),
+        ([[1.0, 1.0], [1e200, 0.0]], 0.0, "inf"),
+    ], ids=["zero-point-with-slack", "slack-overflows", "slack-underflows",
+            "point-overflows"])
+    def test_direction_without_a_finite_positive_norm_rejected(self, points, slack,
+                                                               norm):
+        ds = make_dataset(points, [1.0] * len(points), slack=slack)
+        with pytest.raises(ValueError, match=f"point {len(points) - 1} .* "
+                                             f"squared norm {norm} "):
+            BpmBinding(ds)
+
     def test_nonseparable_step_likelihood_degenerates_cleanly(self):
         # opposite labels on the same point: the step-likelihood product has
         # zero mass, so refinement collapses the posterior toward a point;

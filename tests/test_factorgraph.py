@@ -58,14 +58,14 @@ class TestLoadNetwork:
         net = load_network(doc)
         assert len(net.factors) == 3
 
-    def test_from_json_text_and_path(self, tmp_path):
+    def test_from_dict_and_path(self, tmp_path):
         doc = {"variables": [{"id": "a", "cardinality": 3}],
                "factors": [{"id": "f", "scope": ["a"], "table": [1, 2, 3]}]}
-        net_text = load_network(json.dumps(doc))
         path = tmp_path / "net.json"
         path.write_text(json.dumps(doc))
-        net_file = load_network(path)
-        assert net_text.variables == net_file.variables
+        net_dict, net_file = load_network(doc), load_network(path)
+        assert net_dict.variables == net_file.variables
+        assert np.array_equal(net_dict.factors[0].table, net_file.factors[0].table)
 
     @pytest.mark.parametrize("table", [[1.0], [0.0, 0.0], [1.0, -1.0]])
     def test_bad_tables(self, table):
@@ -205,10 +205,6 @@ class TestBkAdf:
         with pytest.raises(ContradictoryEvidenceError, match="obs2"):
             bk_adf(net)
 
-    def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            bk_adf(unary_net(), order=[0, 0])
-
 
 class TestLoopyEp:
     def test_single_factor_exact_after_one_sweep(self):
@@ -241,13 +237,17 @@ class TestLoopyEp:
             assert np.allclose(res.beliefs[v], adf_beliefs[v], atol=1e-12)
 
     def test_first_random_sweep_equals_bk_adf_same_order(self):
-        net = random_tree_network(6, 3, 5)
-        sched = Schedule("random", seed=17)
-        order = list(np.random.default_rng(17).permutation(len(net.factors)))
-        adf_beliefs, _ = bk_adf(net, order=order)
-        res = loopy_ep(net, EPOptions(max_sweeps=1, schedule=sched))
-        for v, _ in net.variables:
-            assert np.allclose(res.beliefs[v], adf_beliefs[v], atol=1e-12)
+        # a random first sweep is BK-ADF over the factors permuted the same way
+        for seed in (5, 17, 23):
+            net = random_tree_network(6, 3, seed)
+            sched = Schedule("random", seed=seed)
+            order = next(sched.orders(len(net.factors)))
+            permuted = dataclasses.replace(
+                net, factors=tuple(net.factors[i] for i in order))
+            adf_beliefs, _ = bk_adf(permuted)
+            res = loopy_ep(net, EPOptions(max_sweeps=1, schedule=sched))
+            for v, _ in net.variables:
+                assert np.allclose(res.beliefs[v], adf_beliefs[v], atol=1e-12)
 
     @pytest.mark.parametrize("damping", [1.0, 0.5])
     def test_contradictory_evidence_raises_like_bk_adf(self, damping):

@@ -1,13 +1,21 @@
 """Experiment runners and CLI: determinism, row structure, validation,
 and end-to-end surfacing of engine properties."""
+import contextlib
+import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epkit.cli import main as cli_main
 from epkit.engine import EPOptions
@@ -35,17 +43,9 @@ def clutter_config(**kw):
 
 
 class TestConfig:
-    def test_requires_methods(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(kind="clutter", methods=())
-
     def test_requires_seeds(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(kind="clutter", seeds=())
-
-    def test_unknown_method(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(kind="clutter", methods=("adf", "vb"))
 
     def test_oracle_bound(self):
         with pytest.raises(ConfigError):
@@ -189,8 +189,10 @@ class TestBpmExperiment:
                                dataset_path=str(path), add_bias=False,
                                importance_samples=(200000,))
         rows = run_bpm_experiment(cfg)
-        ep = [r for r in rows if r.method == "ep" and r.checkpoint == "final"]
-        # posterior is the prior; distance to the sampled prior mean is tiny
+        ep = [r for r in rows if r.method == "ep" and r.checkpoint != "train_error"]
+        # one empty sweep; posterior is the prior, and its distance to the
+        # sampled prior mean is tiny
+        assert [r.checkpoint for r in ep] == ["sweep1"]
         assert ep[-1].mean_error < 0.02
 
     @staticmethod
@@ -383,9 +385,13 @@ class TestCli:
         ("clutter", [], {"x_true": []}),
         ("clutter", [], {"x_true": ["a"]}),
         ("clutter", [], {"x_true": [1e400]}),
+        ("clutter", [], {"x_true": [1e155]}),
+        ("clutter", [], {"x_true": [2.0, 1e160]}),
         ("bpm", [], {"slack": math.nan}),
         ("bpm", [], {"slack": math.inf}),
         ("bpm", [], {"slack": -1}),
+        ("bpm", [], {"slack": 1e-300}),
+        ("bpm", [], {"slack": 1e300}),
         ("bpm", [], {"add_bias": "yes"}),
         ("clutter", [], {"ep_options": {"max_sweeps": 2.5}}),
         ("clutter", [], {"timings": True}),
@@ -393,8 +399,10 @@ class TestCli:
             "schedule-random-x", "schedule-zigzag", "w-2", "n-minus-1",
             "n-2.5", "n-vars-0", "max-cardinality-1", "seeds-str",
             "seeds-negative", "schedule-seed-str", "schedule-seed-negative",
-            "x-true-empty", "x-true-str", "x-true-inf", "slack-nan", "slack-inf",
-            "slack-negative", "add-bias-str", "max-sweeps-float", "timings-key"])
+            "x-true-empty", "x-true-str", "x-true-inf", "x-true-1e155",
+            "x-true-norm-1e160", "slack-nan", "slack-inf", "slack-negative",
+            "slack-overflows-directions", "slack-underflows-directions",
+            "add-bias-str", "max-sweeps-float", "timings-key"])
     def test_bad_input_exits_1_with_error_line(self, tmp_path, capsys, kind,
                                                flags, doc):
         if doc is not None:
@@ -416,6 +424,9 @@ class TestCli:
         ("bpm", {}, ""),
         ("bpm", {}, None),
         ("bpm", {}, "dir"),
+        ("bpm", {"slack": 1.0, "add_bias": False}, "x1,x2,label\n1,1,1\n0,0,1\n"),
+        ("bpm", {"slack": 1e-6, "add_bias": False},
+         "x1,x2,label\n1,0,1\n1,0,-1\n0,1,1\n0,1,-1\n"),
         ("loopy", {}, None),
         ("loopy", {}, "dir"),
         ("loopy", {}, "{"),
@@ -424,7 +435,8 @@ class TestCli:
                       '[{"id": "f", "scope": ["a"], "table": [1.0]}]}'),
     ], ids=["dataset-label-3", "dataset-header", "dataset-nan", "dataset-nonseparable",
             "dataset-zero-row", "dataset-nonseparable-d4", "dataset-empty-file",
-            "dataset-missing", "dataset-dir",
+            "dataset-missing", "dataset-dir", "dataset-zero-row-with-slack",
+            "dataset-truth-underflows",
             "network-missing", "network-dir", "network-bad-json", "network-no-variables",
             "network-unknown-variable"])
     def test_bad_input_file_exits_1_naming_it(self, tmp_path, capsys, kind, doc,
@@ -542,6 +554,42 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.glob("*.csv")) \
             == ["bpm.csv", "clutter.csv", "loopy.csv"]
 
+    def test_contradictory_network_names_it_and_the_factor(self, tmp_path, capsys):
+        # two unary observations of one variable that contradict each other
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({
+            "variables": [{"id": "a", "cardinality": 2}],
+            "factors": [{"id": "obs1", "scope": ["a"], "table": [1, 0]},
+                        {"id": "obs2", "scope": ["a"], "table": [0, 1]}]}))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"network": str(path)}))
+        out = tmp_path / "o.csv"
+        assert cli_main(["loopy", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: bad network {path}: contradictory evidence at factor 'obs2'\n"
+        assert not out.exists()
+
+    def test_scipy_paths_without_scipy_exit_1(self, tmp_path):
+        # oracle-check and slack > 0 need scipy; without it each run stops
+        # with one error line before any seed, and writes no CSV
+        (tmp_path / "cfg.json").write_text(json.dumps({"slack": 1.0}))
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from epkit.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+        for argv in (["oracle-check"],
+                     ["bpm", "--config", str(tmp_path / "cfg.json"),
+                      "--out", str(tmp_path / "o.csv")]):
+            proc = subprocess.run([sys.executable, "-c", script, *argv],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 1
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ") \
+                and "scipy" in lines[0], proc.stderr
+            assert "PASS" not in proc.stdout
+        assert not list(tmp_path.glob("o.csv*"))
+
     def test_console_entry_point(self, tmp_path):
         # the installed script must behave like the module entry point
         proc = subprocess.run(
@@ -549,3 +597,78 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
+
+
+@st.composite
+def _cli_runs(draw):
+    """(kind, config document, input files) for one CLI run of any
+    experiment: tiny clutter sets up to overflow-sized x_true, BPM sets with
+    zero rows and extreme slacks, and binary networks with zero entries."""
+    kind = draw(st.sampled_from(["clutter", "bpm", "loopy"]))
+    doc = {"seeds": [draw(st.integers(0, 100))], "importance_samples": [10, 100],
+           "ep_options": {"damping": draw(st.sampled_from([1.0, 0.5])),
+                          "max_sweeps": draw(st.integers(1, 5))}}
+    files = {}
+    if kind == "clutter":
+        d = draw(st.integers(1, 2))
+        doc.update(x_true=draw(st.lists(st.floats(-1e160, 1e160), min_size=d, max_size=d)),
+                   n=draw(st.integers(0, 6)), w=draw(st.floats(0.0, 1.0)))
+    elif kind == "bpm":
+        k = draw(st.integers(1, 3))
+        rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                             min_size=1, max_size=4))
+        lines = [",".join([f"x{j}" for j in range(k)] + ["label"])]
+        lines += [",".join(map(str, r + [draw(st.sampled_from([-1, 1]))])) for r in rows]
+        files["data.csv"] = "\n".join(lines) + "\n"
+        doc.update(dataset_path="data.csv", add_bias=False,
+                   slack=draw(st.sampled_from([0.0, 1e-300, 1e-3, 1.0, 1e300])))
+    else:
+        n = draw(st.integers(1, 3))
+        scopes = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                        unique=True), min_size=1, max_size=4))
+        factors = [{"id": f"f{j}", "scope": [f"v{i}" for i in scope],
+                    "table": draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]),
+                                           min_size=2 ** len(scope),
+                                           max_size=2 ** len(scope)))}
+                   for j, scope in enumerate(scopes)]
+        files["net.json"] = json.dumps({
+            "variables": [{"id": f"v{i}", "cardinality": 2} for i in range(n)],
+            "factors": factors})
+        doc["network"] = "net.json"
+    return kind, doc, files
+
+
+class TestCliContract:
+    # Any config either runs (exit 0, a CSV whose EP rows stop within
+    # max_sweeps and whose ADF and EP error cells are numbers) or is refused
+    # with one `error:` line and no CSV; nothing raises, and a RuntimeWarning,
+    # which would print to stderr too, counts as a failure.
+    @settings(max_examples=300, deadline=None)
+    @given(_cli_runs())
+    def test_exits_0_with_valid_csv_or_1_with_one_error_line(self, run):
+        kind, doc, files = run
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for name, text in files.items():
+                (Path(tmp) / name).write_text(text)
+            for key in ("dataset_path", "network"):
+                if key in doc:
+                    doc[key] = str(Path(tmp) / doc[key])
+            cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "o.csv"
+            cfg.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main([kind, "--config", str(cfg), "--out", str(out)])
+            if code == 1:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), lines
+                assert not out.exists()
+                return
+            assert code == 0
+            rows = list(csv.DictReader(out.read_text().splitlines()))
+            max_sweeps = doc["ep_options"]["max_sweeps"]
+            for r in rows:
+                if r["method"] == "ep":
+                    assert 1 <= int(r["sweeps"]) <= max_sweeps, r
+                if r["method"] in ("adf", "ep"):
+                    float(r["log_evidence_error"]), float(r["mean_error"])

@@ -557,6 +557,15 @@ class TestEnumerateDiscrete:
         for v in ("a", "b", "c"):
             assert np.allclose(marg[v], [0.5, 0.5], atol=1e-12)
 
+    def test_zero_product_raises(self):
+        # each factor alone has mass, but no joint state satisfies both
+        net = DiscreteFactorGraph(
+            variables=(("a", 2), ("b", 2)),
+            factors=(Factor("fa", ("a",), [0.5, 0.0]),
+                     Factor("fab", ("a", "b"), [0.0, 0.0, 0.0, 0.5])))
+        with pytest.raises(VanishingMassError, match="every joint state"):
+            enumerate_discrete(net)
+
     def test_state_space_bound(self):
         variables = tuple((f"v{i}", 10) for i in range(8))
         factors = (Factor("f", ("v0",), [1.0] * 10),)
