@@ -1,7 +1,7 @@
 """Robust Gaussian mean estimation with a known clutter fraction.
 
 Each observation comes from N(x, I) with probability 1-w and from a broad
-zero-centered clutter component N(0, clutter_variance I) otherwise; the
+zero-centered clutter component N(0, CLUTTER_VARIANCE I) otherwise; the
 posterior over x is approximated by a spherical Gaussian.  This module
 supplies the analytic per-term moment match, synthetic data generation, and
 the binding that plugs it into the ADF/EP engine.
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,8 +27,9 @@ from .gaussians import (
     vacuous_spherical,
 )
 
-DEFAULT_PRIOR_VARIANCE = 100.0
-DEFAULT_CLUTTER_VARIANCE = 10.0
+# The paper's one clutter problem: its constants, which the oracles share.
+PRIOR_VARIANCE = 100.0
+CLUTTER_VARIANCE = 10.0
 
 # Rows per block of `ClutterModel.log_likelihood`: each per-block temporary
 # is one float per row (64 KiB at d = 1), so the working set stays in cache
@@ -42,8 +44,8 @@ LIKELIHOOD_CHUNK_TERMS = 512
 class ClutterModel:
     data: np.ndarray  # (n, d)
     w: float
-    prior_variance: float = DEFAULT_PRIOR_VARIANCE
-    clutter_variance: float = DEFAULT_CLUTTER_VARIANCE
+    prior_variance: ClassVar[float] = PRIOR_VARIANCE
+    clutter_variance: ClassVar[float] = CLUTTER_VARIANCE
 
     def __post_init__(self):
         arr = np.atleast_2d(np.asarray(self.data, dtype=float))
@@ -54,11 +56,6 @@ class ClutterModel:
                              f"is {arr[bad[0]].tolist()}")
         if not 0.0 <= self.w <= 1.0:
             raise ValueError("clutter ratio w must lie in [0, 1]")
-        for name in ("prior_variance", "clutter_variance"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not (self.prior_variance > 0.0 and self.clutter_variance > 0.0):
-            raise ValueError("variances must be positive")
 
     @property
     def n(self) -> int:
@@ -153,13 +150,13 @@ class ClutterDataSpec:
 
 
 def generate_clutter_data(spec: ClutterDataSpec) -> ClutterModel:
-    """Draw n points from (1-w) N(x_true, I) + w N(0, 10 I), reproducibly
-    for a fixed seed (PCG64 stream)."""
+    """Draw n points from (1-w) N(x_true, I) + w N(0, CLUTTER_VARIANCE I),
+    reproducibly for a fixed seed (PCG64 stream)."""
     rng = np.random.default_rng(spec.seed)
     is_clutter = rng.random(spec.n) < spec.w
     normals = rng.standard_normal((spec.n, spec.d))
     data = np.where(is_clutter[:, None],
-                    normals * math.sqrt(DEFAULT_CLUTTER_VARIANCE),
+                    normals * math.sqrt(CLUTTER_VARIANCE),
                     spec.x_true[None, :] + normals)
     return ClutterModel(data=data, w=spec.w)
 
@@ -203,13 +200,12 @@ def _tilted_moments(m: np.ndarray, v: float, y: np.ndarray, w: float,
     return mean, variance, log_z, r
 
 
-def clutter_moment_match(cavity: SphericalGaussian, y: np.ndarray, w: float,
-                         clutter_variance: float = DEFAULT_CLUTTER_VARIANCE
-                         ) -> ClutterMatch:
+def clutter_moment_match(cavity: SphericalGaussian, y: np.ndarray,
+                         w: float) -> ClutterMatch:
     """Spherical moment match of one observation term against the cavity
     (see `_tilted_moments`)."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    log_cl = math.log(w) + log_normal_pdf(y, np.zeros(cavity.dim), clutter_variance) \
+    log_cl = math.log(w) + log_normal_pdf(y, np.zeros(cavity.dim), CLUTTER_VARIANCE) \
         if w > 0.0 else -math.inf
     mean, variance, log_z, r = _tilted_moments(cavity.mean, cavity.variance, y, w, log_cl)
     return ClutterMatch(posterior=SphericalGaussian.trusted(mean, variance),

@@ -32,6 +32,11 @@ import numpy as np
 from .gaussians import CancelledPrecisionError, Site
 
 
+def is_finite_number(x) -> bool:
+    """True for a finite int or float that is not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 class OpTally:
     """Mutable elementary-operation counter carried through one run."""
 
@@ -76,13 +81,14 @@ class EPOptions:
     schedule: Schedule = field(default_factory=Schedule)
 
     def __post_init__(self):
-        if not 0.0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be finite and positive")
+        if not (is_finite_number(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError("tolerance must be a finite positive number, "
+                             f"got {self.tolerance!r}")
         if type(self.max_sweeps) is not int or self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be an int of at least 1, "
                              f"got {self.max_sweeps!r}")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
+        if not (is_finite_number(self.damping) and 0.0 < self.damping <= 1.0):
+            raise ValueError(f"damping must be a number in (0, 1], got {self.damping!r}")
 
 
 @dataclass

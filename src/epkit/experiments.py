@@ -21,7 +21,7 @@ from . import __version__
 from .bpm import (BpmBinding, _model_from_result, bpm_training_error,
                   dataset_from_csv, make_dataset)
 from .clutter import ClutterBinding, ClutterDataSpec, generate_clutter_data
-from .engine import EPOptions, Schedule, run_adf, run_ep
+from .engine import EPOptions, Schedule, is_finite_number, run_adf, run_ep
 from .factorgraph import (ContradictoryEvidenceError, ContradictoryMessagesError,
                           DiscreteFactorGraph, Factor, bk_adf, load_network, loopy_ep)
 from .oracles import (DegenerateWeightsError, VanishingMassError, enumerate_discrete,
@@ -42,10 +42,6 @@ def require_scipy(purpose: str) -> None:
         import scipy.special  # noqa: F401
     except ImportError:
         raise ConfigError(f"{purpose} needs scipy, which is not installed") from None
-
-
-def _is_finite_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -73,7 +69,7 @@ class ExperimentConfig:
         if not (self.seeds and all(type(s) is int and s >= 0 for s in self.seeds)):
             raise ConfigError("seeds must be a non-empty tuple of non-negative "
                               f"ints, got {self.seeds!r}")
-        if not (self.x_true and all(_is_finite_number(x) for x in self.x_true)):
+        if not (self.x_true and all(is_finite_number(x) for x in self.x_true)):
             raise ConfigError("x_true must be a non-empty tuple of finite "
                               f"numbers, got {self.x_true!r}")
         if math.hypot(*self.x_true) > 1e150:
@@ -82,12 +78,17 @@ class ExperimentConfig:
             raise ConfigError("x_true must have a Euclidean norm of at most "
                               "1e150, or the clutter residuals overflow, got "
                               f"{self.x_true!r}")
-        if not (_is_finite_number(self.slack) and self.slack >= 0):
+        if not (is_finite_number(self.slack) and self.slack >= 0):
             raise ConfigError(f"slack must be a finite number >= 0, got {self.slack!r}")
         if type(self.add_bias) is not bool:
             raise ConfigError(f"add_bias must be true or false, got {self.add_bias!r}")
-        if not 0.0 <= self.w <= 1.0:
-            raise ConfigError(f"w must lie in [0, 1], got {self.w!r}")
+        if not (is_finite_number(self.w) and 0.0 <= self.w <= 1.0):
+            raise ConfigError(f"w must be a number in [0, 1], got {self.w!r}")
+        if not (self.dataset_path is None or isinstance(self.dataset_path, str)):
+            raise ConfigError("dataset_path must be a path string or null, "
+                              f"got {self.dataset_path!r}")
+        if not isinstance(self.network, str):
+            raise ConfigError(f"network must be a string, got {self.network!r}")
         for name, low in (("n", 0), ("n_vars", 1), ("max_cardinality", 2)):
             value = getattr(self, name)
             if type(value) is not int or value < low:
@@ -182,19 +183,17 @@ def _importance_rows(experiment: str, seed: int, log_likelihood,
                      log_evidence: float, mean: np.ndarray) -> list[ResultRow]:
     """The `samples<count>` rows of importance sampling from the zero-mean
     prior, one per count in `counts`, against the reference log evidence and
-    mean.  The counts are nested prefixes of one draw.  An all-zero evidence
-    estimate has an infinite log-evidence error, and a count whose prefix
-    has no draw of nonzero likelihood infinite errors in both columns."""
+    mean.  The counts are nested prefixes of one draw.  A count whose prefix
+    has no draw of nonzero likelihood has infinite errors in both columns."""
     d = prior_cov.shape[0]
     ests = nested_importance_sampler(log_likelihood, np.zeros(d), prior_cov,
-                                     counts, sampler_seed, allow_degenerate=True)
+                                     counts, sampler_seed)
     rows = []
     for s_count, est in zip(counts, ests):
         if est is None:
             e_ev = e_m = math.inf
         else:
-            e_ev = abs(math.log(est.evidence.value) - log_evidence) \
-                if est.evidence.value > 0 else math.inf
+            e_ev = abs(est.log_evidence - log_evidence)
             e_m = float(np.linalg.norm(est.posterior_mean.value - mean))
         rows.append(ResultRow(experiment, seed, "importance", f"samples{s_count}",
                               s_count * (d + 2), e_ev, e_m, True, 0))
@@ -217,8 +216,7 @@ def run_clutter_experiment(config: ExperimentConfig) -> list[ResultRow]:
         spec = ClutterDataSpec(x_true=np.asarray(config.x_true), n=config.n,
                                w=config.w, seed=seed)
         model = generate_clutter_data(spec)
-        exact = exact_clutter(model.data, model.w, model.prior_variance,
-                              model.clutter_variance)
+        exact = exact_clutter(model.data, model.w)
 
         def errs(mean, log_ev):
             return (abs(log_ev - exact.log_evidence),
@@ -259,8 +257,8 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
     marked nan there).  A dataset file that cannot be read or parsed, a
     point whose margin direction the binding rejects, a dataset that the
     exact truth cannot score, or slack > 0 without scipy raises ConfigError
-    before any seed; one whose sampled truth gets no draw of likelihood
-    above zero in floating point raises it at that seed."""
+    before any seed; one whose sampled truth gets no draw of nonzero
+    likelihood raises it at that seed."""
     path = config.dataset_path
     if config.slack > 0.0:
         require_scipy("bpm with slack > 0")
@@ -291,14 +289,12 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 truth = importance_sampler(dataset.log_likelihood, np.zeros(d),
                                            np.eye(d), s_truth, seed)
             except DegenerateWeightsError:
-                truth = None
-            if truth is None or truth.evidence.value == 0.0:
                 raise ConfigError(
                     f"bad dataset {path or '(built-in)'}: none of the {s_truth} "
-                    f"truth draws on seed {seed} has a likelihood above zero in "
-                    "floating point (no weight vector, or too few, fit the labels "
-                    "within the slack)")
-            log_ev_truth = math.log(truth.evidence.value)
+                    f"truth draws on seed {seed} has a nonzero likelihood (no "
+                    "weight vector, or too few, fit the labels within the "
+                    "slack)") from None
+            log_ev_truth = truth.log_evidence
             truth_mean = truth.posterior_mean.value
         else:
             log_ev_truth, truth_mean = exact
@@ -344,11 +340,11 @@ def random_tree_network(n_vars: int, max_cardinality: int,
     return DiscreteFactorGraph(variables=variables, factors=tuple(factors))
 
 
-def frustrated_cycle_network(coupling: float = 100.0) -> DiscreteFactorGraph:
-    """Three binary variables in an odd antiferromagnetic loop with weak
-    symmetry-breaking fields; undamped propagation orbits instead of
-    settling at the default coupling strength."""
-    table = [1.0, coupling, coupling, 1.0]
+def frustrated_cycle_network() -> DiscreteFactorGraph:
+    """Three binary variables in an odd antiferromagnetic loop (coupling 100)
+    with weak symmetry-breaking fields; undamped propagation orbits instead
+    of settling."""
+    table = [1.0, 100.0, 100.0, 1.0]
     return DiscreteFactorGraph(
         variables=(("a", 2), ("b", 2), ("c", 2)),
         factors=(Factor("fa", ("a",), [1.1, 1.0]),

@@ -18,12 +18,13 @@ against prior importance sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .clutter import CLUTTER_VARIANCE, PRIOR_VARIANCE
 from .gaussians import LOG_2PI, SphericalGaussian, _logsumexp, log_normal_pdf
 
 
@@ -78,15 +79,15 @@ def _panel_integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
 
 
 def quad_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                  rtol: float = 1e-12, start_panels: int = 8,
-                  max_panels: int = 4096) -> float:
-    """Panel-doubling quadrature: refine until successive estimates agree."""
+                  start_panels: int = 8) -> float:
+    """Panel-doubling quadrature: refine until successive estimates agree to
+    1e-12 relative, or 4096 panels are reached."""
     panels = start_panels
     prev = _panel_integrate(f, lo, hi, panels)
-    while panels < max_panels:
+    while panels < 4096:
         panels *= 2
         cur = _panel_integrate(f, lo, hi, panels)
-        if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
+        if abs(cur - prev) <= 1e-12 * max(abs(cur), 1e-300):
             return cur
         prev = cur
     return prev
@@ -96,7 +97,7 @@ def tilted_moments_quadrature(cavity_mean: float, cavity_variance: float,
                               term: Callable[[np.ndarray], np.ndarray],
                               features: tuple[tuple[float, float], ...] = (),
                               breakpoints: tuple[float, ...] = (),
-                              rtol: float = 1e-12, resolution: int = 8):
+                              resolution: int = 8):
     """Moments of p(x) ~ term(x) * N(x; cavity_mean, cavity_variance) in 1-D.
 
     The integration window is the cavity mean +- 12 standard deviations,
@@ -122,7 +123,7 @@ def tilted_moments_quadrature(cavity_mean: float, cavity_variance: float,
             2.0 * math.pi * cavity_variance)
 
     def integrate(f):
-        return sum(quad_adaptive(f, a, b, rtol=rtol, start_panels=resolution)
+        return sum(quad_adaptive(f, a, b, start_panels=resolution)
                    for a, b in zip(edges[:-1], edges[1:]))
 
     z = integrate(weight)
@@ -137,8 +138,7 @@ def tilted_moments_quadrature(cavity_mean: float, cavity_variance: float,
 def directional_tilted_moments(cavity_mean: np.ndarray, cavity_cov: np.ndarray,
                                u: np.ndarray,
                                term: Callable[[np.ndarray], np.ndarray],
-                               breakpoints: tuple[float, ...] = (),
-                               resolution: int = 8):
+                               breakpoints: tuple[float, ...] = ()):
     """Tilted moments of a full-Gaussian cavity against a factor that depends
     on w only through the margin s = u.w.
 
@@ -153,8 +153,7 @@ def directional_tilted_moments(cavity_mean: np.ndarray, cavity_cov: np.ndarray,
     q = float(u @ Vu)
     mu = float(u @ m)
     z, es, vs = tilted_moments_quadrature(
-        mu, q, term, features=((0.0, 1.0),), breakpoints=breakpoints,
-        resolution=resolution)
+        mu, q, term, features=((0.0, 1.0),), breakpoints=breakpoints)
     mean = m + Vu * ((es - mu) / q)
     cov = V + np.outer(Vu, Vu) * ((vs - q) / (q * q))
     return z, mean, 0.5 * (cov + cov.T)
@@ -171,12 +170,10 @@ def probit_margin_term(noise_var: float) -> Callable[[np.ndarray], np.ndarray]:
                               np.where(np.asarray(s) < 0.0, 0.0, 0.5))
 
 
-def clutter_tilted_moments(cavity: SphericalGaussian, y: np.ndarray, w: float,
-                           clutter_variance: float = 10.0,
-                           resolution: int = 8):
+def clutter_tilted_moments(cavity: SphericalGaussian, y: np.ndarray, w: float):
     """Quadrature tilted moments for one clutter-mixture observation term.
 
-    t(x) = (1-w) N(y; x, I) + w N(y; 0, clutter_variance I) against a
+    t(x) = (1-w) N(y; x, I) + w N(y; 0, CLUTTER_VARIANCE I) against a
     spherical cavity.  Reduction to 1-D integrals: split t by linearity into
     its two summands; in coordinates aligned with the cavity-to-y direction
     each summand factorizes across coordinates, so every factor is a 1-D
@@ -206,15 +203,13 @@ def clutter_tilted_moments(cavity: SphericalGaussian, y: np.ndarray, w: float,
     # inlier summand: (1-w) (2 pi)^{-d/2} e^{-(rho-a)^2/2} e^{-|b|^2/2}
     def in_a(fn):
         return quad_adaptive(
-            lambda a: fn(a) * np.exp(-0.5 * (rho - a) ** 2) * cav1(a),
-            lo, hi, start_panels=resolution)
+            lambda a: fn(a) * np.exp(-0.5 * (rho - a) ** 2) * cav1(a), lo, hi)
 
     one = lambda a: np.ones_like(a)
     blo, bhi = -12.0 * sd - 14.0, 12.0 * sd + 14.0
-    in_b0 = quad_adaptive(lambda b: np.exp(-0.5 * b * b) * cav1(b), blo, bhi,
-                          start_panels=resolution)
+    in_b0 = quad_adaptive(lambda b: np.exp(-0.5 * b * b) * cav1(b), blo, bhi)
     in_b2 = quad_adaptive(lambda b: b * b * np.exp(-0.5 * b * b) * cav1(b),
-                          blo, bhi, start_panels=resolution)
+                          blo, bhi)
 
     c_in = (1.0 - w) * (2.0 * math.pi) ** (-0.5 * d)
     z_in = c_in * in_a(one) * in_b0 ** (d - 1)
@@ -223,7 +218,7 @@ def clutter_tilted_moments(cavity: SphericalGaussian, y: np.ndarray, w: float,
     eb2_in = c_in * in_a(one) * (d - 1) * in_b2 * in_b0 ** (d - 2) if d > 1 else 0.0
 
     # clutter summand: constant in x, so cavity moments scale through
-    c_cl = w * math.exp(log_normal_pdf(y, np.zeros(d), clutter_variance))
+    c_cl = w * math.exp(log_normal_pdf(y, np.zeros(d), CLUTTER_VARIANCE))
     z_cl = c_cl  # cavity is normalized
     ea_cl = 0.0  # E[a] under the centered cavity
     ea2_cl = c_cl * v
@@ -247,9 +242,7 @@ def clutter_tilted_moments(cavity: SphericalGaussian, y: np.ndarray, w: float,
 # exact clutter posterior by 2^n enumeration
 # ---------------------------------------------------------------------------
 
-def clutter_mixture_components(data: np.ndarray, w: float,
-                               prior_variance: float = 100.0,
-                               clutter_variance: float = 10.0):
+def clutter_mixture_components(data: np.ndarray, w: float):
     """Log weight, mean, and spherical variance of every inlier/clutter
     assignment's conjugate posterior component; 2^n of them.
 
@@ -273,25 +266,24 @@ def clutter_mixture_components(data: np.ndarray, w: float,
 
     log_inlier_coeff = math.log1p(-w) if w < 1.0 else -math.inf
     # Per component: log of (1-w) N(y_i; 0, I) for each inlier and of
-    # w N(y_i; 0, clutter_variance I) for each clutter point, plus the
+    # w N(y_i; 0, CLUTTER_VARIANCE I) for each clutter point, plus the
     # prior's normalizer; the conjugate integral over x is added after.
-    log_ws = np.full(2 ** n, -0.5 * d * (LOG_2PI + math.log(prior_variance)))
+    log_ws = np.full(2 ** n, -0.5 * d * (LOG_2PI + math.log(PRIOR_VARIANCE)))
     beta = np.zeros((2 ** n, d))
     for i, y in enumerate(data):
         inlier = flags[:, i]
-        log_clutter = math.log(w) + log_normal_pdf(y, np.zeros(d), clutter_variance) \
+        log_clutter = math.log(w) + log_normal_pdf(y, np.zeros(d), CLUTTER_VARIANCE) \
             if w > 0.0 else -math.inf
         log_ws[inlier] += log_inlier_coeff - 0.5 * (d * LOG_2PI + float(y @ y))
         log_ws[~inlier] += log_clutter
         beta[inlier] += y
-    tau = 1.0 / prior_variance + flags.sum(axis=1)
+    tau = 1.0 / PRIOR_VARIANCE + flags.sum(axis=1)
     log_ws += 0.5 * d * (LOG_2PI - np.log(tau)) \
         + 0.5 * np.sum(beta * beta, axis=1) / tau
     return log_ws, beta / tau[:, None], 1.0 / tau
 
 
-def exact_clutter(data: np.ndarray, w: float, prior_variance: float = 100.0,
-                  clutter_variance: float = 10.0) -> ExactPosteriorSummary:
+def exact_clutter(data: np.ndarray, w: float) -> ExactPosteriorSummary:
     """Exact posterior for the clutter model: expand the product of two-part
     observation terms over all 2^n inlier/clutter assignments.
 
@@ -299,8 +291,7 @@ def exact_clutter(data: np.ndarray, w: float, prior_variance: float = 100.0,
     is a log-sum-exp over components and the moments are mixture moments.
     Refuses n > 20.
     """
-    log_ws, means, variances = clutter_mixture_components(
-        data, w, prior_variance, clutter_variance)
+    log_ws, means, variances = clutter_mixture_components(data, w)
     d = means.shape[1]
     log_evidence = _logsumexp(log_ws)
     if log_evidence == -math.inf:
@@ -313,15 +304,15 @@ def exact_clutter(data: np.ndarray, w: float, prior_variance: float = 100.0,
                                  covariance=cov, component_count=p.shape[0])
 
 
-def conjugate_gaussian_posterior(data: np.ndarray, prior_variance: float):
+def conjugate_gaussian_posterior(data: np.ndarray):
     """Closed-form posterior and log marginal likelihood for y_i ~ N(x, I)
-    with x ~ N(0, prior_variance I); the w=0 clutter special case."""
+    with x ~ N(0, PRIOR_VARIANCE I); the w=0 clutter special case."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = data.shape
-    tau = 1.0 / prior_variance + n
+    tau = 1.0 / PRIOR_VARIANCE + n
     beta = data.sum(axis=0)
     log_c = -0.5 * n * d * LOG_2PI - 0.5 * float(np.sum(data * data)) \
-        - 0.5 * d * (LOG_2PI + math.log(prior_variance))
+        - 0.5 * d * (LOG_2PI + math.log(PRIOR_VARIANCE))
     log_ml = log_c + 0.5 * d * (LOG_2PI - math.log(tau)) + 0.5 * float(beta @ beta) / tau
     return SphericalGaussian(mean=beta / tau, variance=1.0 / tau), log_ml
 
@@ -469,23 +460,28 @@ def exact_bpm_step(directions: np.ndarray) -> tuple[float, np.ndarray]:
 
 @dataclass(frozen=True)
 class ImportanceResult:
+    """`evidence` is linear, with its standard error; `log_evidence` is its
+    log, taken in log domain so it stays finite when `evidence` underflows."""
     evidence: SampleEstimate
     posterior_mean: SampleEstimate
-    max_log_weight: float = field(default=-math.inf)
+    log_evidence: float
 
 
 def importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray],
                        prior_mean: np.ndarray, prior_cov,
                        samples: int, seed: int) -> ImportanceResult:
     """Prior-based importance sampling for evidence and posterior mean from
-    `samples` draws: the one-count case of `nested_importance_sampler`."""
-    return nested_importance_sampler(log_likelihood, prior_mean, prior_cov,
-                                     (samples,), seed)[0]
+    `samples` draws: the one-count case of `nested_importance_sampler`.
+    Raises DegenerateWeightsError when no draw has nonzero likelihood."""
+    result, = nested_importance_sampler(log_likelihood, prior_mean, prior_cov,
+                                        (samples,), seed)
+    if result is None:
+        raise DegenerateWeightsError("degenerate weights")
+    return result
 
 
 def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray],
-                              prior_mean: np.ndarray, prior_cov,
-                              counts, seed: int, allow_degenerate: bool = False
+                              prior_mean: np.ndarray, prior_cov, counts, seed: int
                               ) -> tuple[ImportanceResult | None, ...]:
     """Prior-based importance sampling for evidence and posterior mean at
     each sample count in `counts`, from nested prefixes of one draw.
@@ -507,10 +503,9 @@ def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray]
     that count bit for bit.  Its weights are exponentiated against the
     prefix's own max, so heavy tails cannot overflow; a NaN or +inf in the
     prefix raises ValueError naming the first bad index, and a prefix of
-    all -inf (zero likelihood) raises DegenerateWeightsError, or with
-    `allow_degenerate` gives None in place of that count's estimate.  Sums
-    over the draws are numpy reductions, not BLAS products, so an estimate
-    does not depend on the BLAS thread count.
+    all -inf (zero likelihood) gives None in place of that count's
+    estimate.  Sums over the draws are numpy reductions, not BLAS products,
+    so an estimate does not depend on the BLAS thread count.
     """
     counts = tuple(counts)
     if not counts or min(counts) < 1:
@@ -544,14 +539,13 @@ def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray]
             raise ValueError(f"log_likelihood must not be NaN or +inf; "
                              f"index {bad} is {log_w[bad]}")
         if max_lw == -math.inf:
-            if allow_degenerate:
-                results.append(None)
-                continue
-            raise DegenerateWeightsError("degenerate weights")
+            results.append(None)
+            continue
         w = np.exp(log_w - max_lw)
         scale = math.exp(max_lw)
 
-        ev = float(np.mean(w)) * scale
+        mean_w = float(np.mean(w))  # at least 1 / count: the max weight is 1
+        ev = mean_w * scale
         ev_se = float(np.std(w, ddof=1)) / math.sqrt(count) * scale if count > 1 else 0.0
 
         wn = (w / float(np.sum(w)))[:, None]
@@ -560,7 +554,7 @@ def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray]
         results.append(ImportanceResult(
             evidence=SampleEstimate(ev, ev_se, count, seed),
             posterior_mean=SampleEstimate(mean, se, count, seed),
-            max_log_weight=max_lw))
+            log_evidence=max_lw + math.log(mean_w)))
     return tuple(results)
 
 

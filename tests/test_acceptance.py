@@ -84,7 +84,7 @@ def bpm_runs():
 
 def test_criterion_1_conjugate_exactness(conjugate_run):
     model, _, res, elapsed = conjugate_run
-    post, log_ml = conjugate_gaussian_posterior(model.data, 100.0)
+    post, log_ml = conjugate_gaussian_posterior(model.data)
     ok = (res.converged and res.sweeps <= 2
           and abs(res.posterior.mean[0] - post.mean[0]) <= 1e-10
           and abs(res.posterior.variance - post.variance) <= 1e-10

@@ -174,7 +174,7 @@ class TestRunEp:
     def test_conjugate_converges_in_two_sweeps(self):
         model = ClutterModel(data=small_model(seed=1, n=10).data, w=0.0)
         res = run_ep(ClutterBinding(model), EPOptions(tolerance=1e-10))
-        post, log_ml = conjugate_gaussian_posterior(model.data, 100.0)
+        post, log_ml = conjugate_gaussian_posterior(model.data)
         assert res.converged
         assert res.sweeps <= 2
         assert res.posterior.mean[0] == pytest.approx(post.mean[0], abs=1e-10)

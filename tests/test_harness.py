@@ -69,6 +69,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"kind": "clutter", "wobble": 3})
 
+    @pytest.mark.parametrize("doc, name", [
+        ({"dataset_path": 5}, "dataset_path"), ({"dataset_path": ["a"]}, "dataset_path"),
+        ({"network": 5}, "network"), ({"w": True}, "w"), ({"w": "0.5"}, "w"),
+        ({"ep_options": {"tolerance": True}}, "tolerance"),
+        ({"ep_options": {"tolerance": "1e-3"}}, "tolerance"),
+        ({"ep_options": {"damping": True}}, "damping"),
+        ({"ep_options": {"damping": None}}, "damping")],
+        ids=["dataset-path-int", "dataset-path-list", "network-int", "w-bool", "w-str",
+             "tolerance-bool", "tolerance-str", "damping-bool", "damping-null"])
+    def test_wrong_types_rejected_by_name(self, doc, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be .*, got "):
+            config_from_dict({"kind": "bpm", **doc})
+
     @pytest.mark.parametrize("bad", [(), (0,), (-3,), (1000, 0), 1.5, (1.5,),
                                      True, (True,), 1000, "1000"])
     @pytest.mark.parametrize("kind", ["clutter", "bpm"])
@@ -395,6 +408,15 @@ class TestCli:
         ("bpm", [], {"add_bias": "yes"}),
         ("clutter", [], {"ep_options": {"max_sweeps": 2.5}}),
         ("clutter", [], {"timings": True}),
+        ("bpm", [], {"dataset_path": 5}),
+        ("bpm", [], {"dataset_path": ["a"]}),
+        ("loopy", [], {"network": 5}),
+        ("clutter", [], {"w": True}),
+        ("clutter", [], {"w": "0.5"}),
+        ("clutter", [], {"ep_options": {"tolerance": True}}),
+        ("clutter", [], {"ep_options": {"tolerance": "1e-3"}}),
+        ("clutter", [], {"ep_options": {"damping": True}}),
+        ("clutter", [], {"ep_options": {"damping": None}}),
     ], ids=["tolerance-inf", "tolerance-nan", "damping-0", "max-sweeps-0",
             "schedule-random-x", "schedule-zigzag", "w-2", "n-minus-1",
             "n-2.5", "n-vars-0", "max-cardinality-1", "seeds-str",
@@ -402,7 +424,10 @@ class TestCli:
             "x-true-empty", "x-true-str", "x-true-inf", "x-true-1e155",
             "x-true-norm-1e160", "slack-nan", "slack-inf", "slack-negative",
             "slack-overflows-directions", "slack-underflows-directions",
-            "add-bias-str", "max-sweeps-float", "timings-key"])
+            "add-bias-str", "max-sweeps-float", "timings-key",
+            "dataset-path-int", "dataset-path-list", "network-int", "w-bool",
+            "w-str", "tolerance-bool", "tolerance-str", "damping-bool",
+            "damping-null"])
     def test_bad_input_exits_1_with_error_line(self, tmp_path, capsys, kind,
                                                flags, doc):
         if doc is not None:
@@ -425,8 +450,6 @@ class TestCli:
         ("bpm", {}, None),
         ("bpm", {}, "dir"),
         ("bpm", {"slack": 1.0, "add_bias": False}, "x1,x2,label\n1,1,1\n0,0,1\n"),
-        ("bpm", {"slack": 1e-6, "add_bias": False},
-         "x1,x2,label\n1,0,1\n1,0,-1\n0,1,1\n0,1,-1\n"),
         ("loopy", {}, None),
         ("loopy", {}, "dir"),
         ("loopy", {}, "{"),
@@ -436,7 +459,6 @@ class TestCli:
     ], ids=["dataset-label-3", "dataset-header", "dataset-nan", "dataset-nonseparable",
             "dataset-zero-row", "dataset-nonseparable-d4", "dataset-empty-file",
             "dataset-missing", "dataset-dir", "dataset-zero-row-with-slack",
-            "dataset-truth-underflows",
             "network-missing", "network-dir", "network-bad-json", "network-no-variables",
             "network-unknown-variable"])
     def test_bad_input_file_exits_1_naming_it(self, tmp_path, capsys, kind, doc,
@@ -454,6 +476,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
         assert not out.exists()
+
+    def test_underflowing_truth_evidence_stays_finite(self, tmp_path):
+        # with slack 1e-6 every truth draw's log likelihood lies far below
+        # -745, so the linear evidence underflows to 0; the run still scores
+        # every row in log domain
+        path = tmp_path / "data.csv"
+        path.write_text("x1,x2,label\n1,0,1\n1,0,-1\n0,1,1\n0,1,-1\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"slack": 1e-6, "add_bias": False,
+                                        "dataset_path": str(path)}))
+        out = tmp_path / "o.csv"
+        assert cli_main(["bpm", "--config", str(cfg_path), "--seed-range", "1..2",
+                         "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert {r["method"] for r in rows} == {"oracle", "adf", "ep", "importance"}
+        assert all(math.isfinite(float(r[c])) for r in rows
+                   for c in ("log_evidence_error", "mean_error")
+                   if r["checkpoint"] != "train_error" or c == "mean_error")
 
     @pytest.mark.parametrize("out", ["missing/o.csv", "."])
     def test_unwritable_out_exits_1_before_running(self, tmp_path, capsys,
