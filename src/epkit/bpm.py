@@ -7,9 +7,10 @@ direction u, so a visit needs the posterior only through Vu = V u and the
 scalars q = u.Vu and u.m.  The cavity is kept as the posterior plus
 scalars, from one matrix-vector product; the moment match works on the
 cavity's margin along u and gives the new site in closed form at O(d) cost;
-the recombination of cavity and site is the visit's one rank-one update of
-the posterior.  No d x d matrix is formed for the cavity and none is
-multiplied by another.
+the recombination of cavity and site appends one rank-one term to the
+posterior's covariance (`gaussians.PendingGaussian`), which adds a block of
+such terms to the dense matrix in one matrix product.  No d x d matrix is
+formed for the cavity or written by a visit.
 
 Slack handling: for slack eps > 0 the training points are pre-scaled once
 to y_i x_i / eps and the margin noise variance is 1; eps = 0 keeps the
@@ -119,16 +120,17 @@ class BpmCavity:
     dense cavity on request; a site visit never does.
     """
 
-    __slots__ = ("posterior", "direction", "precision", "vu", "r", "q0",
-                 "mu0", "shift")
+    __slots__ = ("posterior", "direction", "precision", "vu", "vv", "r",
+                 "q0", "mu0", "shift")
 
     def __init__(self, posterior: FullGaussian, direction: np.ndarray,
-                 precision: float, vu: np.ndarray, r: float, q0: float,
-                 mu0: float, shift: float):
+                 precision: float, vu: np.ndarray, vv: float, r: float,
+                 q0: float, mu0: float, shift: float):
         self.posterior = posterior
         self.direction = direction
         self.precision = precision
         self.vu = vu
+        self.vv = vv
         self.r = r
         self.q0 = q0
         self.mu0 = mu0
@@ -149,9 +151,9 @@ def _divide(posterior: FullGaussian, u: np.ndarray, tau: float,
     """The cavity left by removing a rank-one site (tau, site_mean) along u
     from the posterior; None when its precision is not positive definite,
     which for a positive definite posterior is exactly 1 - tau q <= 0."""
-    vu = posterior.covariance @ u
-    q = float(u @ vu)
-    um = float(u @ posterior.mean)
+    vu = posterior.covariance_times(u)
+    q = float(u.dot(vu))
+    um = float(u.dot(posterior.mean))
     denom = 1.0 - tau * q
     if not denom > 0.0:
         return None
@@ -160,7 +162,8 @@ def _divide(posterior: FullGaussian, u: np.ndarray, tau: float,
     if not 0.0 < q0 < math.inf:
         return None
     shift = r * tau * (um - site_mean)
-    return BpmCavity(posterior, u, tau, vu, r, q0, um + shift * q, shift)
+    return BpmCavity(posterior, u, tau, vu, float(vu.dot(vu)), r, q0,
+                     um + shift * q, shift)
 
 
 def _probit_match(q0: float, mu0: float, noise_var: float,
@@ -262,7 +265,9 @@ class BpmBinding(ModelBinding):
     trace, then the site in closed form from the match scalars),
     recombination d^2+d (one rank-one update and the mean update); 2d^2+5d+1
     in all.  Evidence evaluation charges d^3 once per call for its single
-    dense solve.
+    dense solve.  These are the nominal costs of a sequential update: that
+    the posterior holds its rank-one terms back and adds them a block at a
+    time, and carries its covariance trace, leaves them as they are.
     """
 
     def __init__(self, dataset: BpmDataset):
@@ -308,9 +313,8 @@ class BpmBinding(ModelBinding):
         site direction, and the site it implies; O(d), no d x d work."""
         d = self.d
         self.tally.add(2 * d + 1)
-        vu, q0, mu0 = cavity.vu, cavity.q0, cavity.mu0
-        trace = float(cavity.posterior.covariance.trace()) \
-            + cavity.precision * cavity.r * float(vu @ vu)
+        q0, mu0 = cavity.q0, cavity.mu0
+        trace = cavity.posterior.trace() + cavity.precision * cavity.r * cavity.vv
         log_z, _, alpha, kappa = _probit_match(q0, mu0, self.noise_var, trace / d)
         tau, mean, log_scale = _site_from_margins(
             log_z, q0, mu0, q0 * (1.0 - kappa * q0), mu0 + alpha * q0)
@@ -318,13 +322,14 @@ class BpmBinding(ModelBinding):
 
     def recombine(self, cavity, site):
         """The cavity (a BpmCavity from `cavity`) times a site along its
-        direction, as one rank-one update of the cavity's posterior N(m, V):
+        direction, as one rank-one term on the cavity's posterior N(m, V):
 
             m' = m + (shift + r gain (site mean - mu0)) Vu
             V' = V + (tau r - gain r^2) Vu Vu^T
 
         with gain = precision / (1 + precision q0) and tau the precision
-        the cavity removed."""
+        the cavity removed.  The term is appended to V's pending ones
+        (`FullGaussian.updated`), so no d x d matrix is written here."""
         d = self.d
         self.tally.add(d * d + d)
         denom = 1.0 + site.precision * cavity.q0
@@ -333,8 +338,7 @@ class BpmBinding(ModelBinding):
         post, vu, r = cavity.posterior, cavity.vu, cavity.r
         gain = site.precision / denom
         mean = post.mean + (cavity.shift + r * gain * (site.mean - cavity.mu0)) * vu
-        cov = rank_one_update(post.covariance, vu, (cavity.precision - gain * r) * r)
-        return FullGaussian.trusted(mean, cov)
+        return post.updated(mean, vu, (cavity.precision - gain * r) * r, cavity.vv)
 
     def log_evidence(self, posterior, sites) -> float:
         d = self.d

@@ -438,14 +438,22 @@ def write_results(config: ExperimentConfig, rows: list[ResultRow],
 # analytic-vs-oracle batteries
 # ---------------------------------------------------------------------------
 
-def _fused_visit_error(rng: np.random.Generator, noise: float) -> float:
+def _fused_visit_error(rng: np.random.Generator, terms: np.random.Generator,
+                       noise: float) -> float:
     """Worst relative difference between one BpmBinding site visit (cavity,
-    moment match, recombination, then a damped recombination) on a random
-    positive definite posterior and the same visit in dense natural
-    parameters, inv(P -+ tau u u^T); 0 when both call the cavity improper,
-    inf when they disagree."""
-    from .bpm import BpmBinding, bpm_moment_match
-    from .gaussians import FullGaussian, ImproperProductError, RankOneSite
+    moment match, recombination, then a damped recombination) and the same
+    visit in dense natural parameters, inv(P -+ tau u u^T); 0 when both call
+    the cavity improper, inf when they disagree.
+
+    The visit is made on a random positive definite posterior, then again
+    on that posterior times random rank-one sites, each appended by the
+    binding's own recombination, so that it carries pending terms (see
+    `gaussians.PendingGaussian`); there its covariance and mean are checked
+    against the dense inverse too.  `terms` draws those sites and the
+    second visit's site, so the battery's later rows, which share `rng`,
+    draw the same cases whether or not this second visit runs."""
+    from .bpm import BpmBinding
+    from .gaussians import PENDING_COLUMNS, FullGaussian, RankOneSite
 
     d = int(rng.integers(1, 6))
     A = rng.normal(size=(d, d))
@@ -453,6 +461,39 @@ def _fused_visit_error(rng: np.random.Generator, noise: float) -> float:
     x = rng.normal(size=d)
     x *= rng.uniform(0.5, 2.0) / np.linalg.norm(x)
     binding = BpmBinding(make_dataset([x], [1.0], slack=1.0 if noise else 0.0))
+    P = np.linalg.inv(post.covariance)
+    h = P @ post.mean
+    worst = _dense_visit_error(binding, post, P, h, rng, noise)
+
+    # 1 to PENDING_COLUMNS - 1 terms, past one formed block half the time;
+    # unit directions and total precision at most 2 keep the posterior's
+    # scale, so the second visit's margins stay out of the deep tail
+    count = int(terms.integers(1, PENDING_COLUMNS)) \
+        + PENDING_COLUMNS * int(terms.integers(0, 2))
+    for _ in range(count):
+        v = terms.normal(size=d)
+        v /= np.linalg.norm(v)
+        site = RankOneSite(direction=v, precision=float(terms.uniform(0.05, 2.0)) / count,
+                           mean=float(terms.normal()))
+        post = binding.recombine(binding.cavity(post, RankOneSite(v, 0.0)), site)
+        P = P + site.precision * np.outer(v, v)
+        h = h + site.precision * site.mean * v
+    V = np.linalg.inv(P)
+    return max(worst, _rel(post.covariance, V), _rel(post.mean, V @ h),
+               _dense_visit_error(binding, post, P, h, terms, noise))
+
+
+def _rel(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want))) / max(1.0, float(np.max(np.abs(want))))
+
+
+def _dense_visit_error(binding, post, P: np.ndarray, h: np.ndarray,
+                       rng: np.random.Generator, noise: float) -> float:
+    """`_fused_visit_error` for one posterior whose dense precision and
+    shift are P and h, with a site drawn from rng."""
+    from .bpm import bpm_moment_match
+    from .gaussians import FullGaussian, ImproperProductError, RankOneSite
+
     u = binding.directions[0]
     q = float(u @ post.covariance @ u)
     # tau q in [-3, 3], kept 0.05 from the improper edge at 1
@@ -460,7 +501,6 @@ def _fused_visit_error(rng: np.random.Generator, noise: float) -> float:
     tau = (t if t < 0.95 else t + 0.1) / q
     site = RankOneSite(direction=u, precision=tau, mean=float(rng.normal()))
 
-    P = np.linalg.inv(post.covariance)
     Pc = P - tau * np.outer(u, u)
     proper = bool(np.all(np.linalg.eigvalsh(Pc) > 0.0))
     cav = binding.cavity(post, site)
@@ -469,20 +509,17 @@ def _fused_visit_error(rng: np.random.Generator, noise: float) -> float:
     if cav is None:
         return 0.0
 
-    def rel(got, want):
-        return float(np.max(np.abs(got - want))) / max(1.0, float(np.max(np.abs(want))))
-
     Vc = np.linalg.inv(Pc)
-    mc = Vc @ (P @ post.mean - tau * site.mean * u)
+    mc = Vc @ (h - tau * site.mean * u)
     dense = bpm_moment_match(FullGaussian(mean=mc, covariance=0.5 * (Vc + Vc.T)), u, noise)
     new_site, log_z = binding.moment_match(cav, 0)
     fused = binding.recombine(cav, new_site)
     # the site re-included into the dense cavity gives the dense posterior
     Vn = np.linalg.inv(Pc + new_site.precision * np.outer(u, u))
-    errors = [rel(cav.covariance, Vc), rel(cav.mean, mc),
-              rel(fused.covariance, dense.posterior.covariance),
-              rel(fused.mean, dense.posterior.mean), abs(log_z - dense.log_z),
-              rel(Vn, dense.posterior.covariance)]
+    errors = [_rel(cav.covariance, Vc), _rel(cav.mean, mc),
+              _rel(fused.covariance, dense.posterior.covariance),
+              _rel(fused.mean, dense.posterior.mean), abs(log_z - dense.log_z),
+              _rel(Vn, dense.posterior.covariance)]
 
     damped = site.damped(new_site, 0.5)
     Pd = Pc + damped.precision * np.outer(u, u)
@@ -492,7 +529,7 @@ def _fused_visit_error(rng: np.random.Generator, noise: float) -> float:
         return max(errors) if np.min(np.linalg.eigvalsh(Pd)) <= 0.0 else math.inf
     Vd = np.linalg.inv(Pd)
     md = Vd @ (Pc @ mc + damped.precision * damped.mean * u)
-    return max(errors + [rel(mixed.covariance, Vd), rel(mixed.mean, md)])
+    return max(errors + [_rel(mixed.covariance, Vd), _rel(mixed.mean, md)])
 
 
 def _probit_kernel_error() -> float:
@@ -583,8 +620,10 @@ def oracle_check_battery(cases: int = 200, seed: int = 1234) -> list[BatteryResu
     results.append(BatteryResult("bpm-moment-match-vs-quadrature", worst, 1e-8))
 
     worst = 0.0
+    terms = np.random.default_rng([seed, 1])
     for k in range(cases):
-        worst = max(worst, _fused_visit_error(rng, noise=1.0 if k % 2 == 0 else 0.0))
+        worst = max(worst, _fused_visit_error(rng, terms,
+                                              noise=1.0 if k % 2 == 0 else 0.0))
     results.append(BatteryResult("bpm-fused-visit-vs-dense", worst, 1e-10))
 
     worst = 0.0

@@ -2,7 +2,12 @@
 recombination as rank-one algebra on the posterior, checked against dense
 natural-parameter arithmetic, plus drift over long runs and the boundary
 checks that keep the visit's inputs valid."""
+import copy
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,10 +23,13 @@ from epkit.bpm import (
     make_dataset,
     rank_one_site_from,
 )
-from epkit.engine import EPOptions, Schedule, run_adf, run_ep
+from epkit.engine import (EPOptions, Schedule, check_fixed_point, ep_energy,
+                          run_adf, run_ep)
 from epkit.gaussians import (
+    PENDING_COLUMNS,
     FullGaussian,
     ImproperProductError,
+    PendingGaussian,
     RankOneSite,
     rank_one_update,
 )
@@ -140,6 +148,136 @@ def test_running_posterior_does_not_drift(damping):
     assert rel(res.posterior.mean, m_ref) <= 1e-10
 
 
+# Largest entry of |V - (I + sum tau u u^T)^-1| (and of the mean's
+# difference) over the largest entry of the refactorized one, after a long
+# fit.  A dense rank-one update at every visit measures at most 1.5e-14 for
+# both on these runs; the bound holds held-back terms to that accuracy.
+LONG_FIT_DRIFT = 2e-14
+
+
+@pytest.mark.parametrize("d, sweeps", [(50, 400), (200, 200)])
+def test_long_fit_stays_at_the_refactorized_posterior(d, sweeps):
+    ds = probit_data(200, d, seed=3)
+    binding = BpmBinding(ds)
+    res = run_ep(binding, EPOptions(tolerance=1e-300, max_sweeps=sweeps))
+    assert res.sweeps == sweeps
+    m_ref, V_ref = refactorized(binding, res.sites)
+    V = res.posterior.covariance
+    assert np.array_equal(V, V.T)
+    assert np.max(np.abs(V - V_ref)) <= LONG_FIT_DRIFT * np.max(np.abs(V_ref))
+    assert np.max(np.abs(res.posterior.mean - m_ref)) \
+        <= LONG_FIT_DRIFT * np.max(np.abs(m_ref))
+
+
+def visit_chain(binding, sweeps):
+    """Every posterior of an undamped sequential fit, with the sites it
+    holds: [(posterior after t visits, sites then)] for t = 0, 1, ..."""
+    q = binding.prior()
+    sites = [binding.vacuous_site(i) for i in range(binding.site_count)]
+    chain = [(q, list(sites))]
+    for _ in range(sweeps):
+        for i in range(binding.site_count):
+            cav = binding.cavity(q, sites[i])
+            sites[i], _ = binding.moment_match(cav, i)
+            q = binding.recombine(cav, sites[i])
+            chain.append((q, list(sites)))
+    return chain
+
+
+def test_carried_trace_matches_the_formed_covariance():
+    # the trace scales the kappa cap's noise floor; it is carried term by
+    # term, not read from a formed matrix
+    chain = visit_chain(BpmBinding(probit_data(40, 6, seed=9)), sweeps=2)
+    for q, _ in chain:
+        assert q.trace() == pytest.approx(np.trace(q.covariance), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("newest", [False, True])
+def test_diagnostics_on_a_mid_block_posterior_leave_newer_ones(newest):
+    # a posterior with pending terms that later visits extended (or, when
+    # newest, the last one made): revisiting it gives the numbers a deep
+    # copy gives, and no posterior made after it changes
+    ds = probit_data(40, 6, seed=9)
+    binding = BpmBinding(ds)
+    chain = visit_chain(binding, sweeps=2)
+    t = len(chain) - 1 if newest else PENDING_COLUMNS + PENDING_COLUMNS // 2
+    assert t % PENDING_COLUMNS and t < len(chain)
+    post, sites = chain[t]
+    newer = [q for q, _ in chain[t + 1:]]
+    want = copy.deepcopy(newer)
+    twin = copy.deepcopy(post)
+
+    got = [check_fixed_point(binding, post, sites), ep_energy(binding, post, sites)]
+    ref = [check_fixed_point(binding, twin, sites), ep_energy(binding, twin, sites)]
+    assert np.array_equal(got[0], ref[0])
+    assert (got[1].objective, got[1].constraint_residual) \
+        == (ref[1].objective, ref[1].constraint_residual)
+    assert np.array_equal(got[1].moment_residuals, ref[1].moment_residuals)
+    assert np.array_equal(post.covariance, twin.covariance)
+    for q, w in zip(newer, want):
+        assert np.array_equal(q.covariance, w.covariance)
+        assert np.array_equal(q.mean, w.mean)
+
+
+def test_threads_extending_one_posterior_each_get_their_own_term():
+    # the first extension of a posterior writes the shared term buffer in
+    # place; when several threads extend the same one at once, only one of
+    # them may, or a thread's result holds another thread's term
+    binding = BpmBinding(probit_data(8, 5, seed=2))
+    post = visit_chain(binding, sweeps=1)[-1][0]
+    rng = np.random.default_rng(4)
+    terms = [(rng.normal(size=5), -0.01 * (j + 1)) for j in range(6)]
+    barrier = threading.Barrier(len(terms))
+
+    def extend(j):
+        a, c = terms[j]
+        for k in range(50):
+            barrier.wait()
+            results[j].append(rounds[k].updated(post.mean, a, c, float(a @ a)))
+
+    # 50 fresh posteriors, each extended by every thread at once
+    rounds = [post.updated(post.mean, terms[0][0], 0.0, 0.0) for _ in range(50)]
+    results = [[] for _ in terms]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=extend, args=(j,)) for j in range(len(terms))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for (a, c), got in zip(terms, results):
+        assert len(got) == len(rounds)
+        for q, r in zip(got, rounds):
+            want = rank_one_update(r.covariance, a, c)
+            assert np.max(np.abs(q.covariance - want)) <= 1e-14
+
+
+def test_blocked_covariance_does_not_depend_on_blas_threads():
+    # d = 64 and n = 200: blocks of pending terms are formed by matrix
+    # products many times over, unlike on the CLI's built-in d = 3 set
+    script = (
+        "import hashlib, numpy as np\n"
+        "from epkit import EPOptions, bpm_train, make_dataset\n"
+        "rng = np.random.default_rng(17)\n"
+        "x = rng.normal(size=(200, 64))\n"
+        "y = np.where(x @ rng.normal(size=64) + rng.normal(size=200) >= 0, 1.0, -1.0)\n"
+        "p = bpm_train(make_dataset(x, y, slack=1.0),\n"
+        "              EPOptions(tolerance=1e-300, max_sweeps=3)).posterior\n"
+        "print(hashlib.sha256(p.mean.tobytes() + p.covariance.tobytes()).hexdigest())\n")
+    digests = []
+    for threads in ("1", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
+
+
 def test_damped_random_run_matches_reference_loop_bitwise():
     # the sweep the engine makes, written out with the validating site
     # constructor and the site change as a numpy max |delta| over (precision,
@@ -207,15 +345,20 @@ def test_history_snapshots_are_not_mutated_by_later_sweeps():
 
 
 def test_adf_and_ep_charge_the_same_visit(monkeypatch):
-    # one matrix-vector product, one rank-one update, O(d) terms, whether
-    # or not the site is damped
-    updates = []
+    # one matrix-vector product, one rank-one term appended, O(d) terms,
+    # whether or not the site is damped; no dense rank-one update
+    updates, dense = [], []
 
     def counted(V, a, c):
-        updates.append(c)
+        dense.append(c)
         return rank_one_update(V, a, c)
 
     monkeypatch.setattr(bpm, "rank_one_update", counted)
+    for cls in (FullGaussian, PendingGaussian):
+        def appended(self, mean, a, c, a_sq, _updated=cls.updated):
+            updates.append(c)
+            return _updated(self, mean, a, c, a_sq)
+        monkeypatch.setattr(cls, "updated", appended)
     ds = probit_data(6, 4, seed=6)
     d = ds.d
     visit = 2 * d * d + 5 * d + 1
@@ -231,6 +374,7 @@ def test_adf_and_ep_charge_the_same_visit(monkeypatch):
             visits, evidence = 12, d ** 3  # two sweeps, one evidence solve
         assert binding.tally.count == visits * visit + evidence
         assert len(updates) == visits
+        assert dense == []
 
 
 class TestRankOneUpdate:
