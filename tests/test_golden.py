@@ -1,5 +1,6 @@
-"""Golden outputs: every default and damped CLI run against the CSV and
-sidecar checked in under tests/golden/.
+"""Golden outputs: every default and damped CLI run, and one clutter run at
+d = 2 (the default runs visit only at d = 1), against the CSV and sidecar
+checked in under tests/golden/.
 
 Text columns, `operations`, `converged` and `sweeps` must match exactly.
 The two error columns may move by rounding, at most max(1e-12, 1e-9 x
@@ -12,6 +13,9 @@ running from the repository root:
       PYTHONPATH=src python -m epkit.cli $k --damping 0.5 --schedule random:3 \\
         --seed-range 1..5 --out tests/golden/${k}_damped.csv
     done
+    PYTHONPATH=src python -m epkit.cli clutter \\
+      --config tests/golden/clutter_d2.config.json --seed-range 1..5 \\
+      --out tests/golden/clutter_d2.csv
 """
 import csv
 import json
@@ -25,7 +29,11 @@ from epkit.cli import main as cli_main
 GOLDEN = Path(__file__).parent / "golden"
 VARIANTS = {"default": [],
             "damped": ["--damping", "0.5", "--schedule", "random:3",
-                       "--seed-range", "1..5"]}
+                       "--seed-range", "1..5"],
+            "d2": ["--config", str(GOLDEN / "clutter_d2.config.json"),
+                   "--seed-range", "1..5"]}
+RUNS = [(kind, variant) for kind in ("clutter", "bpm", "loopy")
+        for variant in ("default", "damped")] + [("clutter", "d2")]
 ERROR_COLUMNS = ("log_evidence_error", "mean_error")
 
 
@@ -36,8 +44,7 @@ def _error_matches(got: str, want: str) -> bool:
     return abs(g - w) <= max(1e-12, 1e-9 * abs(w))
 
 
-@pytest.mark.parametrize("variant", sorted(VARIANTS))
-@pytest.mark.parametrize("kind", ["clutter", "bpm", "loopy"])
+@pytest.mark.parametrize("kind, variant", RUNS)
 def test_cli_output_matches_golden(tmp_path, kind, variant):
     name = f"{kind}_{variant}.csv"
     out = tmp_path / name
