@@ -4,7 +4,8 @@ Each observation comes from N(x, I) with probability 1-w and from a broad
 zero-centered clutter component N(0, CLUTTER_VARIANCE I) otherwise; the
 posterior over x is approximated by a spherical Gaussian.  This module
 supplies the analytic per-term moment match, synthetic data generation, and
-the binding that plugs it into the ADF/EP engine.
+the binding that plugs it into the ADF/EP engine.  At d = 1, as the data
+decide, the binding's visit runs on Python floats: same bits, same charges.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from .gaussians import (
     divide_out,
     log_normal_pdf,
     spherical_log_coeff,
+    squared_norm,
     vacuous_spherical,
 )
 
@@ -169,21 +171,25 @@ class ClutterMatch:
     r: float
 
 
-def _tilted_moments(m: np.ndarray, v: float, y: np.ndarray, w: float,
-                    log_clutter: float) -> tuple[np.ndarray, float, float, float]:
+def _tilted_moments(m, v: float, y, w: float, log_clutter: float):
     """(mean, variance, log Z, r) of one observation term against the
     spherical cavity N(m, v I), where log_clutter is the term's
-    x-independent log(w N(y; 0, clutter_variance I)).
+    x-independent log(w N(y; 0, clutter_variance I)).  m, y and the mean
+    are 1-D arrays, or floats with the 1-element arrays' bits at d = 1.
 
     Z mixes the through-the-cavity inlier density with the clutter density;
     r is the responsibility of the inlier component.  The variance update
     carries the mean-shift term divided by d: with E[x' x] matched, the
     spherical projection is trace/d of the full tilted covariance.
     """
-    d = m.shape[0]
-    with np.errstate(over="ignore"):  # huge residuals -> -inf log density
-        resid = y - m
-        rr = float(resid @ resid)
+    if isinstance(m, float):  # float overflow gives inf without a warning
+        d, resid = 1, y - m
+        rr = resid * resid
+    else:
+        d = m.shape[0]
+        with np.errstate(over="ignore"):  # huge residuals -> -inf log density
+            resid = y - m
+            rr = float(resid @ resid)
     log_in = math.log1p(-w) + (-0.5 * d * (LOG_2PI + math.log(v + 1.0))
                                - 0.5 * rr / (v + 1.0)) if w < 1.0 else -math.inf
     top, low = (log_in, log_clutter) if log_in > log_clutter else (log_clutter, log_in)
@@ -215,6 +221,11 @@ def clutter_moment_match(cavity: SphericalGaussian, y: np.ndarray,
 class ClutterBinding(ModelBinding):
     """Engine binding for the clutter model (spherical Gaussian family).
 
+    At d = 1, chosen once from the data, the visit runs on Python floats
+    with the array path's IEEE operations in the same order: the cavity is
+    a (mean, variance) pair, and posteriors and sites are the same bits in
+    the same 1-element-array types.  Both paths charge alike.
+
     Elementary-operation charges: length-d vector operations cost d, scalar
     updates cost 1 each.  Per site visit: cavity 2d+2, moment match 6d+12
     (the tilted moments 4d+8, the site from them 2d+4), recombination 2d+2;
@@ -227,6 +238,9 @@ class ClutterBinding(ModelBinding):
         self._prior = SphericalGaussian(mean=np.zeros(model.d),
                                         variance=model.prior_variance)
         self._log_clutter = model.log_clutter().tolist()
+        # at d = 1 cavities are (mean, variance) and observations floats
+        self._floats = model.d == 1
+        self._ys = model.data[:, 0].tolist() if self._floats else model.data
 
     @property
     def site_count(self) -> int:
@@ -240,32 +254,50 @@ class ClutterBinding(ModelBinding):
 
     def cavity(self, posterior, site):
         self.tally.add(2 * self.model.d + 2)
-        return divide_out(posterior, site)
+        if not self._floats:
+            return divide_out(posterior, site)
+        pv = posterior.variance  # divide_out on floats
+        tau = 1.0 / pv - site.precision
+        if tau <= 0.0:
+            return None
+        v = 1.0 / tau
+        if not v < math.inf:
+            raise ValueError(f"variance must be finite and positive, got {v}")
+        return v * (posterior.mean.item() / pv - site.shift.item()), v
 
     def moment_match(self, cavity, i: int):
         """The site Z * q' / cavity of the oracle-gated tilted moments q'
         against the cavity, in natural parameters from the moment scalars."""
         self.tally.add(6 * self.model.d + 12)
-        m, v = cavity.mean, cavity.variance
+        m, v = cavity if self._floats else (cavity.mean, cavity.variance)
         mean, variance, log_z, _ = _tilted_moments(
-            m, v, self.model.data[i], self.model.w, self._log_clutter[i])
+            m, v, self._ys[i], self.model.w, self._log_clutter[i])
         tau = 1.0 / variance - 1.0 / v
         shift = mean / variance - m / v
         coeff = log_z + spherical_log_coeff(mean, variance) - spherical_log_coeff(m, v)
         if tau == 0.0:
-            return NaturalSpherical.trusted(0.0, np.zeros_like(shift), coeff), log_z
-        log_scale = coeff + 0.5 * float(shift @ shift) / tau
+            return NaturalSpherical.trusted(0.0, np.zeros(self.model.d), coeff), log_z
+        log_scale = coeff + 0.5 * squared_norm(shift) / tau
+        if self._floats:
+            shift = np.array([shift])
         return NaturalSpherical.trusted(tau, shift, log_scale), log_z
 
     def recombine(self, cavity, site):
         self.tally.add(2 * self.model.d + 2)
-        tau = cavity.precision + site.precision
+        if not self._floats:
+            tau = cavity.precision + site.precision
+        else:
+            m, v = cavity
+            tau = 1.0 / v + site.precision
         if tau <= 0.0:
             raise ImproperProductError("improper product")
         variance = 1.0 / tau
         if not 0.0 < variance < math.inf:
             raise ValueError(f"variance must be finite and positive, got {variance}")
-        return SphericalGaussian.trusted((cavity.shift + site.shift) / tau, variance)
+        if not self._floats:
+            return SphericalGaussian.trusted((cavity.shift + site.shift) / tau, variance)
+        return SphericalGaussian.trusted(np.array([(m / v + site.shift.item()) / tau]),
+                                         variance)
 
     def log_evidence(self, posterior, sites) -> float:
         self.tally.add((len(sites) + 1) * (self.model.d + 2))

@@ -252,11 +252,18 @@ def _formed(base: np.ndarray, rows: np.ndarray, coefs: np.ndarray) -> np.ndarray
     return W
 
 
-def spherical_log_coeff(mean: np.ndarray, variance: float) -> float:
+def spherical_log_coeff(mean, variance: float) -> float:
     """`SphericalGaussian.log_norm_coeff` of N(mean, variance I) from its
-    moments, without constructing it."""
-    return -0.5 * mean.shape[0] * (LOG_2PI + math.log(variance)) \
-        - 0.5 * float(mean @ mean) / variance
+    moments, without constructing it; mean is a 1-D array or, at d = 1, a
+    float."""
+    d = 1 if isinstance(mean, float) else mean.shape[0]
+    return -0.5 * d * (LOG_2PI + math.log(variance)) \
+        - 0.5 * squared_norm(mean) / variance
+
+
+def squared_norm(x) -> float:
+    """|x|^2 of a 1-D array, or of a float: the 1-element array's bits."""
+    return x * x if isinstance(x, float) else float(x @ x)
 
 
 def _unvalidated(cls, **fields):
@@ -337,7 +344,7 @@ class NaturalSpherical:
         and shift, NaN when any of them is NaN; log scale excluded (it
         tracks the others and has no effect on the posterior shape)."""
         return _max_abs(self.precision - other.precision,
-                        float(np.max(np.abs(self.shift - other.shift))))
+                        float(np.abs(self.shift - other.shift).max()))
 
     def natural_coords(self) -> np.ndarray:
         """The site's term in `SphericalGaussian.natural_coords`."""

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epkit.clutter import (
@@ -15,15 +15,19 @@ from epkit.clutter import (
     ClutterBinding,
     ClutterDataSpec,
     ClutterModel,
+    _tilted_moments,
     clutter_moment_match,
     generate_clutter_data,
 )
 from epkit.engine import (EPOptions, MomentMatchError, ep_log_evidence,
                           run_adf, run_ep)
 from epkit.gaussians import (
+    ImproperProductError,
+    NaturalSpherical,
     SphericalGaussian,
     ZeroNormalizerError,
     combine_sites,
+    divide_out,
     log_normal_pdf,
     spherical_as_site,
 )
@@ -95,6 +99,32 @@ class TestMomentMatch:
             assert m.r == 0.0
         assert m.posterior.variance > 0.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=-1e6, max_value=1e6),
+           st.floats(min_value=1e-3, max_value=1e3),
+           st.just(1e300) | st.floats(min_value=-1e6, max_value=1e6))
+    @example(0.0, 0.5, 2.0, 1e300)
+    @example(1.0, 0.5, 2.0, 1e300)
+    @example(0.0, 0.5, 2.0, 3.0)
+    @example(1.0, 0.5, 2.0, 3.0)
+    def test_float_call_is_the_array_call(self, w, m, v, y):
+        """On floats `_tilted_moments` returns the bits of the 1-element-
+        array call, or raises the same named error."""
+        log_cl = float(ClutterModel(data=[[y]], w=w).log_clutter()[0])
+
+        def outcome(m, y):
+            try:
+                mean, *rest = _tilted_moments(m, v, y, w, log_cl)
+            except ValueError as exc:
+                return type(exc), str(exc)
+            return [float(x).hex() for x in (np.ravel(mean)[0], *rest)]
+
+        got = outcome(m, y)
+        assert got == outcome(np.array([m]), np.array([y]))
+        if y == 1e300:
+            assert got[0] is ZeroNormalizerError
+
 
 class TestBindingVisit:
     @pytest.mark.parametrize("w", [0.0, 0.5, 1.0])
@@ -106,9 +136,12 @@ class TestBindingVisit:
             model = ClutterModel(data=rng.normal(size=(5, d)) * 3.0, w=w)
             binding = ClutterBinding(model)
             for i in range(model.n):
-                cav = SphericalGaussian(mean=rng.normal(size=d) * 2.0,
-                                        variance=float(rng.uniform(0.3, 30.0)))
-                site, log_z = binding.moment_match(cav, i)
+                post = SphericalGaussian(mean=rng.normal(size=d) * 2.0,
+                                         variance=float(rng.uniform(0.3, 30.0)))
+                # the binding's own cavity: at d = 1 it is not a Gaussian
+                site, log_z = binding.moment_match(
+                    binding.cavity(post, binding.vacuous_site(i)), i)
+                cav = divide_out(post, binding.vacuous_site(i))
                 match = clutter_moment_match(cav, model.data[i], w)
                 post = match.posterior
                 tau = post.precision - cav.precision
@@ -123,6 +156,36 @@ class TestBindingVisit:
                 else:
                     assert np.array_equal(site.shift, shift)
                     assert site.log_scale == coeff + 0.5 * float(shift @ shift) / tau
+
+    def test_float_cavity_and_recombination_are_the_array_ones(self):
+        """At d = 1 the cavity is divide_out's, and the posterior is
+        (cavity.shift + site.shift) / tau of precision tau, bit for bit;
+        an improper cavity is None and an improper product raises."""
+        rng = np.random.default_rng(18)
+        model = ClutterModel(data=rng.normal(size=(5, 1)) * 3.0, w=0.5)
+        binding = ClutterBinding(model)
+        improper = 0
+        for k in range(300):
+            post = SphericalGaussian(mean=rng.normal(size=1) * 2.0,
+                                     variance=float(rng.uniform(0.3, 30.0)))
+            old = NaturalSpherical.trusted(
+                float(rng.uniform(-1.0, 1.2)) / post.variance, rng.normal(size=1), 0.0)
+            cav, want = binding.cavity(post, old), divide_out(post, old)
+            if want is None:
+                assert cav is None
+                improper += 1
+                continue
+            m, v = cav
+            assert (m.hex(), v.hex()) == (want.mean.item().hex(), want.variance.hex())
+            site, _ = binding.moment_match(cav, k % model.n)
+            tau = want.precision + site.precision
+            got = binding.recombine(cav, site)
+            assert got.variance.hex() == (1.0 / tau).hex()
+            assert got.mean.tobytes() == ((want.shift + site.shift) / tau).tobytes()
+            with pytest.raises(ImproperProductError):
+                binding.recombine(cav, NaturalSpherical.trusted(
+                    -2.0 * want.precision, site.shift, 0.0))
+        assert 0 < improper < 150
 
     def test_failure_is_moment_match_error(self):
         model = ClutterModel(data=np.array([[0.5], [1e300]]), w=0.0)
