@@ -284,20 +284,20 @@ class ClutterBinding(ModelBinding):
 
     def recombine(self, cavity, site):
         self.tally.add(2 * self.model.d + 2)
-        if not self._floats:
-            tau = cavity.precision + site.precision
-        else:
+        if self._floats:
             m, v = cavity
             tau = 1.0 / v + site.precision
+        else:
+            tau = cavity.precision + site.precision
         if tau <= 0.0:
             raise ImproperProductError("improper product")
         variance = 1.0 / tau
         if not 0.0 < variance < math.inf:
             raise ValueError(f"variance must be finite and positive, got {variance}")
-        if not self._floats:
-            return SphericalGaussian.trusted((cavity.shift + site.shift) / tau, variance)
-        return SphericalGaussian.trusted(np.array([(m / v + site.shift.item()) / tau]),
-                                         variance)
+        if self._floats:
+            return SphericalGaussian.trusted(
+                np.array([(m / v + site.shift.item()) / tau]), variance)
+        return SphericalGaussian.trusted((cavity.shift + site.shift) / tau, variance)
 
     def log_evidence(self, posterior, sites) -> float:
         self.tally.add((len(sites) + 1) * (self.model.d + 2))
