@@ -5,7 +5,9 @@ zero-centered clutter component N(0, CLUTTER_VARIANCE I) otherwise; the
 posterior over x is approximated by a spherical Gaussian.  This module
 supplies the analytic per-term moment match, synthetic data generation, and
 the binding that plugs it into the ADF/EP engine.  At d = 1, as the data
-decide, the binding's visit runs on Python floats: same bits, same charges.
+decide, the binding's fit runs on Python floats, in the scalar form of the
+Gaussian types (`gaussians.ScalarSpherical`, `ScalarSite`): same bits, same
+charges.
 """
 from __future__ import annotations
 
@@ -20,6 +22,8 @@ from .gaussians import (
     LOG_2PI,
     ImproperProductError,
     NaturalSpherical,
+    ScalarSite,
+    ScalarSpherical,
     SphericalGaussian,
     ZeroNormalizerError,
     divide_out,
@@ -221,10 +225,12 @@ def clutter_moment_match(cavity: SphericalGaussian, y: np.ndarray,
 class ClutterBinding(ModelBinding):
     """Engine binding for the clutter model (spherical Gaussian family).
 
-    At d = 1, chosen once from the data, the visit runs on Python floats
-    with the array path's IEEE operations in the same order: the cavity is
-    a (mean, variance) pair, and posteriors and sites are the same bits in
-    the same 1-element-array types.  Both paths charge alike.
+    At d = 1, chosen once from the data, the fit runs on Python floats with
+    the array path's IEEE operations in the same order: the cavity is a
+    (mean, variance) pair, and the prior, posteriors and sites are
+    `ScalarSpherical` / `ScalarSite`, whose visit, `change` and evidence
+    make no numpy call.  Array-form posteriors and sites are accepted too.
+    Both paths charge alike.
 
     Elementary-operation charges: length-d vector operations cost d, scalar
     updates cost 1 each.  Per site visit: cavity 2d+2, moment match 6d+12
@@ -235,12 +241,17 @@ class ClutterBinding(ModelBinding):
     def __init__(self, model: ClutterModel):
         self.model = model
         self.tally = OpTally()
-        self._prior = SphericalGaussian(mean=np.zeros(model.d),
-                                        variance=model.prior_variance)
+        d = model.d
+        self._cavity_ops, self._match_ops, self._recombine_ops = \
+            2 * d + 2, 6 * d + 12, 2 * d + 2
         self._log_clutter = model.log_clutter().tolist()
-        # at d = 1 cavities are (mean, variance) and observations floats
-        self._floats = model.d == 1
+        # at d = 1 cavities are (mean, variance), observations floats, and
+        # the prior, posteriors and sites the scalar form
+        self._floats = d == 1
         self._ys = model.data[:, 0].tolist() if self._floats else model.data
+        self._prior = ScalarSpherical.trusted(0.0, model.prior_variance) if self._floats \
+            else SphericalGaussian(mean=np.zeros(d), variance=model.prior_variance)
+        self._site = ScalarSite.trusted if self._floats else NaturalSpherical.trusted
 
     @property
     def site_count(self) -> int:
@@ -250,12 +261,16 @@ class ClutterBinding(ModelBinding):
         return self._prior
 
     def vacuous_site(self, i: int) -> NaturalSpherical:
-        return vacuous_spherical(self.model.d)
+        return self._site(0.0, 0.0, 0.0) if self._floats else vacuous_spherical(self.model.d)
 
     def cavity(self, posterior, site):
-        self.tally.add(2 * self.model.d + 2)
+        self.tally.add(self._cavity_ops)
         if not self._floats:
             return divide_out(posterior, site)
+        try:
+            pm, h = posterior.m, site.h
+        except AttributeError:  # an array-form posterior or site
+            pm, h = posterior.mean.item(), site.shift.item()
         pv = posterior.variance  # divide_out on floats
         tau = 1.0 / pv - site.precision
         if tau <= 0.0:
@@ -263,12 +278,12 @@ class ClutterBinding(ModelBinding):
         v = 1.0 / tau
         if not v < math.inf:
             raise ValueError(f"variance must be finite and positive, got {v}")
-        return v * (posterior.mean.item() / pv - site.shift.item()), v
+        return v * (pm / pv - h), v
 
     def moment_match(self, cavity, i: int):
         """The site Z * q' / cavity of the oracle-gated tilted moments q'
         against the cavity, in natural parameters from the moment scalars."""
-        self.tally.add(6 * self.model.d + 12)
+        self.tally.add(self._match_ops)
         m, v = cavity if self._floats else (cavity.mean, cavity.variance)
         mean, variance, log_z, _ = _tilted_moments(
             m, v, self._ys[i], self.model.w, self._log_clutter[i])
@@ -276,14 +291,13 @@ class ClutterBinding(ModelBinding):
         shift = mean / variance - m / v
         coeff = log_z + spherical_log_coeff(mean, variance) - spherical_log_coeff(m, v)
         if tau == 0.0:
-            return NaturalSpherical.trusted(0.0, np.zeros(self.model.d), coeff), log_z
+            return self._site(0.0, 0.0 if self._floats else np.zeros(self.model.d),
+                              coeff), log_z
         log_scale = coeff + 0.5 * squared_norm(shift) / tau
-        if self._floats:
-            shift = np.array([shift])
-        return NaturalSpherical.trusted(tau, shift, log_scale), log_z
+        return self._site(tau, shift, log_scale), log_z
 
     def recombine(self, cavity, site):
-        self.tally.add(2 * self.model.d + 2)
+        self.tally.add(self._recombine_ops)
         if self._floats:
             m, v = cavity
             tau = 1.0 / v + site.precision
@@ -294,12 +308,14 @@ class ClutterBinding(ModelBinding):
         variance = 1.0 / tau
         if not 0.0 < variance < math.inf:
             raise ValueError(f"variance must be finite and positive, got {variance}")
-        if self._floats:
-            return SphericalGaussian.trusted(
-                np.array([(m / v + site.shift.item()) / tau]), variance)
-        return SphericalGaussian.trusted((cavity.shift + site.shift) / tau, variance)
+        if not self._floats:
+            return SphericalGaussian.trusted((cavity.shift + site.shift) / tau, variance)
+        try:
+            h = site.h
+        except AttributeError:  # an array-form site
+            h = site.shift.item()
+        return ScalarSpherical.trusted((m / v + h) / tau, variance)
 
     def log_evidence(self, posterior, sites) -> float:
         self.tally.add((len(sites) + 1) * (self.model.d + 2))
         return ep_log_evidence(self._prior, posterior, sites)
-

@@ -10,11 +10,16 @@ Per-term approximations ("sites") are kept in natural parameters
 (precision, precision*mean, log scale) because iterative refinement
 legitimately drives site precisions negative or to zero; variance/mean
 forms are derived views.
+
+At d = 1 the clutter binding makes its posteriors and sites in a scalar
+form (`ScalarSpherical`, `ScalarSite`): the same types with the same bits,
+whose methods that a fit calls make no numpy call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,12 +90,35 @@ class SphericalGaussian:
 
     def natural_coords(self) -> np.ndarray:
         """Natural parameters (shift, -precision/2), flat."""
-        return np.concatenate((self.shift, [-0.5 * self.precision]))
+        return _spherical_coords(self.shift, self.precision)
 
     def moments(self) -> np.ndarray:
         """Expected sufficient statistics (E[x], E[|x|^2]), flat."""
-        m = self.mean
-        return np.concatenate((m, [self.dim * self.variance + float(m @ m)]))
+        return _spherical_moments(self.mean, self.variance)
+
+
+class ScalarSpherical(SphericalGaussian):
+    """A SphericalGaussian at d = 1 whose mean is held as the float `m`;
+    made by `clutter.ClutterBinding`, never directly.  The 1-element `mean`
+    array is built on first read and kept, as `PendingGaussian.covariance`
+    is; the methods below read `m` and give the base class's bits."""
+
+    @classmethod
+    def trusted(cls, mean: float, variance: float) -> "ScalarSpherical":
+        return _unvalidated(cls, m=mean, variance=variance)
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        return np.array([self.m])
+
+    def log_norm_coeff(self) -> float:
+        return spherical_log_coeff(self.m, self.variance)
+
+    def natural_coords(self) -> np.ndarray:
+        return _spherical_coords(self.m / self.variance, self.precision)
+
+    def moments(self) -> np.ndarray:
+        return _spherical_moments(self.m, self.variance)
 
 
 @dataclass(frozen=True)
@@ -252,17 +280,37 @@ def _formed(base: np.ndarray, rows: np.ndarray, coefs: np.ndarray) -> np.ndarray
     return W
 
 
+# Spherical-family formulas on a 1-D array, or on a float with the bits of
+# the 1-element array: the array types and the scalar form share them.
+
 def spherical_log_coeff(mean, variance: float) -> float:
     """`SphericalGaussian.log_norm_coeff` of N(mean, variance I) from its
-    moments, without constructing it; mean is a 1-D array or, at d = 1, a
-    float."""
+    moments, without constructing it."""
     d = 1 if isinstance(mean, float) else mean.shape[0]
     return -0.5 * d * (LOG_2PI + math.log(variance)) \
         - 0.5 * squared_norm(mean) / variance
 
 
+def _spherical_coords(shift, precision: float) -> np.ndarray:
+    """Natural parameters (shift, -precision/2), flat."""
+    return np.append(shift, -0.5 * precision)
+
+
+def _spherical_moments(mean, variance: float) -> np.ndarray:
+    """Expected sufficient statistics (E[x], E[|x|^2]) of N(mean, variance I)."""
+    d = 1 if isinstance(mean, float) else mean.shape[0]
+    return np.append(mean, d * variance + squared_norm(mean))
+
+
+def _site_log_coeff(precision: float, shift, log_scale: float) -> float:
+    """`NaturalSpherical.natural_log_coeff` from the site's parameters."""
+    if precision == 0.0:
+        return log_scale
+    return log_scale - 0.5 * squared_norm(shift) / precision
+
+
 def squared_norm(x) -> float:
-    """|x|^2 of a 1-D array, or of a float: the 1-element array's bits."""
+    """|x|^2."""
     return x * x if isinstance(x, float) else float(x @ x)
 
 
@@ -348,30 +396,62 @@ class NaturalSpherical:
 
     def natural_coords(self) -> np.ndarray:
         """The site's term in `SphericalGaussian.natural_coords`."""
-        return np.concatenate((self.shift, [-0.5 * self.precision]))
+        return _spherical_coords(self.shift, self.precision)
 
     def damped(self, new: "NaturalSpherical", gamma: float) -> "NaturalSpherical":
         """(1-gamma) * self + gamma * new in precision, shift and log scale;
         raises CancelledPrecisionError when the precisions cancel and the
         shifts do not."""
-        prec = (1.0 - gamma) * self.precision + gamma * new.precision
-        shift = (1.0 - gamma) * self.shift + gamma * new.shift
-        if prec == 0.0 and np.any(shift):
-            raise CancelledPrecisionError(
-                f"damped precision is 0 with shift {shift.tolist()}")
-        return NaturalSpherical.trusted(
-            prec, shift, (1.0 - gamma) * self.log_scale + gamma * new.log_scale)
+        return _damped(self, new, gamma, self.shift, new.shift)
 
     def natural_log_coeff(self) -> float:
         """log c with site(x) = exp(c + shift.x - precision |x|^2 / 2)."""
-        if self.precision == 0.0:
-            return self.log_scale
-        return self.log_scale - 0.5 * float(self.shift @ self.shift) / self.precision
+        return _site_log_coeff(self.precision, self.shift, self.log_scale)
 
     def log_value(self, x: np.ndarray) -> float:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return self.natural_log_coeff() + float(self.shift @ x) \
             - 0.5 * self.precision * float(x @ x)
+
+
+class ScalarSite(NaturalSpherical):
+    """A NaturalSpherical at d = 1 whose shift is held as the float `h`;
+    made by `clutter.ClutterBinding`, never directly.  The 1-element
+    `shift` array is built on first read and kept; the methods below read
+    `h` and give the base class's bits.  `change` and `damped` take
+    another ScalarSite."""
+
+    @classmethod
+    def trusted(cls, precision: float, shift: float, log_scale: float) -> "ScalarSite":
+        return _unvalidated(cls, precision=precision, h=shift, log_scale=log_scale)
+
+    @cached_property
+    def shift(self) -> np.ndarray:
+        return np.array([self.h])
+
+    def change(self, other: "ScalarSite") -> float:
+        return _max_abs(self.precision - other.precision, self.h - other.h)
+
+    def natural_coords(self) -> np.ndarray:
+        return _spherical_coords(self.h, self.precision)
+
+    def damped(self, new: "ScalarSite", gamma: float) -> "ScalarSite":
+        return _damped(self, new, gamma, self.h, new.h)
+
+    def natural_log_coeff(self) -> float:
+        return _site_log_coeff(self.precision, self.h, self.log_scale)
+
+
+def _damped(old: NaturalSpherical, new: NaturalSpherical, gamma: float,
+            old_shift, new_shift) -> NaturalSpherical:
+    """`NaturalSpherical.damped`, built by the old site's `trusted`."""
+    prec = (1.0 - gamma) * old.precision + gamma * new.precision
+    shift = (1.0 - gamma) * old_shift + gamma * new_shift
+    if prec == 0.0 and np.any(shift):
+        raise CancelledPrecisionError(
+            f"damped precision is 0 with shift {np.ravel(shift).tolist()}")
+    return type(old).trusted(
+        prec, shift, (1.0 - gamma) * old.log_scale + gamma * new.log_scale)
 
 
 @dataclass(frozen=True)

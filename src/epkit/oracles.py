@@ -248,8 +248,8 @@ def clutter_mixture_components(data: np.ndarray, w: float):
 
     Component k is the assignment whose inlier flags are the bits of k, most
     significant (observation 0) first: itertools.product((0, 1), repeat=n)
-    order.  The flags stay boolean and each observation is added to the
-    components that count it as an inlier (or clutter), so memory is
+    order.  The flags stay boolean and each observation's term is written
+    under its flag (inlier or clutter) before it is added, so memory is
     O(2^n (n + d)) bytes and no 0 * log(0) product arises at w = 0 or 1.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
@@ -270,13 +270,15 @@ def clutter_mixture_components(data: np.ndarray, w: float):
     # prior's normalizer; the conjugate integral over x is added after.
     log_ws = np.full(2 ** n, -0.5 * d * (LOG_2PI + math.log(PRIOR_VARIANCE)))
     beta = np.zeros((2 ** n, d))
+    add = np.empty(2 ** n)
     for i, y in enumerate(data):
         inlier = flags[:, i]
         log_clutter = math.log(w) + log_normal_pdf(y, np.zeros(d), CLUTTER_VARIANCE) \
             if w > 0.0 else -math.inf
-        log_ws[inlier] += log_inlier_coeff - 0.5 * (d * LOG_2PI + float(y @ y))
-        log_ws[~inlier] += log_clutter
-        beta[inlier] += y
+        add.fill(log_clutter)
+        np.copyto(add, log_inlier_coeff - 0.5 * (d * LOG_2PI + float(y @ y)), where=inlier)
+        log_ws += add
+        np.add(beta, y, out=beta, where=inlier[:, None])
     tau = 1.0 / PRIOR_VARIANCE + flags.sum(axis=1)
     log_ws += 0.5 * d * (LOG_2PI - np.log(tau)) \
         + 0.5 * np.sum(beta * beta, axis=1) / tau

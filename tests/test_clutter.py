@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from epkit.clutter import (
     CLUTTER_VARIANCE,
     LIKELIHOOD_BLOCK_ROWS,
+    PRIOR_VARIANCE,
     ClutterBinding,
     ClutterDataSpec,
     ClutterModel,
@@ -19,17 +20,21 @@ from epkit.clutter import (
     clutter_moment_match,
     generate_clutter_data,
 )
-from epkit.engine import (EPOptions, MomentMatchError, ep_log_evidence,
+from epkit.engine import (EPOptions, MomentMatchError, Schedule,
+                          check_fixed_point, ep_energy, ep_log_evidence,
                           run_adf, run_ep)
 from epkit.gaussians import (
     ImproperProductError,
     NaturalSpherical,
+    ScalarSite,
+    ScalarSpherical,
     SphericalGaussian,
     ZeroNormalizerError,
     combine_sites,
     divide_out,
     log_normal_pdf,
     spherical_as_site,
+    vacuous_spherical,
 )
 from epkit.oracles import (
     clutter_tilted_moments,
@@ -193,6 +198,86 @@ class TestBindingVisit:
             run_adf(ClutterBinding(model))
         assert err.value.term_index == 1
         assert isinstance(err.value.__cause__, ZeroNormalizerError)
+
+
+class ArrayFormBinding(ClutterBinding):
+    """At d = 1, the binding's fit on the base array types: the prior,
+    vacuous sites, sites and posteriors are SphericalGaussian and
+    NaturalSpherical, the cavity comes from `divide_out` and the posterior
+    from the cavity's and the site's shift arrays, as on the d > 1 path.
+    The charges are the binding's own."""
+
+    def prior(self):
+        return SphericalGaussian(mean=np.zeros(1), variance=PRIOR_VARIANCE)
+
+    def vacuous_site(self, i):
+        return vacuous_spherical(1)
+
+    def cavity(self, posterior, site):
+        if super().cavity(posterior, site) is None:
+            return None
+        cav = divide_out(posterior, site)
+        return cav.mean.item(), cav.variance
+
+    def moment_match(self, cavity, i):
+        site, log_z = super().moment_match(cavity, i)
+        return NaturalSpherical.trusted(site.precision, site.shift.copy(),
+                                        site.log_scale), log_z
+
+    def recombine(self, cavity, site):
+        variance = super().recombine(cavity, site).variance
+        cav = SphericalGaussian.trusted(np.array([cavity[0]]), cavity[1])
+        tau = cav.precision + site.precision
+        return SphericalGaussian.trusted((cav.shift + site.shift) / tau, variance)
+
+    def log_evidence(self, posterior, sites):
+        super().log_evidence(posterior, sites)
+        return ep_log_evidence(self.prior(), posterior, sites)
+
+
+def _fit_bits(binding, opts):
+    """Everything a fit gives, as bytes and float.hex."""
+    res = run_ep(binding, opts, record_history=True)
+
+    def g(dist):
+        return dist.mean.tobytes(), dist.variance.hex()
+
+    energy = ep_energy(binding, res.posterior, res.sites)
+    return {
+        "posterior": g(res.posterior),
+        "sites": [(s.precision.hex(), s.shift.tobytes(), s.log_scale.hex())
+                  for s in res.sites],
+        "history": [(h.sweep, g(h.posterior), h.log_evidence.hex(), h.operations,
+                     h.max_change.hex()) for h in res.history],
+        "result": (res.log_evidence.hex(), res.sweeps, res.converged,
+                   res.diagnostics, binding.tally.count),
+        "fixed_point": [r.hex() for r in check_fixed_point(binding, res.posterior,
+                                                            res.sites)],
+        "energy": (energy.objective.hex(), energy.constraint_residual.hex(),
+                   [r.hex() for r in energy.moment_residuals], energy.unevaluable),
+    }, res
+
+
+class TestScalarFormFits:
+    @pytest.mark.parametrize("opts", [
+        EPOptions(), EPOptions(damping=0.5, schedule=Schedule("random", 3))],
+        ids=["undamped", "damped"])
+    @pytest.mark.parametrize("w, seed", [(0.0, 11), (0.5, 11), (1.0, 11), (0.5, 5)])
+    def test_equal_to_the_array_form(self, w, seed, opts):
+        """A d = 1 fit in the scalar form equals, bit for bit, the same fit
+        with every posterior and site in the base array types.  Seed 5 of
+        the default experiment skips improper cavities."""
+        model = generate_clutter_data(ClutterDataSpec(x_true=[2.0], n=12, w=w,
+                                                      seed=seed))
+        got, res = _fit_bits(ClutterBinding(model), opts)
+        want, ref = _fit_bits(ArrayFormBinding(model), opts)
+        assert got == want
+        assert type(res.posterior) is ScalarSpherical
+        assert all(type(s) is ScalarSite for s in res.sites)
+        assert type(ref.posterior) is SphericalGaussian
+        assert all(type(s) is NaturalSpherical for s in ref.sites)
+        if (w, seed) == (0.5, 5) and opts.damping == 1.0:
+            assert res.diagnostics.skipped_sites > 0
 
 
 class TestGenerate:

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import special
@@ -12,11 +12,14 @@ from scipy.special import logsumexp
 
 from epkit.bpm import BpmBinding, make_dataset
 from epkit.gaussians import (
+    CancelledPrecisionError,
     DegenerateCovarianceError,
     FullGaussian,
     ImproperProductError,
     NaturalSpherical,
     RankOneSite,
+    ScalarSite,
+    ScalarSpherical,
     SphericalGaussian,
     combine_sites,
     divide_out,
@@ -346,3 +349,78 @@ class TestLogSumExp:
                                          (-math.inf, -math.inf)])
     def test_all_minus_inf(self, entries):
         assert _logsumexp(entries) == -math.inf
+
+
+def _bits(fn):
+    """fn()'s floats as float.hex (so a NaN is a NaN whatever its sign),
+    or the type and message of what it raised."""
+    try:
+        with np.errstate(all="ignore"):  # the array form may overflow
+            got = fn()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(got, NaturalSpherical):
+        return _bits(lambda: [got.precision, *got.shift, got.log_scale])
+    return [float(x).hex() for x in np.ravel(got)]
+
+
+_SITE_PARTS = st.tuples(
+    st.just(0.0) | st.floats(min_value=-1e3, max_value=1e3) | st.floats(),
+    st.just(0.0) | st.floats(min_value=-1e3, max_value=1e3) | st.floats(),
+    st.floats(min_value=-1e3, max_value=1e3))
+
+
+class TestScalarForm:
+    """Each method of `ScalarSpherical` and `ScalarSite` gives the bits of
+    the base class's on the equivalent 1-element arrays."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.just(0.0) | st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(min_value=1e-300, max_value=1e300))
+    @example(-0.0, 1.0)
+    @example(1e200, 1e-200)
+    def test_gaussian(self, m, v):
+        got = ScalarSpherical.trusted(m, v)
+        want = SphericalGaussian.trusted(np.array([m]), v)
+        assert isinstance(got, SphericalGaussian) and got.dim == want.dim == 1
+        for method in ("log_norm_coeff", "natural_coords", "moments"):
+            assert _bits(getattr(got, method)) == _bits(getattr(want, method)), method
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.mean is got.mean  # built once
+        assert _bits(lambda: got.shift) == _bits(lambda: want.shift)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_SITE_PARTS, _SITE_PARTS, st.sampled_from([0.5, 0.25, 0.05, 1.0]),
+           st.booleans(), st.floats(allow_nan=False) | st.just(-0.0))
+    @example((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.5, False, 1.0)  # vacuous
+    @example((0.3, 1.0, 0.0), (-0.3, 2.0, 0.0), 0.5, False, 1.0)  # cancels
+    @example((0.3, 1.0, 0.0), (-0.3, -1.0, 0.0), 0.5, False, 1.0)  # vacuous
+    @example((0.3, 1.0, 0.0), (0.3, math.nan, 0.0), 0.5, False, 1.0)
+    @example((math.nan, 1.0, 0.0), (0.3, 1.0, 0.0), 0.5, False, 1.0)
+    @example((0.0, 0.0, -0.0), (0.0, 0.0, 0.0), 0.5, False, -0.0)
+    def test_site(self, old_parts, new_parts, gamma, cancel, x):
+        if cancel:  # precisions that damping at gamma = 0.5 cancels
+            gamma, new_parts = 0.5, (-old_parts[0], *new_parts[1:])
+        (p0, h0, s0), (p1, h1, s1) = old_parts, new_parts
+        old, new = ScalarSite.trusted(p0, h0, s0), ScalarSite.trusted(p1, h1, s1)
+        old_a = NaturalSpherical.trusted(p0, np.array([h0]), s0)
+        new_a = NaturalSpherical.trusted(p1, np.array([h1]), s1)
+        assert isinstance(old, NaturalSpherical) and old.dim == 1
+        for method in ("natural_coords", "natural_log_coeff"):
+            assert _bits(getattr(old, method)) == _bits(getattr(old_a, method)), method
+        assert _bits(lambda: old.log_value(np.array([x]))) \
+            == _bits(lambda: old_a.log_value(np.array([x])))
+        change = new.change(old)
+        assert _bits(lambda: change) == _bits(lambda: new_a.change(old_a))
+        if any(math.isnan(a) for a in (p0, h0, p1, h1)):
+            assert math.isnan(change)  # a NaN change is never converged
+        damped = _bits(lambda: old.damped(new, gamma))
+        assert damped == _bits(lambda: old_a.damped(new_a, gamma))
+        if cancel and damped[0] is CancelledPrecisionError:
+            with pytest.raises(CancelledPrecisionError):
+                old.damped(new, gamma)
+        if isinstance(damped, list):
+            assert type(old.damped(new, gamma)) is ScalarSite
+        assert old.shift.tobytes() == old_a.shift.tobytes()
+        assert old.shift is old.shift  # built once
+        assert _bits(lambda: old.mean) == _bits(lambda: old_a.mean)
