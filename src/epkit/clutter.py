@@ -229,8 +229,9 @@ class ClutterBinding(ModelBinding):
     the array path's IEEE operations in the same order: the cavity is a
     (mean, variance) pair, and the prior, posteriors and sites are
     `ScalarSpherical` / `ScalarSite`, whose visit, `change` and evidence
-    make no numpy call.  Array-form posteriors and sites are accepted too.
-    Both paths charge alike.
+    make no numpy call.  `cavity` also takes array-form posteriors and
+    sites; `recombine` takes a site made by this binding.  Both paths
+    charge alike.
 
     Elementary-operation charges: length-d vector operations cost d, scalar
     updates cost 1 each.  Per site visit: cavity 2d+2, moment match 6d+12
@@ -251,7 +252,7 @@ class ClutterBinding(ModelBinding):
         self._ys = model.data[:, 0].tolist() if self._floats else model.data
         self._prior = ScalarSpherical.trusted(0.0, model.prior_variance) if self._floats \
             else SphericalGaussian(mean=np.zeros(d), variance=model.prior_variance)
-        self._site = ScalarSite.trusted if self._floats else NaturalSpherical.trusted
+        self._make_site = ScalarSite.trusted if self._floats else NaturalSpherical.trusted
 
     @property
     def site_count(self) -> int:
@@ -261,7 +262,9 @@ class ClutterBinding(ModelBinding):
         return self._prior
 
     def vacuous_site(self, i: int) -> NaturalSpherical:
-        return self._site(0.0, 0.0, 0.0) if self._floats else vacuous_spherical(self.model.d)
+        if self._floats:
+            return ScalarSite.trusted(0.0, 0.0, 0.0)
+        return vacuous_spherical(self.model.d)
 
     def cavity(self, posterior, site):
         self.tally.add(self._cavity_ops)
@@ -291,10 +294,10 @@ class ClutterBinding(ModelBinding):
         shift = mean / variance - m / v
         coeff = log_z + spherical_log_coeff(mean, variance) - spherical_log_coeff(m, v)
         if tau == 0.0:
-            return self._site(0.0, 0.0 if self._floats else np.zeros(self.model.d),
-                              coeff), log_z
+            zero = 0.0 if self._floats else np.zeros(self.model.d)
+            return self._make_site(0.0, zero, coeff), log_z
         log_scale = coeff + 0.5 * squared_norm(shift) / tau
-        return self._site(tau, shift, log_scale), log_z
+        return self._make_site(tau, shift, log_scale), log_z
 
     def recombine(self, cavity, site):
         self.tally.add(self._recombine_ops)
@@ -308,13 +311,9 @@ class ClutterBinding(ModelBinding):
         variance = 1.0 / tau
         if not 0.0 < variance < math.inf:
             raise ValueError(f"variance must be finite and positive, got {variance}")
-        if not self._floats:
-            return SphericalGaussian.trusted((cavity.shift + site.shift) / tau, variance)
-        try:
-            h = site.h
-        except AttributeError:  # an array-form site
-            h = site.shift.item()
-        return ScalarSpherical.trusted((m / v + h) / tau, variance)
+        if self._floats:
+            return ScalarSpherical.trusted((m / v + site.h) / tau, variance)
+        return SphericalGaussian.trusted((cavity.shift + site.shift) / tau, variance)
 
     def log_evidence(self, posterior, sites) -> float:
         self.tally.add((len(sites) + 1) * (self.model.d + 2))

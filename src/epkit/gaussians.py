@@ -419,7 +419,7 @@ class ScalarSite(NaturalSpherical):
     made by `clutter.ClutterBinding`, never directly.  The 1-element
     `shift` array is built on first read and kept; the methods below read
     `h` and give the base class's bits.  `change` and `damped` take
-    another ScalarSite."""
+    another ScalarSite; `log_value`, which no fit calls, reads `shift`."""
 
     @classmethod
     def trusted(cls, precision: float, shift: float, log_scale: float) -> "ScalarSite":

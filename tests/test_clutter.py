@@ -205,7 +205,7 @@ class ArrayFormBinding(ClutterBinding):
     vacuous sites, sites and posteriors are SphericalGaussian and
     NaturalSpherical, the cavity comes from `divide_out` and the posterior
     from the cavity's and the site's shift arrays, as on the d > 1 path.
-    The charges are the binding's own."""
+    The charges are the binding's (10d+16 per visit)."""
 
     def prior(self):
         return SphericalGaussian(mean=np.zeros(1), variance=PRIOR_VARIANCE)
@@ -225,10 +225,12 @@ class ArrayFormBinding(ClutterBinding):
                                         site.log_scale), log_z
 
     def recombine(self, cavity, site):
-        variance = super().recombine(cavity, site).variance
+        self.tally.add(4)
         cav = SphericalGaussian.trusted(np.array([cavity[0]]), cavity[1])
         tau = cav.precision + site.precision
-        return SphericalGaussian.trusted((cav.shift + site.shift) / tau, variance)
+        if tau <= 0.0:
+            raise ImproperProductError("improper product")
+        return SphericalGaussian.trusted((cav.shift + site.shift) / tau, 1.0 / tau)
 
     def log_evidence(self, posterior, sites):
         super().log_evidence(posterior, sites)
