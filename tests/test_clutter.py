@@ -214,10 +214,9 @@ class ArrayFormBinding(ClutterBinding):
         return vacuous_spherical(1)
 
     def cavity(self, posterior, site):
-        if super().cavity(posterior, site) is None:
-            return None
+        self.tally.add(4)
         cav = divide_out(posterior, site)
-        return cav.mean.item(), cav.variance
+        return None if cav is None else (cav.mean.item(), cav.variance)
 
     def moment_match(self, cavity, i):
         site, log_z = super().moment_match(cavity, i)
