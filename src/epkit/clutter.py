@@ -5,9 +5,8 @@ zero-centered clutter component N(0, CLUTTER_VARIANCE I) otherwise; the
 posterior over x is approximated by a spherical Gaussian.  This module
 supplies the analytic per-term moment match, synthetic data generation, and
 the binding that plugs it into the ADF/EP engine.  At d = 1, as the data
-decide, the binding's fit runs on Python floats, in the scalar form of the
-Gaussian types (`gaussians.ScalarSpherical`, `ScalarSite`): same bits, same
-charges.
+decide, the binding's fit holds its means and shifts as Python floats:
+same bits, same charges, one visit path for every d.
 """
 from __future__ import annotations
 
@@ -22,15 +21,11 @@ from .gaussians import (
     LOG_2PI,
     ImproperProductError,
     NaturalSpherical,
-    ScalarSite,
-    ScalarSpherical,
     SphericalGaussian,
     ZeroNormalizerError,
-    divide_out,
     log_normal_pdf,
     spherical_log_coeff,
     squared_norm,
-    vacuous_spherical,
 )
 
 # The paper's one clutter problem: its constants, which the oracles share.
@@ -62,6 +57,9 @@ class ClutterModel:
                              f"is {arr[bad[0]].tolist()}")
         if not 0.0 <= self.w <= 1.0:
             raise ValueError("clutter ratio w must lie in [0, 1]")
+        log_cl = np.array([_log_clutter(y, self.w) for y in arr], dtype=float)
+        log_cl.flags.writeable = False
+        object.__setattr__(self, "_log_clutter", log_cl)
 
     @property
     def n(self) -> int:
@@ -72,13 +70,10 @@ class ClutterModel:
         return self.data.shape[1]
 
     def log_clutter(self) -> np.ndarray:
-        """log(w N(y_i; 0, clutter_variance I)) for each observation; -inf
-        everywhere at w = 0."""
-        if self.w == 0.0:
-            return np.full(self.n, -math.inf)
-        zero = np.zeros(self.d)
-        return np.array([math.log(self.w) + log_normal_pdf(y, zero, self.clutter_variance)
-                         for y in self.data])
+        """log(w N(y_i; 0, clutter_variance I)) for each observation, as
+        computed once at construction (read-only); -inf everywhere at
+        w = 0."""
+        return self._log_clutter
 
     def log_likelihood(self, xs: np.ndarray) -> np.ndarray:
         """log p(D | x) for each row x of an (S, d) array: the sum over the
@@ -210,14 +205,22 @@ def _tilted_moments(m, v: float, y, w: float, log_clutter: float):
     return mean, variance, log_z, r
 
 
+def _log_clutter(y: np.ndarray, w: float) -> float:
+    """log(w N(y; 0, CLUTTER_VARIANCE I)) of one observation; -inf at w = 0."""
+    if not w > 0.0:
+        return -math.inf
+    return math.log(w) + log_normal_pdf(y, np.zeros(y.shape[0]), CLUTTER_VARIANCE)
+
+
 def clutter_moment_match(cavity: SphericalGaussian, y: np.ndarray,
                          w: float) -> ClutterMatch:
     """Spherical moment match of one observation term against the cavity
     (see `_tilted_moments`)."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    log_cl = math.log(w) + log_normal_pdf(y, np.zeros(cavity.dim), CLUTTER_VARIANCE) \
-        if w > 0.0 else -math.inf
-    mean, variance, log_z, r = _tilted_moments(cavity.mean, cavity.variance, y, w, log_cl)
+    if y.shape != cavity.mean.shape:
+        raise ValueError(f"dimension mismatch: y {y.shape} vs m {cavity.mean.shape}")
+    mean, variance, log_z, r = _tilted_moments(cavity.mean, cavity.variance, y, w,
+                                               _log_clutter(y, w))
     return ClutterMatch(posterior=SphericalGaussian.trusted(mean, variance),
                         z=math.exp(log_z), log_z=log_z, r=r)
 
@@ -225,13 +228,11 @@ def clutter_moment_match(cavity: SphericalGaussian, y: np.ndarray,
 class ClutterBinding(ModelBinding):
     """Engine binding for the clutter model (spherical Gaussian family).
 
-    At d = 1, chosen once from the data, the fit runs on Python floats with
-    the array path's IEEE operations in the same order: the cavity is a
-    (mean, variance) pair, and the prior, posteriors and sites are
-    `ScalarSpherical` / `ScalarSite`, whose visit, `change` and evidence
-    make no numpy call.  `cavity` also takes array-form posteriors and
-    sites; `recombine` takes a site made by this binding.  Both paths
-    charge alike.
+    A cavity is the pair (mean, variance), and one visit path serves every
+    d: means and shifts are floats at d = 1 and 1-D arrays otherwise, as
+    chosen once from the data, with the same IEEE operations either way.
+    At d = 1 a visit, `change` and the evidence then make no numpy call
+    but `_tilted_moments`' one exp.
 
     Elementary-operation charges: length-d vector operations cost d, scalar
     updates cost 1 each.  Per site visit: cavity 2d+2, moment match 6d+12
@@ -246,13 +247,13 @@ class ClutterBinding(ModelBinding):
         self._cavity_ops, self._match_ops, self._recombine_ops = \
             2 * d + 2, 6 * d + 12, 2 * d + 2
         self._log_clutter = model.log_clutter().tolist()
-        # at d = 1 cavities are (mean, variance), observations floats, and
-        # the prior, posteriors and sites the scalar form
-        self._floats = d == 1
-        self._ys = model.data[:, 0].tolist() if self._floats else model.data
-        self._prior = ScalarSpherical.trusted(0.0, model.prior_variance) if self._floats \
-            else SphericalGaussian(mean=np.zeros(d), variance=model.prior_variance)
-        self._make_site = ScalarSite.trusted if self._floats else NaturalSpherical.trusted
+        # observations, the prior mean and the zero shift: floats at d = 1
+        if d == 1:
+            self._ys, self._zero = model.data[:, 0].tolist(), 0.0
+        else:
+            self._ys, self._zero = model.data, np.zeros(d)
+            self._zero.flags.writeable = False  # shared by every vacuous site
+        self._prior = SphericalGaussian.trusted(self._zero, model.prior_variance)
 
     @property
     def site_count(self) -> int:
@@ -262,58 +263,44 @@ class ClutterBinding(ModelBinding):
         return self._prior
 
     def vacuous_site(self, i: int) -> NaturalSpherical:
-        if self._floats:
-            return ScalarSite.trusted(0.0, 0.0, 0.0)
-        return vacuous_spherical(self.model.d)
+        return NaturalSpherical.trusted(0.0, self._zero, 0.0)
 
     def cavity(self, posterior, site):
         self.tally.add(self._cavity_ops)
-        if not self._floats:
-            return divide_out(posterior, site)
-        try:
-            pm, h = posterior.m, site.h
-        except AttributeError:  # an array-form posterior or site
-            pm, h = posterior.mean.item(), site.shift.item()
-        pv = posterior.variance  # divide_out on floats
+        pv = posterior.variance
         tau = 1.0 / pv - site.precision
         if tau <= 0.0:
             return None
         v = 1.0 / tau
         if not v < math.inf:
             raise ValueError(f"variance must be finite and positive, got {v}")
-        return v * (pm / pv - h), v
+        return v * (posterior.m / pv - site.h), v
 
     def moment_match(self, cavity, i: int):
         """The site Z * q' / cavity of the oracle-gated tilted moments q'
         against the cavity, in natural parameters from the moment scalars."""
         self.tally.add(self._match_ops)
-        m, v = cavity if self._floats else (cavity.mean, cavity.variance)
+        m, v = cavity
         mean, variance, log_z, _ = _tilted_moments(
             m, v, self._ys[i], self.model.w, self._log_clutter[i])
         tau = 1.0 / variance - 1.0 / v
         shift = mean / variance - m / v
         coeff = log_z + spherical_log_coeff(mean, variance) - spherical_log_coeff(m, v)
         if tau == 0.0:
-            zero = 0.0 if self._floats else np.zeros(self.model.d)
-            return self._make_site(0.0, zero, coeff), log_z
+            return NaturalSpherical.trusted(0.0, self._zero, coeff), log_z
         log_scale = coeff + 0.5 * squared_norm(shift) / tau
-        return self._make_site(tau, shift, log_scale), log_z
+        return NaturalSpherical.trusted(tau, shift, log_scale), log_z
 
     def recombine(self, cavity, site):
         self.tally.add(self._recombine_ops)
-        if self._floats:
-            m, v = cavity
-            tau = 1.0 / v + site.precision
-        else:
-            tau = cavity.precision + site.precision
+        m, v = cavity
+        tau = 1.0 / v + site.precision
         if tau <= 0.0:
             raise ImproperProductError("improper product")
         variance = 1.0 / tau
         if not 0.0 < variance < math.inf:
             raise ValueError(f"variance must be finite and positive, got {variance}")
-        if self._floats:
-            return ScalarSpherical.trusted((m / v + site.h) / tau, variance)
-        return SphericalGaussian.trusted((cavity.shift + site.shift) / tau, variance)
+        return SphericalGaussian.trusted((m / v + site.h) / tau, variance)
 
     def log_evidence(self, posterior, sites) -> float:
         self.tally.add((len(sites) + 1) * (self.model.d + 2))

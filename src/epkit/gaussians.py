@@ -11,9 +11,10 @@ Per-term approximations ("sites") are kept in natural parameters
 legitimately drives site precisions negative or to zero; variance/mean
 forms are derived views.
 
-At d = 1 the clutter binding makes its posteriors and sites in a scalar
-form (`ScalarSpherical`, `ScalarSite`): the same types with the same bits,
-whose methods that a fit calls make no numpy call.
+A spherical Gaussian's mean and a spherical site's shift are held as 1-D
+arrays, or at d = 1 as Python floats with the same bits; the clutter
+binding makes its d = 1 fit on floats, and the methods that a fit calls
+then make no numpy call.
 """
 from __future__ import annotations
 
@@ -52,25 +53,33 @@ class CancelledPrecisionError(ValueError):
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SphericalGaussian:
     """N(mean, variance * I_d) with a finite positive variance (a vacuous
-    site is a `NaturalSpherical` of precision 0, never this type)."""
-    mean: np.ndarray
+    site is a `NaturalSpherical` of precision 0, never this type).
+
+    The mean is held as `m`: a 1-D array, or at d = 1 a Python float (see
+    `trusted`).  The public `mean` is always a 1-D array, built from a
+    float on first read and then kept; the methods read `m`."""
+    m: np.ndarray | float
     variance: float
 
-    def __post_init__(self):
-        m = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        object.__setattr__(self, "mean", m)
-        if not 0.0 < self.variance < math.inf:
-            raise ValueError(f"variance must be finite and positive, got {self.variance}")
+    def __init__(self, mean: np.ndarray, variance: float):
+        m = np.atleast_1d(np.asarray(mean, dtype=float))
+        if not 0.0 < variance < math.inf:
+            raise ValueError(f"variance must be finite and positive, got {variance}")
+        self.__dict__.update(m=m, variance=variance)
 
     @classmethod
-    def trusted(cls, mean: np.ndarray, variance: float) -> "SphericalGaussian":
+    def trusted(cls, mean, variance: float) -> "SphericalGaussian":
         """Construct without validation, for inner loops whose mean is
-        already a 1-D float array and whose caller has checked
-        0 < variance < inf."""
-        return _unvalidated(cls, mean=mean, variance=variance)
+        already a 1-D float array, or a float at d = 1, and whose caller has
+        checked 0 < variance < inf."""
+        return _unvalidated(cls, m=mean, variance=variance)
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        return _as_array(self.m)
 
     @property
     def dim(self) -> int:
@@ -86,38 +95,14 @@ class SphericalGaussian:
 
     def log_norm_coeff(self) -> float:
         """log of the coefficient c in N(x) = exp(c + shift.x - prec |x|^2/2)."""
-        return spherical_log_coeff(self.mean, self.variance)
-
-    def natural_coords(self) -> np.ndarray:
-        """Natural parameters (shift, -precision/2), flat."""
-        return _spherical_coords(self.shift, self.precision)
-
-    def moments(self) -> np.ndarray:
-        """Expected sufficient statistics (E[x], E[|x|^2]), flat."""
-        return _spherical_moments(self.mean, self.variance)
-
-
-class ScalarSpherical(SphericalGaussian):
-    """A SphericalGaussian at d = 1 whose mean is held as the float `m`;
-    made by `clutter.ClutterBinding`, never directly.  The 1-element `mean`
-    array is built on first read and kept, as `PendingGaussian.covariance`
-    is; the methods below read `m` and give the base class's bits."""
-
-    @classmethod
-    def trusted(cls, mean: float, variance: float) -> "ScalarSpherical":
-        return _unvalidated(cls, m=mean, variance=variance)
-
-    @cached_property
-    def mean(self) -> np.ndarray:
-        return np.array([self.m])
-
-    def log_norm_coeff(self) -> float:
         return spherical_log_coeff(self.m, self.variance)
 
     def natural_coords(self) -> np.ndarray:
+        """Natural parameters (shift, -precision/2), flat."""
         return _spherical_coords(self.m / self.variance, self.precision)
 
     def moments(self) -> np.ndarray:
+        """Expected sufficient statistics (E[x], E[|x|^2]), flat."""
         return _spherical_moments(self.m, self.variance)
 
 
@@ -281,7 +266,7 @@ def _formed(base: np.ndarray, rows: np.ndarray, coefs: np.ndarray) -> np.ndarray
 
 
 # Spherical-family formulas on a 1-D array, or on a float with the bits of
-# the 1-element array: the array types and the scalar form share them.
+# the 1-element array, for means and shifts held either way.
 
 def spherical_log_coeff(mean, variance: float) -> float:
     """`SphericalGaussian.log_norm_coeff` of N(mean, variance I) from its
@@ -302,20 +287,19 @@ def _spherical_moments(mean, variance: float) -> np.ndarray:
     return np.append(mean, d * variance + squared_norm(mean))
 
 
-def _site_log_coeff(precision: float, shift, log_scale: float) -> float:
-    """`NaturalSpherical.natural_log_coeff` from the site's parameters."""
-    if precision == 0.0:
-        return log_scale
-    return log_scale - 0.5 * squared_norm(shift) / precision
-
-
 def squared_norm(x) -> float:
     """|x|^2."""
     return x * x if isinstance(x, float) else float(x @ x)
 
 
+def _as_array(x) -> np.ndarray:
+    """A float as a 1-element array; an array as itself."""
+    return np.array([x]) if isinstance(x, float) else x
+
+
 def _unvalidated(cls, **fields):
-    """A frozen dataclass instance built without running __post_init__."""
+    """A frozen dataclass instance built without its validation (the
+    `__init__` or `__post_init__` checks)."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -348,30 +332,35 @@ def rank_one_update(V: np.ndarray, a: np.ndarray, c: float) -> np.ndarray:
     return W
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NaturalSpherical:
     """A spherical site s * exp(-precision/2 * |x - m|^2) with m = shift/precision.
 
     precision may be negative or zero; precision 0 with zero shift is the
     vacuous site (identically exp(log_scale)).  log_scale is the log of the
-    value at the site mean.
+    value at the site mean.  The shift is held as `h`, a 1-D array or at
+    d = 1 a Python float, as `SphericalGaussian` holds its mean; the public
+    `shift` is always a 1-D array.
     """
     precision: float
-    shift: np.ndarray
-    log_scale: float = 0.0
+    h: np.ndarray | float
+    log_scale: float
 
-    def __post_init__(self):
-        s = np.atleast_1d(np.asarray(self.shift, dtype=float))
-        object.__setattr__(self, "shift", s)
-        if self.precision == 0.0 and float(s @ s) != 0.0:
+    def __init__(self, precision: float, shift: np.ndarray, log_scale: float = 0.0):
+        h = np.atleast_1d(np.asarray(shift, dtype=float))
+        if precision == 0.0 and float(h @ h) != 0.0:
             raise ValueError("a zero-precision site must have zero shift")
+        self.__dict__.update(precision=precision, h=h, log_scale=log_scale)
 
     @classmethod
-    def trusted(cls, precision: float, shift: np.ndarray,
-                log_scale: float) -> "NaturalSpherical":
+    def trusted(cls, precision: float, shift, log_scale: float) -> "NaturalSpherical":
         """Construct without validation, for a shift that is already a 1-D
-        float array and is zero whenever precision is."""
-        return _unvalidated(cls, precision=precision, shift=shift, log_scale=log_scale)
+        float array, or a float at d = 1, and is zero whenever precision is."""
+        return _unvalidated(cls, precision=precision, h=shift, log_scale=log_scale)
+
+    @cached_property
+    def shift(self) -> np.ndarray:
+        return _as_array(self.h)
 
     @property
     def dim(self) -> int:
@@ -391,67 +380,36 @@ class NaturalSpherical:
         """Convergence measure: the largest absolute difference in precision
         and shift, NaN when any of them is NaN; log scale excluded (it
         tracks the others and has no effect on the posterior shape)."""
+        dh = self.h - other.h
         return _max_abs(self.precision - other.precision,
-                        float(np.abs(self.shift - other.shift).max()))
+                        dh if isinstance(dh, float) else float(np.abs(dh).max()))
 
     def natural_coords(self) -> np.ndarray:
         """The site's term in `SphericalGaussian.natural_coords`."""
-        return _spherical_coords(self.shift, self.precision)
+        return _spherical_coords(self.h, self.precision)
 
     def damped(self, new: "NaturalSpherical", gamma: float) -> "NaturalSpherical":
         """(1-gamma) * self + gamma * new in precision, shift and log scale;
         raises CancelledPrecisionError when the precisions cancel and the
         shifts do not."""
-        return _damped(self, new, gamma, self.shift, new.shift)
+        prec = (1.0 - gamma) * self.precision + gamma * new.precision
+        shift = (1.0 - gamma) * self.h + gamma * new.h
+        if prec == 0.0 and np.any(shift):
+            raise CancelledPrecisionError(
+                f"damped precision is 0 with shift {np.ravel(shift).tolist()}")
+        return NaturalSpherical.trusted(
+            prec, shift, (1.0 - gamma) * self.log_scale + gamma * new.log_scale)
 
     def natural_log_coeff(self) -> float:
         """log c with site(x) = exp(c + shift.x - precision |x|^2 / 2)."""
-        return _site_log_coeff(self.precision, self.shift, self.log_scale)
+        if self.precision == 0.0:
+            return self.log_scale
+        return self.log_scale - 0.5 * squared_norm(self.h) / self.precision
 
     def log_value(self, x: np.ndarray) -> float:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return self.natural_log_coeff() + float(self.shift @ x) \
             - 0.5 * self.precision * float(x @ x)
-
-
-class ScalarSite(NaturalSpherical):
-    """A NaturalSpherical at d = 1 whose shift is held as the float `h`;
-    made by `clutter.ClutterBinding`, never directly.  The 1-element
-    `shift` array is built on first read and kept; the methods below read
-    `h` and give the base class's bits.  `change` and `damped` take
-    another ScalarSite; `log_value`, which no fit calls, reads `shift`."""
-
-    @classmethod
-    def trusted(cls, precision: float, shift: float, log_scale: float) -> "ScalarSite":
-        return _unvalidated(cls, precision=precision, h=shift, log_scale=log_scale)
-
-    @cached_property
-    def shift(self) -> np.ndarray:
-        return np.array([self.h])
-
-    def change(self, other: "ScalarSite") -> float:
-        return _max_abs(self.precision - other.precision, self.h - other.h)
-
-    def natural_coords(self) -> np.ndarray:
-        return _spherical_coords(self.h, self.precision)
-
-    def damped(self, new: "ScalarSite", gamma: float) -> "ScalarSite":
-        return _damped(self, new, gamma, self.h, new.h)
-
-    def natural_log_coeff(self) -> float:
-        return _site_log_coeff(self.precision, self.h, self.log_scale)
-
-
-def _damped(old: NaturalSpherical, new: NaturalSpherical, gamma: float,
-            old_shift, new_shift) -> NaturalSpherical:
-    """`NaturalSpherical.damped`, built by the old site's `trusted`."""
-    prec = (1.0 - gamma) * old.precision + gamma * new.precision
-    shift = (1.0 - gamma) * old_shift + gamma * new_shift
-    if prec == 0.0 and np.any(shift):
-        raise CancelledPrecisionError(
-            f"damped precision is 0 with shift {np.ravel(shift).tolist()}")
-    return type(old).trusted(
-        prec, shift, (1.0 - gamma) * old.log_scale + gamma * new.log_scale)
 
 
 @dataclass(frozen=True)
@@ -698,7 +656,9 @@ def divide_out(posterior: SphericalGaussian, site: NaturalSpherical):
 
     Returns the cavity Gaussian, or None when the remaining precision is not
     positive (an improper cavity is a flagged outcome, not a crash); policy
-    for the flag lives with the caller.  Full-Gaussian cavities are the BPM
+    for the flag lives with the caller.  No fit calls it: it is the tests'
+    reference for `clutter.ClutterBinding.cavity`, as `combine_sites` is
+    for `engine.ep_log_evidence`.  Full-Gaussian cavities are the BPM
     binding's (`bpm.BpmBinding.cavity`).
     """
     tau = posterior.precision - site.precision

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from epkit import clutter, gaussians
 from epkit.clutter import (
     CLUTTER_VARIANCE,
     LIKELIHOOD_BLOCK_ROWS,
@@ -26,8 +27,6 @@ from epkit.engine import (EPOptions, MomentMatchError, Schedule,
 from epkit.gaussians import (
     ImproperProductError,
     NaturalSpherical,
-    ScalarSite,
-    ScalarSpherical,
     SphericalGaussian,
     ZeroNormalizerError,
     combine_sites,
@@ -163,34 +162,45 @@ class TestBindingVisit:
                     assert site.log_scale == coeff + 0.5 * float(shift @ shift) / tau
 
     def test_float_cavity_and_recombination_are_the_array_ones(self):
-        """At d = 1 the cavity is divide_out's, and the posterior is
-        (cavity.shift + site.shift) / tau of precision tau, bit for bit;
-        an improper cavity is None and an improper product raises."""
+        """At d = 1, 2 and 3 the cavity is divide_out's, and the posterior
+        is (cavity.shift + site.shift) / tau of precision tau, bit for bit;
+        at d = 1 the posteriors and sites are float-held.  An improper
+        cavity is None and an improper product raises."""
         rng = np.random.default_rng(18)
-        model = ClutterModel(data=rng.normal(size=(5, 1)) * 3.0, w=0.5)
-        binding = ClutterBinding(model)
-        improper = 0
-        for k in range(300):
-            post = SphericalGaussian(mean=rng.normal(size=1) * 2.0,
-                                     variance=float(rng.uniform(0.3, 30.0)))
-            old = NaturalSpherical.trusted(
-                float(rng.uniform(-1.0, 1.2)) / post.variance, rng.normal(size=1), 0.0)
-            cav, want = binding.cavity(post, old), divide_out(post, old)
-            if want is None:
-                assert cav is None
-                improper += 1
-                continue
-            m, v = cav
-            assert (m.hex(), v.hex()) == (want.mean.item().hex(), want.variance.hex())
-            site, _ = binding.moment_match(cav, k % model.n)
-            tau = want.precision + site.precision
-            got = binding.recombine(cav, site)
-            assert got.variance.hex() == (1.0 / tau).hex()
-            assert got.mean.tobytes() == ((want.shift + site.shift) / tau).tobytes()
-            with pytest.raises(ImproperProductError):
-                binding.recombine(cav, NaturalSpherical.trusted(
-                    -2.0 * want.precision, site.shift, 0.0))
-        assert 0 < improper < 150
+        for d in (1, 2, 3):
+            model = ClutterModel(data=rng.normal(size=(5, d)) * 3.0, w=0.5)
+            binding = ClutterBinding(model)
+            held = float if d == 1 else np.ndarray
+            improper = 0
+            for k in range(300):
+                mean, variance = rng.normal(size=d) * 2.0, float(rng.uniform(0.3, 30.0))
+                precision = float(rng.uniform(-1.0, 1.2)) / variance
+                shift = rng.normal(size=d)
+                post = SphericalGaussian.trusted(mean.item() if d == 1 else mean, variance)
+                old = NaturalSpherical.trusted(
+                    precision, shift.item() if d == 1 else shift, 0.0)
+                cav = binding.cavity(post, old)
+                want = divide_out(SphericalGaussian(mean, variance),
+                                  NaturalSpherical(precision, shift))
+                if want is None:
+                    assert cav is None
+                    improper += 1
+                    continue
+                m, v = cav
+                assert type(m) is held
+                assert np.ravel(m).tobytes() == want.mean.tobytes()
+                assert v.hex() == want.variance.hex()
+                site, _ = binding.moment_match(cav, k % model.n)
+                assert type(site.h) is held
+                tau = want.precision + site.precision
+                got = binding.recombine(cav, site)
+                assert type(got.m) is held
+                assert got.variance.hex() == (1.0 / tau).hex()
+                assert got.mean.tobytes() == ((want.shift + site.shift) / tau).tobytes()
+                with pytest.raises(ImproperProductError):
+                    binding.recombine(cav, NaturalSpherical.trusted(
+                        -2.0 * want.precision, site.h, 0.0))
+            assert 0 < improper < 150, d
 
     def test_failure_is_moment_match_error(self):
         model = ClutterModel(data=np.array([[0.5], [1e300]]), w=0.0)
@@ -201,11 +211,10 @@ class TestBindingVisit:
 
 
 class ArrayFormBinding(ClutterBinding):
-    """At d = 1, the binding's fit on the base array types: the prior,
-    vacuous sites, sites and posteriors are SphericalGaussian and
-    NaturalSpherical, the cavity comes from `divide_out` and the posterior
-    from the cavity's and the site's shift arrays, as on the d > 1 path.
-    The charges are the binding's (10d+16 per visit)."""
+    """At d = 1, the binding's fit with every mean and shift held as a
+    1-element array: the cavity comes from `divide_out` and the posterior
+    from the cavity's and the site's shift arrays.  The charges are the
+    binding's (10d+16 per visit)."""
 
     def prior(self):
         return SphericalGaussian(mean=np.zeros(1), variance=PRIOR_VARIANCE)
@@ -216,7 +225,7 @@ class ArrayFormBinding(ClutterBinding):
     def cavity(self, posterior, site):
         self.tally.add(4)
         cav = divide_out(posterior, site)
-        return None if cav is None else (cav.mean.item(), cav.variance)
+        return None if cav is None else (cav.mean, cav.variance)
 
     def moment_match(self, cavity, i):
         site, log_z = super().moment_match(cavity, i)
@@ -225,7 +234,7 @@ class ArrayFormBinding(ClutterBinding):
 
     def recombine(self, cavity, site):
         self.tally.add(4)
-        cav = SphericalGaussian.trusted(np.array([cavity[0]]), cavity[1])
+        cav = SphericalGaussian.trusted(*cavity)
         tau = cav.precision + site.precision
         if tau <= 0.0:
             raise ImproperProductError("improper product")
@@ -265,20 +274,46 @@ class TestScalarFormFits:
         ids=["undamped", "damped"])
     @pytest.mark.parametrize("w, seed", [(0.0, 11), (0.5, 11), (1.0, 11), (0.5, 5)])
     def test_equal_to_the_array_form(self, w, seed, opts):
-        """A d = 1 fit in the scalar form equals, bit for bit, the same fit
-        with every posterior and site in the base array types.  Seed 5 of
+        """A d = 1 fit on float-held means and shifts equals, bit for bit,
+        the same fit with every mean and shift held as an array.  Seed 5 of
         the default experiment skips improper cavities."""
         model = generate_clutter_data(ClutterDataSpec(x_true=[2.0], n=12, w=w,
                                                       seed=seed))
         got, res = _fit_bits(ClutterBinding(model), opts)
         want, ref = _fit_bits(ArrayFormBinding(model), opts)
         assert got == want
-        assert type(res.posterior) is ScalarSpherical
-        assert all(type(s) is ScalarSite for s in res.sites)
-        assert type(ref.posterior) is SphericalGaussian
-        assert all(type(s) is NaturalSpherical for s in ref.sites)
+        assert type(res.posterior.m) is float
+        assert all(type(s.h) is float for s in res.sites)
+        assert type(ref.posterior.m) is np.ndarray
+        assert all(type(s.h) is np.ndarray for s in ref.sites)
         if (w, seed) == (0.5, 5) and opts.damping == 1.0:
             assert res.diagnostics.skipped_sites > 0
+
+
+class _ExpOnly:
+    """A stand-in for numpy that offers `exp` and raises on anything else."""
+    exp = np.exp
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy call np.{name}")
+
+
+@pytest.mark.parametrize("seed", [1, 5, 11])
+def test_d1_fit_makes_no_numpy_call_but_exp(seed, monkeypatch):
+    """With numpy reduced to `exp` in the clutter and Gaussian modules, an
+    undamped d = 1 EP fit with history and an ADF fit on the default data
+    finish, and their posteriors have the bits of an unpatched fit."""
+    model = generate_clutter_data(ClutterDataSpec(x_true=[2.0], n=12, w=0.5,
+                                                  seed=seed))
+    want = [run_ep(ClutterBinding(model), record_history=True).posterior,
+            run_adf(ClutterBinding(model)).posterior]
+    with monkeypatch.context() as patched:
+        for module in (clutter, gaussians):
+            patched.setattr(module, "np", _ExpOnly())
+        got = [run_ep(ClutterBinding(model), record_history=True).posterior,
+               run_adf(ClutterBinding(model)).posterior]
+    for g, w in zip(got, want):
+        assert (g.mean.tobytes(), g.variance.hex()) == (w.mean.tobytes(), w.variance.hex())
 
 
 class TestGenerate:
@@ -507,6 +542,26 @@ def test_model_validation():
     # the variances are the problem's constants, not fields
     with pytest.raises(TypeError):
         ClutterModel(data=np.zeros((2, 1)), w=0.5, prior_variance=0.0)
+
+
+@pytest.mark.parametrize("w", [0.0, 0.3, 1.0])
+def test_clutter_constants_are_computed_once(w):
+    """`log_clutter` returns the model's one read-only array of
+    log(w N(y_i; 0, CLUTTER_VARIANCE I)), which the moment match's
+    constant equals."""
+    data = np.random.default_rng(3).normal(size=(4, 2)) * 3.0
+    model = ClutterModel(data=data, w=w)
+    log_cl = model.log_clutter()
+    assert log_cl is model.log_clutter() and not log_cl.flags.writeable
+    for y, c in zip(data, log_cl):
+        want = math.log(w) + log_normal_pdf(y, np.zeros(2), CLUTTER_VARIANCE) \
+            if w > 0.0 else -math.inf
+        assert c == want
+        cav = SphericalGaussian(mean=np.zeros(2), variance=1.0)
+        assert clutter_moment_match(cav, y, w).log_z \
+            == _tilted_moments(cav.mean, 1.0, y, w, want)[2]
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        clutter_moment_match(SphericalGaussian(mean=[0.0], variance=1.0), data[0], w)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -18,8 +18,6 @@ from epkit.gaussians import (
     ImproperProductError,
     NaturalSpherical,
     RankOneSite,
-    ScalarSite,
-    ScalarSpherical,
     SphericalGaussian,
     combine_sites,
     divide_out,
@@ -371,8 +369,9 @@ _SITE_PARTS = st.tuples(
 
 
 class TestScalarForm:
-    """Each method of `ScalarSpherical` and `ScalarSite` gives the bits of
-    the base class's on the equivalent 1-element arrays."""
+    """Each method of a SphericalGaussian or NaturalSpherical whose mean or
+    shift is held as a float gives the bits of the same method on the
+    equivalent 1-element array."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.just(0.0) | st.floats(allow_nan=False, allow_infinity=False),
@@ -380,9 +379,9 @@ class TestScalarForm:
     @example(-0.0, 1.0)
     @example(1e200, 1e-200)
     def test_gaussian(self, m, v):
-        got = ScalarSpherical.trusted(m, v)
+        got = SphericalGaussian.trusted(m, v)
         want = SphericalGaussian.trusted(np.array([m]), v)
-        assert isinstance(got, SphericalGaussian) and got.dim == want.dim == 1
+        assert type(got.m) is float and got.dim == want.dim == 1
         for method in ("log_norm_coeff", "natural_coords", "moments"):
             assert _bits(getattr(got, method)) == _bits(getattr(want, method)), method
         assert got.mean.tobytes() == want.mean.tobytes()
@@ -402,16 +401,18 @@ class TestScalarForm:
         if cancel:  # precisions that damping at gamma = 0.5 cancels
             gamma, new_parts = 0.5, (-old_parts[0], *new_parts[1:])
         (p0, h0, s0), (p1, h1, s1) = old_parts, new_parts
-        old, new = ScalarSite.trusted(p0, h0, s0), ScalarSite.trusted(p1, h1, s1)
+        old = NaturalSpherical.trusted(p0, h0, s0)
+        new = NaturalSpherical.trusted(p1, h1, s1)
         old_a = NaturalSpherical.trusted(p0, np.array([h0]), s0)
         new_a = NaturalSpherical.trusted(p1, np.array([h1]), s1)
-        assert isinstance(old, NaturalSpherical) and old.dim == 1
+        assert type(old.h) is float and old.dim == 1
         for method in ("natural_coords", "natural_log_coeff"):
             assert _bits(getattr(old, method)) == _bits(getattr(old_a, method)), method
         assert _bits(lambda: old.log_value(np.array([x]))) \
             == _bits(lambda: old_a.log_value(np.array([x])))
         change = new.change(old)
         assert _bits(lambda: change) == _bits(lambda: new_a.change(old_a))
+        assert _bits(lambda: new.change(old_a)) == _bits(lambda: change)  # mixed
         if any(math.isnan(a) for a in (p0, h0, p1, h1)):
             assert math.isnan(change)  # a NaN change is never converged
         damped = _bits(lambda: old.damped(new, gamma))
@@ -420,7 +421,7 @@ class TestScalarForm:
             with pytest.raises(CancelledPrecisionError):
                 old.damped(new, gamma)
         if isinstance(damped, list):
-            assert type(old.damped(new, gamma)) is ScalarSite
+            assert type(old.damped(new, gamma).h) is float
         assert old.shift.tobytes() == old_a.shift.tobytes()
         assert old.shift is old.shift  # built once
         assert _bits(lambda: old.mean) == _bits(lambda: old_a.mean)
