@@ -246,7 +246,8 @@ def _site_from_margins(log_z: float, q0: float, mu0: float, q1: float,
 def rank_one_site_from(posterior: FullGaussian, cavity: FullGaussian,
                        log_z: float, u: np.ndarray) -> RankOneSite:
     """Site = Z * posterior / cavity along u, from dense Gaussians (the
-    binding uses the match scalars instead)."""
+    binding uses the match scalars instead).  No fit calls it: it is the
+    tests' reference for the site `BpmBinding.moment_match` returns."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     tau, mean, log_scale = _site_from_margins(
         log_z, float(u @ (cavity.covariance @ u)), float(u @ cavity.mean),

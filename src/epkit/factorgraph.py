@@ -30,8 +30,6 @@ import numpy as np
 from .engine import EPOptions
 from .gaussians import _logsumexp
 
-_FLOOR = 1e-300
-
 
 class ContradictoryEvidenceError(ValueError):
     """A factor's step normalizer vanished: the evidence sliced into its
@@ -128,11 +126,12 @@ def load_network(document: dict | Path) -> DiscreteFactorGraph:
 
 @dataclass(frozen=True)
 class Message:
-    values: np.ndarray  # normalized to sum 1, strictly positive
+    values: np.ndarray  # normalized to sum 1, nonnegative
     log_scale: float
 
     def log_total(self) -> np.ndarray:
-        return np.log(self.values) + self.log_scale
+        with np.errstate(divide="ignore"):  # an exact zero -> -inf
+            return np.log(self.values) + self.log_scale
 
 
 MessageSet = dict[tuple[str, str], Message]
@@ -146,7 +145,7 @@ class LoopyResult:
     converged: bool
     log_evidence: float
     sweeps: int
-    floor_events: int
+    floor_events: int  # message entries written as exact zeros
     operations: int
 
 
@@ -248,11 +247,11 @@ def loopy_ep(net: DiscreteFactorGraph,
     one exp.  An undamped message is the partial sum-product scaled to sum
     1, with no log or exp, so on a tree it settles bit for bit once its
     cavities do; damping interpolates log message values and normalizes
-    them like a cavity.  Non-convergence after max_sweeps is reported, not
-    raised.  Messages are floored at 1e-300 to stay positive; the tilted
-    normalizer is checked with the floored entries that stand for exact
-    zeros taken as zero, so contradictory evidence raises
-    ContradictoryEvidenceError wherever bk_adf raises it.
+    them like a cavity, and converges once values and log scales settle.
+    Non-convergence after max_sweeps is reported, not raised.  Messages
+    keep exact zeros, -inf in the log domain and so kept by damping; a
+    tilted normalizer z <= 0 raises ContradictoryEvidenceError, wherever
+    bk_adf raises it and wherever the evidence leaves no mass.
     """
     damping = opts.damping
     floor_events = 0
@@ -284,16 +283,11 @@ def loopy_ep(net: DiscreteFactorGraph,
     logs = {key: np.log(values[key]) for _, _, _, _, others, _ in plan
             for keys in others if len(keys) > 1 for key in keys}
 
-    # entries of floored messages whose value was exactly zero: the floor
-    # keeps every message positive, so only these masks tell a tilted
-    # normalizer made of floored mass alone from a true one
-    zeros: dict[tuple[str, str], np.ndarray] = {}
-
     m = len(net.factors)
     converged = m == 0
     sweeps = 0
     operations = 0
-    with np.errstate(divide="ignore"):  # log of a zero partial -> -inf
+    with np.errstate(divide="ignore"):  # log of a zero entry -> -inf
         for order in opts.schedule.orders(m) if m else ():
             if sweeps >= opts.max_sweeps:
                 break
@@ -303,8 +297,6 @@ def loopy_ep(net: DiscreteFactorGraph,
                 joint, charge, share, own, others, uniform = plan[idx]
                 operations += charge
                 cavities = []
-                live = []  # the cavities with zero-mass entries set to zero
-                masked = False
                 for axis, keys in enumerate(others):
                     if len(keys) == 1:  # a lone message is already normalized
                         cavity = values[keys[0]]
@@ -320,19 +312,8 @@ def loopy_ep(net: DiscreteFactorGraph,
                     else:
                         cavity = uniform[axis]
                     cavities.append(cavity)
-                    dead = None
-                    if zeros:
-                        for key in keys:
-                            if key in zeros:
-                                dead = zeros[key] if dead is None \
-                                    else dead | zeros[key]
-                    if dead is None:
-                        live.append(cavity)
-                    else:
-                        live.append(np.where(dead, 0.0, cavity))
-                        masked = True
                 z, partial = _tilted(joint, cavities)
-                if z <= 0.0 or (masked and _tilted(joint, live)[0] <= 0.0):
+                if z <= 0.0:
                     raise ContradictoryEvidenceError(
                         f"contradictory evidence at factor {net.factors[idx].id!r}")
                 share_z = math.log(z) * share
@@ -342,17 +323,11 @@ def loopy_ep(net: DiscreteFactorGraph,
                         log_new = np.log(ps) + share_z
                         new, log_scale = _exp_normalize(
                             (1.0 - damping) * log_old + damping * log_new)
+                        max_change = max(max_change, abs(log_scale - scales[key]))
                     else:
                         total = float(ps.sum())
                         new, log_scale = ps / total, math.log(total) + share_z
-                    if zeros:
-                        zeros.pop(key, None)
-                    if new.min() < _FLOOR:
-                        floor_events += int(np.count_nonzero(new < _FLOOR))
-                        if not new.all():
-                            zeros[key] = new == 0.0
-                        new = np.maximum(new, _FLOOR)
-                        new = new / new.sum()
+                    floor_events += new.size - int(np.count_nonzero(new))
                     max_change = max(max_change,
                                      float(np.abs(new - values[key]).max()))
                     values[key] = new

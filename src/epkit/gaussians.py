@@ -407,6 +407,7 @@ class NaturalSpherical:
         return self.log_scale - 0.5 * squared_norm(self.h) / self.precision
 
     def log_value(self, x: np.ndarray) -> float:
+        """log site(x).  No fit calls it: the tests evaluate sites with it."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return self.natural_log_coeff() + float(self.shift @ x) \
             - 0.5 * self.precision * float(x @ x)
@@ -477,6 +478,7 @@ class RankOneSite:
         return self.log_scale - 0.5 * self.precision * self.mean * self.mean
 
     def log_value(self, w: np.ndarray) -> float:
+        """log site(w).  No fit calls it: the tests evaluate sites with it."""
         w = np.atleast_1d(np.asarray(w, dtype=float))
         t = float(self.direction @ w) - self.mean
         return self.log_scale - 0.5 * self.precision * t * t
@@ -495,11 +497,13 @@ def _max_abs(a: float, b: float) -> float:
 
 
 def vacuous_spherical(dim: int) -> NaturalSpherical:
+    """The site 1 on R^dim.  No fit calls it: it is the tests' vacuous site."""
     return NaturalSpherical(precision=0.0, shift=np.zeros(dim), log_scale=0.0)
 
 
 def spherical_as_site(g: SphericalGaussian) -> NaturalSpherical:
-    """View a normalized spherical Gaussian as a site (its own density)."""
+    """View a normalized spherical Gaussian as a site (its own density).
+    No fit calls it: it is how the tests put a prior into combine_sites."""
     d = g.dim
     log_s = -0.5 * d * (LOG_2PI + math.log(g.variance))
     return NaturalSpherical(precision=g.precision, shift=g.shift.copy(), log_scale=log_s)

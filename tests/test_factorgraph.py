@@ -24,7 +24,10 @@ from epkit.factorgraph import (
     loopy_ep,
 )
 from epkit.experiments import frustrated_cycle_network, random_tree_network
-from epkit.oracles import enumerate_discrete
+from epkit.oracles import VanishingMassError, enumerate_discrete
+
+
+SCHEDULES = (Schedule("sequential"), Schedule("random", seed=3))
 
 
 def unary_net(table=(0.3, 0.7)):
@@ -251,7 +254,7 @@ class TestLoopyEp:
 
     @pytest.mark.parametrize("damping", [1.0, 0.5])
     def test_contradictory_evidence_raises_like_bk_adf(self, damping):
-        # floored messages never vanish, so only the zero masks catch this
+        # obs1's message holds an exact zero, so obs2's tilted normalizer is 0
         net = DiscreteFactorGraph(
             variables=(("a", 2),),
             factors=(Factor("obs1", ("a",), [1.0, 0.0]),
@@ -315,15 +318,49 @@ class TestLoopyEp:
             assert np.allclose(belief(net, res.messages, v), res.beliefs[v],
                                atol=1e-12)
 
-    def test_message_positivity(self):
+    def test_hard_evidence_keeps_exact_zeros(self):
         net = DiscreteFactorGraph(
             variables=(("a", 2), ("b", 2)),
             factors=(Factor("obs", ("a",), [1.0, 0.0]),  # hard evidence
                      Factor("fab", ("a", "b"), [1.0, 2.0, 3.0, 1.0])))
         res = loopy_ep(net, EPOptions(tolerance=1e-10, max_sweeps=30))
-        for msg in res.messages.values():
-            assert np.all(msg.values > 0.0)
+        marg, log_z = enumerate_discrete(net)
+        assert res.messages[("obs", "a")].values[1] == 0.0
+        assert np.array_equal(marg["a"], [1.0, 0.0])
+        assert np.array_equal(res.beliefs["a"], marg["a"])
+        assert res.log_evidence == pytest.approx(log_z, abs=1e-12)
         assert res.floor_events > 0
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=["sequential", "random3"])
+    @pytest.mark.parametrize("damping", [1.0, 0.5])
+    def test_zero_mass_past_one_hop_raises_like_bk_adf(self, damping,
+                                                       schedule):
+        # u3 rules out v3 = 1, so e13 forces v1 = 1, which e01 allows only
+        # with v0 = 0, which u0 rules out: the factor product is zero at
+        # every joint state
+        net = DiscreteFactorGraph(
+            variables=(("v0", 2), ("v1", 2), ("v2", 3), ("v3", 2)),
+            factors=(Factor("u0", ("v0",), [0.0, 0.5]),
+                     Factor("u3", ("v3",), [1.0, 0.0]),
+                     Factor("e01", ("v0", "v1"), [1.0, 0.5, 1.0, 0.0]),
+                     Factor("e02", ("v0", "v2"), [1.0, 0.5, 2.0, 0.5, 0.2, 2.0]),
+                     Factor("e13", ("v1", "v3"), [0.0, 1.5, 2.0, 0.5])))
+        with pytest.raises(ContradictoryEvidenceError, match="e13"):
+            bk_adf(net)
+        with pytest.raises(ContradictoryEvidenceError, match="e13"):
+            loopy_ep(net, EPOptions(damping=damping, schedule=schedule))
+
+    @pytest.mark.parametrize("damping", [0.5, 0.2])
+    def test_damped_fit_waits_for_its_log_scale(self, damping):
+        # the message values are exact after one visit, but a damped log
+        # scale, which carries the evidence, moves on geometrically
+        net = DiscreteFactorGraph(
+            variables=(("a", 3), ("b", 2)),
+            factors=(Factor("ab", ("a", "b"), [0.0, 0.0, 0.8, 0.0, 0.0, 0.0]),))
+        res = loopy_ep(net, EPOptions(damping=damping))
+        assert res.converged
+        assert res.log_evidence == pytest.approx(math.log(0.8), abs=1e-3)
+        assert np.array_equal(res.beliefs["a"], [0.0, 1.0, 0.0])
 
     def test_value_relabeling_symmetry(self):
         net = random_tree_network(5, 3, 4)
@@ -453,3 +490,70 @@ def test_tree_exactness_property(seed):
     for v, _ in net.variables:
         assert np.allclose(res.beliefs[v], marg[v], atol=1e-10)
     assert res.log_evidence == pytest.approx(log_z, abs=1e-10)
+
+
+@st.composite
+def zero_laden_graphs(draw):
+    """A tree of 2-5 variables of cardinality 2-3, or that tree with one more
+    edge that closes a cycle, with pairwise tables on its edges and some
+    unary tables in a drawn order; about 40% of all table entries are
+    exactly zero.  Returns the graph and whether it is a tree."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    cards = draw(st.lists(st.integers(min_value=2, max_value=3),
+                          min_size=n, max_size=n))
+    edges = [(draw(st.integers(min_value=0, max_value=i - 1)), i)
+             for i in range(1, n)]
+    chords = [(i, j) for i in range(n) for j in range(i + 1, n)
+              if (i, j) not in edges]
+    tree = not chords or draw(st.booleans())
+    if not tree:
+        edges.append(draw(st.sampled_from(chords)))
+    scopes = draw(st.permutations(
+        [(i,) for i in range(n) if draw(st.booleans())] + edges))
+
+    factors = []
+    for k, scope in enumerate(scopes):
+        size = math.prod(cards[i] for i in scope)
+        table = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 0.0, 2.0]),
+                              min_size=size, max_size=size))
+        if not any(table):
+            table[0] = 1.0
+        factors.append(Factor(f"f{k}", tuple(f"v{i}" for i in scope), table))
+    net = DiscreteFactorGraph(
+        variables=tuple((f"v{i}", c) for i, c in enumerate(cards)),
+        factors=tuple(factors))
+    return net, tree
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(zero_laden_graphs())
+def test_exact_zeros_property(case):
+    # wherever bk_adf meets a zero normalizer, the first loopy sweep does too
+    net, tree = case
+    try:
+        bk_adf(net)
+    except ContradictoryEvidenceError as err:
+        with pytest.raises(ContradictoryEvidenceError) as got:
+            loopy_ep(net)
+        assert str(got.value) == str(err)
+    if not tree:
+        return
+    try:
+        marg, log_z = enumerate_discrete(net)
+    except VanishingMassError:
+        marg = None
+    for damping in (1.0, 0.5):
+        for schedule in SCHEDULES:
+            opts = EPOptions(tolerance=1e-12, max_sweeps=500, damping=damping,
+                             schedule=schedule)
+            if marg is None:  # no mass anywhere: a named error, not a fit
+                with pytest.raises((ContradictoryEvidenceError,
+                                    ContradictoryMessagesError)):
+                    loopy_ep(net, opts)
+                continue
+            res = loopy_ep(net, opts)
+            assert res.converged
+            for v, _ in net.variables:
+                assert np.allclose(res.beliefs[v], marg[v], rtol=0.0, atol=1e-8)
+                assert np.all(res.beliefs[v][marg[v] == 0.0] == 0.0)
+            assert res.log_evidence == pytest.approx(log_z, abs=1e-8)
