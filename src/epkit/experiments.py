@@ -392,9 +392,11 @@ def run_loopy_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 return math.nan
             return float(np.sum(np.abs(beliefs[vid] - marginals[vid])))
 
+        # BK-ADF does the work of one sequential loopy sweep
+        adf_operations = sum(f.operations for f in net.factors)
         for vid, _ in net.variables:
             rows.append(ResultRow(
-                "loopy", seed, "adf", vid, len(net.factors),
+                "loopy", seed, "adf", vid, adf_operations,
                 abs(log_ev - log_partition), l1(beliefs, vid), True, 1))
         for vid, _ in net.variables:
             rows.append(ResultRow(

@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from .engine import EPOptions
-from .gaussians import _logsumexp
 
 
 class ContradictoryEvidenceError(ValueError):
@@ -50,6 +49,11 @@ class Factor:
         object.__setattr__(self, "scope", tuple(self.scope))
         object.__setattr__(self, "table",
                            np.asarray(self.table, dtype=float).ravel())
+
+    @property
+    def operations(self) -> int:
+        """What a visit charges the operation tally: rank x table size."""
+        return len(self.scope) * self.table.size
 
 
 @dataclass(frozen=True)
@@ -180,15 +184,26 @@ def _tilted(joint: np.ndarray, cavities: list[np.ndarray]):
     return z, partial
 
 
-def _exp_normalize(log_a: np.ndarray) -> tuple[np.ndarray | None, float]:
+def _sum(xs: list[float]) -> float:
+    """float(np.sum(xs)) to the bit: numpy adds fewer than 8 entries left to
+    right, as this loop does (builtin sum compensates from Python 3.12)."""
+    if len(xs) >= 8:  # numpy sums pairwise
+        return float(np.sum(xs))
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def _exp_normalize(log_a: list[float]) -> tuple[np.ndarray | None, float]:
     """exp(log_a) scaled to sum 1, and log(sum(exp(log_a))), from one exp.
     A maximum that is not finite is returned with None: every entry -inf
     gives (None, -inf)."""
-    top = float(log_a.max())
+    top = max(log_a)
     if not math.isfinite(top):
         return None, top
-    e = np.exp(log_a - top)
-    s = float(e.sum())
+    e = np.exp([x - top for x in log_a])
+    s = _sum(e.tolist())
     return e / s, top + math.log(s)
 
 
@@ -227,10 +242,11 @@ def belief(net: DiscreteFactorGraph, messages: MessageSet,
            vid: str) -> np.ndarray:
     """Normalized product of all messages into one variable; uniform when no
     factor touches it."""
-    log_b = np.zeros(net.cardinality(vid))
+    log_b = [0.0] * net.cardinality(vid)
     with np.errstate(divide="ignore"):  # zero message entries -> -inf
         for f in net.incident(vid):
-            log_b = log_b + np.log(messages[(f.id, vid)].values)
+            log_m = np.log(messages[(f.id, vid)].values).tolist()
+            log_b = [a + b for a, b in zip(log_b, log_m)]
     values, lse = _exp_normalize(log_b)
     if lse == -math.inf:
         raise ContradictoryMessagesError(f"contradictory messages at {vid!r}")
@@ -252,6 +268,11 @@ def loopy_ep(net: DiscreteFactorGraph,
     keep exact zeros, -inf in the log domain and so kept by damping; a
     tilted normalizer z <= 0 raises ContradictoryEvidenceError, wherever
     bk_adf raises it and wherever the evidence leaves no mass.
+
+    A visit calls numpy only for log, exp and `_tilted`'s contractions,
+    which math and Python dot products round differently; its sums
+    (`_sum`), maxima, changes, zero counts and damped blends run on floats
+    in numpy's order, so a fit gives the bits of the same steps on arrays.
     """
     damping = opts.damping
     floor_events = 0
@@ -276,12 +297,14 @@ def loopy_ep(net: DiscreteFactorGraph,
         others = tuple(tuple((g.id, v) for g in net.incident(v) if g.id != f.id)
                        for v in f.scope)
         uniform = tuple(np.full(c, 1.0 / c) for c in shape)
-        plan.append((f.table.reshape(shape), len(shape) * int(np.prod(shape)),
+        plan.append((f.table.reshape(shape), f.operations,
                      1.0 / len(shape) - 1.0, own, others, uniform))
     # np.log of the values of each message that is one of several terms of
     # some cavity, refreshed whenever the message is written
-    logs = {key: np.log(values[key]) for _, _, _, _, others, _ in plan
+    logs = {key: np.log(values[key]).tolist() for _, _, _, _, others, _ in plan
             for keys in others if len(keys) > 1 for key in keys}
+    # the values of each message as floats, for the change a visit makes
+    olds = {key: vals.tolist() for key, vals in values.items()}
 
     m = len(net.factors)
     converged = m == 0
@@ -303,7 +326,7 @@ def loopy_ep(net: DiscreteFactorGraph,
                     elif keys:
                         log_c = logs[keys[0]]
                         for key in keys[1:]:
-                            log_c = log_c + logs[key]
+                            log_c = [a + b for a, b in zip(log_c, logs[key])]
                         cavity, lse = _exp_normalize(log_c)
                         if lse == -math.inf:
                             raise ContradictoryMessagesError(
@@ -319,21 +342,23 @@ def loopy_ep(net: DiscreteFactorGraph,
                 share_z = math.log(z) * share
                 for ps, key in zip(partial, own):
                     if damping < 1.0:
-                        log_old = np.log(values[key]) + scales[key]
-                        log_new = np.log(ps) + share_z
+                        s, log_old = scales[key], np.log(values[key]).tolist()
                         new, log_scale = _exp_normalize(
-                            (1.0 - damping) * log_old + damping * log_new)
-                        max_change = max(max_change, abs(log_scale - scales[key]))
+                            [(1.0 - damping) * (a + s) + damping * (b + share_z)
+                             for a, b in zip(log_old, np.log(ps).tolist())])
+                        max_change = max(max_change, abs(log_scale - s))
                     else:
-                        total = float(ps.sum())
+                        total = _sum(ps.tolist())
                         new, log_scale = ps / total, math.log(total) + share_z
-                    floor_events += new.size - int(np.count_nonzero(new))
-                    max_change = max(max_change,
-                                     float(np.abs(new - values[key]).max()))
+                    floats = new.tolist()
+                    floor_events += floats.count(0.0)
+                    max_change = max(max_change, max(
+                        abs(a - b) for a, b in zip(floats, olds[key])))
                     values[key] = new
+                    olds[key] = floats
                     scales[key] = log_scale
                     if key in logs:
-                        logs[key] = np.log(new)
+                        logs[key] = np.log(new).tolist()
             if max_change < opts.tolerance:
                 converged = True
                 break
@@ -353,9 +378,10 @@ def _evidence_from_messages(net: DiscreteFactorGraph,
     log-sum-exp of the summed incoming log message totals."""
     total = 0.0
     for v, c in net.variables:
-        log_b = np.zeros(c)
+        log_b = [0.0] * c
         for f in net.incident(v):
-            log_b = log_b + messages[(f.id, v)].log_total()
-        total += _logsumexp(log_b)
+            log_m = messages[(f.id, v)].log_total().tolist()
+            log_b = [a + b for a, b in zip(log_b, log_m)]
+        total += _exp_normalize(log_b)[1]
     return total
 

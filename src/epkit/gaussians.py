@@ -533,11 +533,11 @@ def _logsumexp(a, axis=None):
     """log(sum(exp(a))) by a max shift: a Python float over the whole array,
     or an array reduced over `axis` (an int or a tuple of ints).
 
-    For the per-variable evidence sum that closes a loopy propagation fit
-    and for the oracles' sums over mixture components and joint states.  A
-    factor visit does not call it: it needs the normalized vector as well,
-    and takes both from one exp.  Every entry -inf gives -inf; a +inf or NaN
-    maximum is returned as is.  No RuntimeWarning either way.
+    For the oracles' sums over mixture components and joint states.  Loopy
+    propagation does not call it: its visits need the normalized vector as
+    well, and take both from one exp on Python floats
+    (`factorgraph._exp_normalize`).  Every entry -inf gives -inf; a +inf or
+    NaN maximum is returned as is.  No RuntimeWarning either way.
     """
     a = np.asarray(a, dtype=float)
     if axis is None:

@@ -16,7 +16,11 @@ from epkit.factorgraph import (
     ContradictoryMessagesError,
     DiscreteFactorGraph,
     Factor,
+    LoopyResult,
     Message,
+    MessageSet,
+    _factor_shape,
+    _sum,
     _tilted,
     belief,
     bk_adf,
@@ -24,6 +28,7 @@ from epkit.factorgraph import (
     loopy_ep,
 )
 from epkit.experiments import frustrated_cycle_network, random_tree_network
+from epkit.gaussians import _logsumexp
 from epkit.oracles import VanishingMassError, enumerate_discrete
 
 
@@ -557,3 +562,232 @@ def test_exact_zeros_property(case):
                 assert np.allclose(res.beliefs[v], marg[v], rtol=0.0, atol=1e-8)
                 assert np.all(res.beliefs[v][marg[v] == 0.0] == 0.0)
             assert res.log_evidence == pytest.approx(log_z, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Array reference: the loopy_ep visit as whole-array numpy code, verbatim but
+# for the names of its helpers.  The fit's float reductions must give its
+# bits exactly.
+# ---------------------------------------------------------------------------
+
+def reference_exp_normalize(log_a: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """exp(log_a) scaled to sum 1, and log(sum(exp(log_a))), from one exp.
+    A maximum that is not finite is returned with None: every entry -inf
+    gives (None, -inf)."""
+    top = float(log_a.max())
+    if not math.isfinite(top):
+        return None, top
+    e = np.exp(log_a - top)
+    s = float(e.sum())
+    return e / s, top + math.log(s)
+
+
+def reference_belief(net: DiscreteFactorGraph, messages: MessageSet,
+                     vid: str) -> np.ndarray:
+    """Normalized product of all messages into one variable; uniform when no
+    factor touches it."""
+    log_b = np.zeros(net.cardinality(vid))
+    with np.errstate(divide="ignore"):  # zero message entries -> -inf
+        for f in net.incident(vid):
+            log_b = log_b + np.log(messages[(f.id, vid)].values)
+    values, lse = reference_exp_normalize(log_b)
+    if lse == -math.inf:
+        raise ContradictoryMessagesError(f"contradictory messages at {vid!r}")
+    return values
+
+
+def reference_loopy_ep(net: DiscreteFactorGraph,
+                       opts: EPOptions = EPOptions()) -> LoopyResult:
+    """Loopy belief propagation as EP with a disconnected approximation.
+
+    Messages start as the constant 1 (uniform values, log-cardinality
+    scale), so the first sequential sweep reproduces bk_adf.  A factor
+    visit normalizes each cavity, the sum of its incoming log messages, with
+    one exp.  An undamped message is the partial sum-product scaled to sum
+    1, with no log or exp, so on a tree it settles bit for bit once its
+    cavities do; damping interpolates log message values and normalizes
+    them like a cavity, and converges once values and log scales settle.
+    Non-convergence after max_sweeps is reported, not raised.  Messages
+    keep exact zeros, -inf in the log domain and so kept by damping; a
+    tilted normalizer z <= 0 raises ContradictoryEvidenceError, wherever
+    bk_adf raises it and wherever the evidence leaves no mass.
+    """
+    damping = opts.damping
+    floor_events = 0
+    # per message: its values and its log scale
+    values: dict[tuple[str, str], np.ndarray] = {}
+    scales: dict[tuple[str, str], float] = {}
+    for f in net.factors:
+        for v in f.scope:
+            c = net.cardinality(v)
+            values[(f.id, v)] = np.full(c, 1.0 / c)
+            scales[(f.id, v)] = math.log(c)
+
+    # per factor, built once: its table shaped to its scope, its tally
+    # charge, the share of its log normalizer each message carries, its own
+    # message keys and, per scope variable, the keys of the other messages
+    # into that variable in graph order (the terms of its cavity) and the
+    # uniform cavity it has when there are none
+    plan = []
+    for f in net.factors:
+        shape = _factor_shape(net, f)
+        own = tuple((f.id, v) for v in f.scope)
+        others = tuple(tuple((g.id, v) for g in net.incident(v) if g.id != f.id)
+                       for v in f.scope)
+        uniform = tuple(np.full(c, 1.0 / c) for c in shape)
+        plan.append((f.table.reshape(shape), len(shape) * int(np.prod(shape)),
+                     1.0 / len(shape) - 1.0, own, others, uniform))
+    # np.log of the values of each message that is one of several terms of
+    # some cavity, refreshed whenever the message is written
+    logs = {key: np.log(values[key]) for _, _, _, _, others, _ in plan
+            for keys in others if len(keys) > 1 for key in keys}
+
+    m = len(net.factors)
+    converged = m == 0
+    sweeps = 0
+    operations = 0
+    with np.errstate(divide="ignore"):  # log of a zero entry -> -inf
+        for order in opts.schedule.orders(m) if m else ():
+            if sweeps >= opts.max_sweeps:
+                break
+            sweeps += 1
+            max_change = 0.0
+            for idx in order:
+                joint, charge, share, own, others, uniform = plan[idx]
+                operations += charge
+                cavities = []
+                for axis, keys in enumerate(others):
+                    if len(keys) == 1:  # a lone message is already normalized
+                        cavity = values[keys[0]]
+                    elif keys:
+                        log_c = logs[keys[0]]
+                        for key in keys[1:]:
+                            log_c = log_c + logs[key]
+                        cavity, lse = reference_exp_normalize(log_c)
+                        if lse == -math.inf:
+                            raise ContradictoryMessagesError(
+                                f"contradictory messages at "
+                                f"{net.factors[idx].scope[axis]!r}")
+                    else:
+                        cavity = uniform[axis]
+                    cavities.append(cavity)
+                z, partial = _tilted(joint, cavities)
+                if z <= 0.0:
+                    raise ContradictoryEvidenceError(
+                        f"contradictory evidence at factor {net.factors[idx].id!r}")
+                share_z = math.log(z) * share
+                for ps, key in zip(partial, own):
+                    if damping < 1.0:
+                        log_old = np.log(values[key]) + scales[key]
+                        log_new = np.log(ps) + share_z
+                        new, log_scale = reference_exp_normalize(
+                            (1.0 - damping) * log_old + damping * log_new)
+                        max_change = max(max_change, abs(log_scale - scales[key]))
+                    else:
+                        total = float(ps.sum())
+                        new, log_scale = ps / total, math.log(total) + share_z
+                    floor_events += new.size - int(np.count_nonzero(new))
+                    max_change = max(max_change,
+                                     float(np.abs(new - values[key]).max()))
+                    values[key] = new
+                    scales[key] = log_scale
+                    if key in logs:
+                        logs[key] = np.log(new)
+            if max_change < opts.tolerance:
+                converged = True
+                break
+
+    messages = {key: Message(values=values[key], log_scale=scales[key])
+                for key in values}
+    beliefs = {v: reference_belief(net, messages, v) for v, _ in net.variables}
+    log_evidence = reference_evidence_from_messages(net, messages)
+    return LoopyResult(beliefs=beliefs, messages=messages, converged=converged,
+                       log_evidence=log_evidence, sweeps=sweeps,
+                       floor_events=floor_events, operations=operations)
+
+
+def reference_evidence_from_messages(net: DiscreteFactorGraph,
+                                     messages: MessageSet) -> float:
+    """Integral of the product of all term approximations: per variable,
+    log-sum-exp of the summed incoming log message totals."""
+    total = 0.0
+    for v, c in net.variables:
+        log_b = np.zeros(c)
+        for f in net.incident(v):
+            log_b = log_b + messages[(f.id, v)].log_total()
+        total += _logsumexp(log_b)
+    return total
+
+
+# 0.3 as well as 0.5: a factor of 0.5 is exact, so it hides a reordered blend
+DAMPINGS = (1.0, 0.5, 0.3)
+
+
+def fit_outcome(fit, net, opts):
+    """A fit's result, or the type and message of the named error it ends in."""
+    try:
+        return fit(net, opts)
+    except (ContradictoryEvidenceError, ContradictoryMessagesError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_bits(net, opts):
+    got = fit_outcome(loopy_ep, net, opts)
+    want = fit_outcome(reference_loopy_ep, net, opts)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.messages.keys() == want.messages.keys()
+    for key, msg in want.messages.items():
+        assert got.messages[key].values.tobytes() == msg.values.tobytes(), key
+        assert float(got.messages[key].log_scale).hex() \
+            == float(msg.log_scale).hex(), key
+    assert got.beliefs.keys() == want.beliefs.keys()
+    for v, b in want.beliefs.items():
+        assert got.beliefs[v].tobytes() == b.tobytes(), v
+    assert float(got.log_evidence).hex() == float(want.log_evidence).hex()
+    assert (got.sweeps, got.converged, got.floor_events, got.operations) \
+        == (want.sweeps, want.converged, want.floor_events, want.operations)
+
+
+class TestArrayReference:
+    @pytest.mark.parametrize("n_vars, sweeps", [(8, 8), (64, 14), (256, 14)])
+    def test_ladder_fits(self, n_vars, sweeps):
+        # the loopy-ladder benchmark's options: a fixed number of sweeps, and
+        # a damped fit on a random schedule
+        for seed in (1, 2):
+            net = random_tree_network(n_vars, 4, seed)
+            assert_same_bits(net, EPOptions(tolerance=1e-300, max_sweeps=sweeps))
+            assert_same_bits(net, EPOptions(
+                tolerance=1e-300, max_sweeps=34, damping=0.5,
+                schedule=Schedule("random", seed)))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(zero_laden_graphs())
+    def test_zero_laden_graphs(self, case):
+        for damping in DAMPINGS:
+            for schedule in SCHEDULES:
+                assert_same_bits(case[0], EPOptions(
+                    tolerance=1e-12, max_sweeps=200, damping=damping,
+                    schedule=schedule))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cardinalities_up_to_12(self, seed):
+        # messages and cavities of 8 or more entries, which numpy sums
+        # pairwise
+        net = random_tree_network(20, 12, seed)
+        assert max(c for _, c in net.variables) >= 8
+        for damping in DAMPINGS:
+            assert_same_bits(net, EPOptions(tolerance=1e-12, damping=damping,
+                                            schedule=SCHEDULES[1]))
+
+    @pytest.mark.parametrize("damping", DAMPINGS)
+    def test_frustrated_cycle(self, damping):
+        assert_same_bits(frustrated_cycle_network(), EPOptions(damping=damping))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_sum_is_numpy_sum(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(300):
+            a = rng.random(n) * 10.0 ** rng.integers(-12, 12, size=n)
+            assert _sum(a.tolist()).hex() == float(np.sum(a)).hex()

@@ -1,5 +1,7 @@
-"""Golden outputs: every default and damped CLI run, and one clutter run at
-d = 2 (the default runs visit only at d = 1), against the CSV and sidecar
+"""Golden outputs: every default and damped CLI run, one clutter run at d = 2
+(the default runs visit only at d = 1) and one loopy run with cardinalities
+up to 10 (the default runs stop at 4, so no message or cavity there has the
+8 or more entries that numpy sums pairwise), against the CSV and sidecar
 checked in under tests/golden/.
 
 Text columns, `operations`, `converged` and `sweeps` must match exactly.
@@ -16,6 +18,9 @@ running from the repository root:
     PYTHONPATH=src python -m epkit.cli clutter \\
       --config tests/golden/clutter_d2.config.json --seed-range 1..5 \\
       --out tests/golden/clutter_d2.csv
+    PYTHONPATH=src python -m epkit.cli loopy \\
+      --config tests/golden/loopy_card10.config.json --seed-range 1..5 \\
+      --out tests/golden/loopy_card10.csv
 """
 import csv
 import json
@@ -31,9 +36,12 @@ VARIANTS = {"default": [],
             "damped": ["--damping", "0.5", "--schedule", "random:3",
                        "--seed-range", "1..5"],
             "d2": ["--config", str(GOLDEN / "clutter_d2.config.json"),
-                   "--seed-range", "1..5"]}
+                   "--seed-range", "1..5"],
+            "card10": ["--config", str(GOLDEN / "loopy_card10.config.json"),
+                       "--seed-range", "1..5"]}
 RUNS = [(kind, variant) for kind in ("clutter", "bpm", "loopy")
-        for variant in ("default", "damped")] + [("clutter", "d2")]
+        for variant in ("default", "damped")] + [("clutter", "d2"),
+                                                 ("loopy", "card10")]
 ERROR_COLUMNS = ("log_evidence_error", "mean_error")
 
 
