@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (Diagnostics, EPOptions, EPResult, ModelBinding, OpTally,
-                     ep_log_evidence, run_ep)
+from .engine import (EPOptions, EPResult, ModelBinding, OpTally, ep_log_evidence,
+                     run_ep)
 from .gaussians import (
     FullGaussian,
     ImproperProductError,
@@ -362,15 +362,10 @@ class BpmBinding(ModelBinding):
         return False
 
 
-@dataclass(frozen=True)
-class BpmModel:
-    posterior: FullGaussian
-    sites: list
-    log_evidence: float
+@dataclass(frozen=True, kw_only=True)
+class BpmModel(EPResult):
+    """An EP fit of a BPM with the data set it was trained on."""
     dataset: BpmDataset
-    sweeps: int
-    converged: bool
-    diagnostics: Diagnostics
 
     @property
     def dim(self) -> int:
@@ -381,16 +376,7 @@ def bpm_train(dataset: BpmDataset, opts: EPOptions = EPOptions()) -> BpmModel:
     """EP training: prior N(0, I), sites initialized vacuous, engine loop
     until site parameters stop changing.  Non-convergence is reported in the
     model diagnostics, not raised."""
-    binding = BpmBinding(dataset)
-    result = run_ep(binding, opts)
-    return _model_from_result(dataset, result)
-
-
-def _model_from_result(dataset: BpmDataset, result: EPResult) -> BpmModel:
-    return BpmModel(posterior=result.posterior, sites=result.sites,
-                    log_evidence=result.log_evidence, dataset=dataset,
-                    sweeps=result.sweeps, converged=result.converged,
-                    diagnostics=result.diagnostics)
+    return BpmModel(dataset=dataset, **vars(run_ep(BpmBinding(dataset), opts)))
 
 
 def bpm_predict(model: BpmModel, x) -> int:

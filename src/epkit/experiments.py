@@ -18,15 +18,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bpm import (BpmBinding, _model_from_result, bpm_training_error,
+from .bpm import (BpmBinding, BpmModel, bpm_moment_match, bpm_training_error,
                   dataset_from_csv, make_dataset)
-from .clutter import ClutterBinding, ClutterDataSpec, generate_clutter_data
+from .clutter import (ClutterBinding, ClutterDataSpec, clutter_moment_match,
+                      generate_clutter_data)
 from .engine import EPOptions, Schedule, is_finite_number, run_adf, run_ep
 from .factorgraph import (ContradictoryEvidenceError, ContradictoryMessagesError,
                           DiscreteFactorGraph, Factor, bk_adf, load_network, loopy_ep)
-from .oracles import (DegenerateWeightsError, VanishingMassError, enumerate_discrete,
-                      exact_bpm_step, exact_clutter, importance_sampler,
-                      nested_importance_sampler)
+from .gaussians import (PENDING_COLUMNS, FullGaussian, ImproperProductError, RankOneSite,
+                        SphericalGaussian, log_probit, probit, probit_ratio)
+from .oracles import (DegenerateWeightsError, VanishingMassError, clutter_tilted_moments,
+                      directional_tilted_moments, enumerate_discrete, exact_bpm_step,
+                      exact_clutter, importance_sampler, nested_importance_sampler,
+                      probit_margin_term, tilted_moments_quadrature)
 
 CSV_HEADER = ("experiment", "seed", "method", "checkpoint", "operations",
               "log_evidence_error", "mean_error", "converged", "sweeps")
@@ -308,7 +312,7 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
         for method in ("adf", "ep"):
             res, fit_rows = _fit_rows("bpm", seed, method, binding,
                                       config.ep_options, errs)
-            err = bpm_training_error(_model_from_result(dataset, res))
+            err = bpm_training_error(BpmModel(dataset=dataset, **vars(res)))
             rows += fit_rows + [replace(
                 fit_rows[-1], checkpoint="train_error",
                 operations=res.diagnostics.operations,
@@ -454,9 +458,6 @@ def _fused_visit_error(rng: np.random.Generator, terms: np.random.Generator,
     against the dense inverse too.  `terms` draws those sites and the
     second visit's site, so the battery's later rows, which share `rng`,
     draw the same cases whether or not this second visit runs."""
-    from .bpm import BpmBinding
-    from .gaussians import PENDING_COLUMNS, FullGaussian, RankOneSite
-
     d = int(rng.integers(1, 6))
     A = rng.normal(size=(d, d))
     post = FullGaussian(mean=rng.normal(size=d), covariance=A @ A.T + 0.3 * np.eye(d))
@@ -493,9 +494,6 @@ def _dense_visit_error(binding, post, P: np.ndarray, h: np.ndarray,
                        rng: np.random.Generator, noise: float) -> float:
     """`_fused_visit_error` for one posterior whose dense precision and
     shift are P and h, with a site drawn from rng."""
-    from .bpm import bpm_moment_match
-    from .gaussians import FullGaussian, ImproperProductError, RankOneSite
-
     u = binding.directions[0]
     q = float(u @ post.covariance @ u)
     # tau q in [-3, 3], kept 0.05 from the improper edge at 1
@@ -542,8 +540,6 @@ def _probit_kernel_error() -> float:
     be one either, or the difference is inf."""
     from scipy import special
 
-    from .gaussians import log_probit, probit, probit_ratio
-
     def rel(kernel, z, want):
         got = np.array([kernel(float(v)) for v in z])
         normal = np.abs(want) >= np.finfo(float).tiny
@@ -574,12 +570,6 @@ class BatteryResult:
 def oracle_check_battery(cases: int = 200, seed: int = 1234) -> list[BatteryResult]:
     """Cross-check every analytic fast path against its brute-force oracle;
     the oracle-check CLI subcommand prints these as a pass/fail table."""
-    from .bpm import bpm_moment_match
-    from .clutter import clutter_moment_match
-    from .gaussians import FullGaussian, SphericalGaussian, probit, probit_ratio
-    from .oracles import (clutter_tilted_moments, directional_tilted_moments,
-                          probit_margin_term, tilted_moments_quadrature)
-
     results = []
     rng = np.random.default_rng(seed)
 
@@ -594,8 +584,7 @@ def oracle_check_battery(cases: int = 200, seed: int = 1234) -> list[BatteryResu
         zo, mo, vo = clutter_tilted_moments(cav, y, w)
         worst = max(worst,
                     abs(a.z - zo) / max(abs(zo), 1e-12),
-                    float(np.max(np.abs(a.posterior.mean - mo)))
-                    / max(1.0, float(np.max(np.abs(mo)))),
+                    _rel(a.posterior.mean, mo),
                     abs(a.posterior.variance - vo) / max(abs(vo), 1e-12))
     results.append(BatteryResult("clutter-moment-match-vs-quadrature", worst, 1e-8))
 
@@ -615,10 +604,7 @@ def oracle_check_battery(cases: int = 200, seed: int = 1234) -> list[BatteryResu
             breakpoints=(0.0,) if noise == 0.0 else ())
         worst = max(worst,
                     abs(math.exp(a.log_z) - zo) / max(abs(zo), 1e-12),
-                    float(np.max(np.abs(a.posterior.mean - mo)))
-                    / max(1.0, float(np.max(np.abs(mo)))),
-                    float(np.max(np.abs(a.posterior.covariance - co)))
-                    / max(1.0, float(np.max(np.abs(co)))))
+                    _rel(a.posterior.mean, mo), _rel(a.posterior.covariance, co))
     results.append(BatteryResult("bpm-moment-match-vs-quadrature", worst, 1e-8))
 
     worst = 0.0

@@ -133,10 +133,6 @@ class Message:
     values: np.ndarray  # normalized to sum 1, nonnegative
     log_scale: float
 
-    def log_total(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):  # an exact zero -> -inf
-            return np.log(self.values) + self.log_scale
-
 
 MessageSet = dict[tuple[str, str], Message]
 BeliefSet = dict[str, np.ndarray]
@@ -238,19 +234,35 @@ def bk_adf(net: DiscreteFactorGraph) -> tuple[BeliefSet, float]:
     return beliefs, log_evidence
 
 
-def belief(net: DiscreteFactorGraph, messages: MessageSet,
-           vid: str) -> np.ndarray:
-    """Normalized product of all messages into one variable; uniform when no
-    factor touches it."""
-    log_b = [0.0] * net.cardinality(vid)
+def _log_sums(net: DiscreteFactorGraph, messages: MessageSet,
+              vid: str) -> tuple[list[float], list[float]]:
+    """Sums over the messages into one variable of their log values, and of
+    their log values with each message's log scale added first: the log of
+    its belief up to a constant, and the log of the product of its term
+    approximations.  One np.log per message."""
+    log_b = log_t = [0.0] * net.cardinality(vid)
     with np.errstate(divide="ignore"):  # zero message entries -> -inf
         for f in net.incident(vid):
-            log_m = np.log(messages[(f.id, vid)].values).tolist()
+            msg = messages[(f.id, vid)]
+            log_m, s = np.log(msg.values).tolist(), msg.log_scale
             log_b = [a + b for a, b in zip(log_b, log_m)]
+            log_t = [a + (b + s) for a, b in zip(log_t, log_m)]
+    return log_b, log_t
+
+
+def _normalized(vid: str, log_b: list[float]) -> np.ndarray:
+    """The belief of log `log_b` up to a constant; raises when it has no mass."""
     values, lse = _exp_normalize(log_b)
     if lse == -math.inf:
         raise ContradictoryMessagesError(f"contradictory messages at {vid!r}")
     return values
+
+
+def belief(net: DiscreteFactorGraph, messages: MessageSet,
+           vid: str) -> np.ndarray:
+    """Normalized product of all messages into one variable; uniform when no
+    factor touches it."""
+    return _normalized(vid, _log_sums(net, messages, vid)[0])
 
 
 def loopy_ep(net: DiscreteFactorGraph,
@@ -365,23 +377,13 @@ def loopy_ep(net: DiscreteFactorGraph,
 
     messages = {key: Message(values=values[key], log_scale=scales[key])
                 for key in values}
-    beliefs = {v: belief(net, messages, v) for v, _ in net.variables}
-    log_evidence = _evidence_from_messages(net, messages)
+    # the evidence is the integral of the product of all term
+    # approximations: per variable, the log-sum-exp of the summed log totals
+    beliefs, log_evidence = {}, 0.0
+    for v, _ in net.variables:
+        log_b, log_t = _log_sums(net, messages, v)
+        beliefs[v] = _normalized(v, log_b)
+        log_evidence += _exp_normalize(log_t)[1]
     return LoopyResult(beliefs=beliefs, messages=messages, converged=converged,
                        log_evidence=log_evidence, sweeps=sweeps,
                        floor_events=floor_events, operations=operations)
-
-
-def _evidence_from_messages(net: DiscreteFactorGraph,
-                            messages: MessageSet) -> float:
-    """Integral of the product of all term approximations: per variable,
-    log-sum-exp of the summed incoming log message totals."""
-    total = 0.0
-    for v, c in net.variables:
-        log_b = [0.0] * c
-        for f in net.incident(v):
-            log_m = messages[(f.id, v)].log_total().tolist()
-            log_b = [a + b for a, b in zip(log_b, log_m)]
-        total += _exp_normalize(log_b)[1]
-    return total
-

@@ -127,7 +127,7 @@ class FullGaussian:
     def trusted(cls, mean: np.ndarray, covariance: np.ndarray) -> "FullGaussian":
         """Construct without validation, for inner loops whose float arrays
         already have matching shapes and a symmetric covariance (for
-        instance one made by rank_one_update from a validated one)."""
+        instance one made by `_formed` from a validated one)."""
         return _unvalidated(cls, mean=mean, covariance=covariance)
 
     @property
@@ -253,8 +253,8 @@ def _formed(base: np.ndarray, rows: np.ndarray, coefs: np.ndarray) -> np.ndarray
     """base + rows^T diag(coefs) rows as a new matrix, from one matrix
     product.  The product is halved exactly (through the coefficients) and
     added to its transpose, so the result is bitwise symmetric whenever
-    base is.  One term gets a zero partner, as in rank_one_update: a
-    product with an inner dimension of 1 runs several times slower."""
+    base is.  One term (`rank_one_update`) gets a zero partner: a product
+    with an inner dimension of 1 runs several times slower."""
     left = rows.T * (0.5 * coefs)
     if coefs.shape[0] == 1:
         left = np.hstack((left, np.zeros_like(left)))
@@ -312,24 +312,9 @@ def symmetrize(V: np.ndarray) -> np.ndarray:
 
 
 def rank_one_update(V: np.ndarray, a: np.ndarray, c: float) -> np.ndarray:
-    """V + c a a^T as a new matrix; V itself is never written.
-
-    With b = sqrt(|c|) a, the outer product is the matrix product of the
-    columns (b, 0) and the rows (sign(c) b, 0), which numpy hands to BLAS
-    (an inner dimension of 1, like np.outer, runs several times slower at
-    d = 200).  Each entry is then the product b_i b_j with an exact sign,
-    so the result is bitwise symmetric whenever V is and no symmetrize
-    pass is needed.
-    """
-    b = math.sqrt(abs(c)) * a
-    d = b.shape[0]
-    cols = np.zeros((d, 2))
-    cols[:, 0] = b
-    rows = np.zeros((2, d))
-    rows[0] = b if c >= 0.0 else -b
-    W = cols @ rows
-    W += V
-    return W
+    """V + c a a^T as a new matrix, the one-term case of `_formed`; V itself
+    is never written, and the result is bitwise symmetric whenever V is."""
+    return _formed(V, a[None, :], np.array([c]))
 
 
 @dataclass(frozen=True, init=False)
@@ -371,10 +356,6 @@ class NaturalSpherical:
         if self.precision == 0.0:
             return np.zeros(self.dim)
         return self.shift / self.precision
-
-    @property
-    def variance(self) -> float:
-        return math.inf if self.precision == 0.0 else 1.0 / self.precision
 
     def change(self, other: "NaturalSpherical") -> float:
         """Convergence measure: the largest absolute difference in precision
@@ -435,14 +416,6 @@ class RankOneSite:
         existing site."""
         return _unvalidated(cls, direction=direction, precision=precision,
                             mean=mean, log_scale=log_scale)
-
-    @property
-    def dim(self) -> int:
-        return self.direction.shape[0]
-
-    @property
-    def variance(self) -> float:
-        return math.inf if self.precision == 0.0 else 1.0 / self.precision
 
     def change(self, other: "RankOneSite") -> float:
         """Convergence measure: the larger absolute difference in precision

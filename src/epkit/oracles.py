@@ -188,10 +188,7 @@ def clutter_tilted_moments(cavity: SphericalGaussian, y: np.ndarray, w: float):
     sd = math.sqrt(v)
     diff = y - m
     rho = float(np.linalg.norm(diff))
-    e = diff / rho if rho > 0 else np.zeros(d)
-    if rho == 0.0 and d > 0:
-        e = np.zeros(d)
-        e[0] = 1.0
+    e = diff / rho if rho > 0 else np.eye(1, d)[0]  # any unit vector at rho = 0
 
     lo, hi = -12.0 * sd, 12.0 * sd
     lo = min(lo, rho - 14.0)
@@ -483,8 +480,8 @@ def importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray],
 
 
 def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray],
-                              prior_mean: np.ndarray, prior_cov, counts, seed: int
-                              ) -> tuple[ImportanceResult | None, ...]:
+                              prior_mean: np.ndarray, prior_cov: np.ndarray,
+                              counts, seed: int) -> tuple[ImportanceResult | None, ...]:
     """Prior-based importance sampling for evidence and posterior mean at
     each sample count in `counts`, from nested prefixes of one draw.
 
@@ -516,8 +513,6 @@ def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray]
     prior_mean = np.atleast_1d(np.asarray(prior_mean, dtype=float))
     d = prior_mean.shape[0]
     cov = np.asarray(prior_cov, dtype=float)
-    if cov.ndim == 0:
-        cov = float(cov) * np.eye(d)
     rng = np.random.default_rng(seed)
     if cov.shape == (d, d) and np.count_nonzero(cov) == d \
             and bool(np.all(np.diagonal(cov) > 0.0)):

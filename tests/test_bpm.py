@@ -1,6 +1,7 @@
 """Bayes Point Machine: rank-one site algebra, probit moment matching
 against the directional quadrature oracle, training, prediction, evidence."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from epkit.bpm import (
     make_dataset,
     rank_one_site_from,
 )
-from epkit.engine import EPOptions, run_adf, run_ep
+from epkit.engine import EPOptions, EPResult, Schedule, run_adf, run_ep
 from epkit.gaussians import FullGaussian, RankOneSite, combine_sites, spherical_as_site, SphericalGaussian
 from epkit.oracles import (
     directional_tilted_moments,
@@ -301,6 +302,48 @@ class TestQuadraticCost:
 
         ratio = per_site(20) / per_site(10)
         assert 3.5 <= ratio <= 4.5
+
+
+class TestModel:
+    @pytest.fixture()
+    def fit(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(12, 3))
+        ds = make_dataset(x, np.where(x @ [1.0, -2.0, 0.5] >= 0.0, 1.0, -1.0),
+                          slack=1.0, add_bias=True)
+        opts = EPOptions(tolerance=1e-300, max_sweeps=4, damping=0.5,
+                         schedule=Schedule("random", 2))
+        return ds, bpm_train(ds, opts), run_ep(BpmBinding(ds), opts)
+
+    def test_is_the_engine_result_with_its_dataset(self, fit):
+        ds, model, want = fit
+        assert isinstance(model, EPResult)
+        assert model.dataset is ds and model.dim == 4
+        for name in ("mean", "covariance"):
+            got, exp = getattr(model.posterior, name), getattr(want.posterior, name)
+            assert got.tobytes() == exp.tobytes(), name
+        assert [(s.direction.tobytes(), float(s.precision).hex(), float(s.mean).hex(),
+                 float(s.log_scale).hex()) for s in model.sites] \
+            == [(s.direction.tobytes(), float(s.precision).hex(), float(s.mean).hex(),
+                 float(s.log_scale).hex()) for s in want.sites]
+        assert model.log_evidence.hex() == want.log_evidence.hex()
+        assert (model.sweeps, model.converged) == (want.sweeps, want.converged) == (4, False)
+        assert model.diagnostics == want.diagnostics
+
+    def test_prediction_reads_its_dataset(self, fit):
+        ds, model, _ = fit
+        mean = model.posterior.mean
+        err = float(np.mean(np.where(ds.points @ mean >= 0.0, 1, -1) != ds.labels))
+        assert bpm_training_error(model) == err
+        flipped = make_dataset(ds.points[:, :3], -ds.labels, slack=1.0, add_bias=True)
+        assert bpm_training_error(replace(model, dataset=flipped)) == 1.0 - err
+        # three features get the bias column of a bias-augmented data set only
+        x = [0.3, -1.2, 0.8]
+        assert bpm_predict(model, x) == bpm_predict(model, x + [1.0]) \
+            == (1 if float(np.dot(x + [1.0], mean)) >= 0.0 else -1)
+        plain = make_dataset(ds.points, ds.labels, slack=1.0)
+        with pytest.raises(ValueError, match="expected 4 features"):
+            bpm_predict(replace(model, dataset=plain), x)
 
 
 class TestPredict:

@@ -83,6 +83,18 @@ class TestMomentMatch:
             assert np.allclose(m.posterior.mean, mean, rtol=1e-8, atol=1e-10)
             assert m.posterior.variance == pytest.approx(var, rel=1e-8)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("w", [0.0, 0.3, 1.0])
+    def test_against_quadrature_oracle_at_the_cavity_mean(self, d, w):
+        # y at the cavity mean: the cavity-to-y distance rho is 0, and the
+        # oracle integrates along a unit axis of its own choosing
+        cav = SphericalGaussian(mean=np.linspace(-1.0, 2.0, d), variance=2.5)
+        m = clutter_moment_match(cav, cav.mean, w)
+        z, mean, var = clutter_tilted_moments(cav, cav.mean, w)
+        assert m.z == pytest.approx(z, rel=1e-8)
+        assert np.allclose(m.posterior.mean, mean, rtol=1e-8, atol=1e-10)
+        assert m.posterior.variance == pytest.approx(var, rel=1e-8)
+
     def test_zero_normalizer(self):
         cav = SphericalGaussian(mean=[0.0], variance=1.0)
         with pytest.raises(ZeroNormalizerError):

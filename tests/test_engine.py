@@ -44,6 +44,20 @@ class FailingAtTerm(ClutterBinding):
         return super().moment_match(cavity, i)
 
 
+class ImproperAtTerm(ClutterBinding):
+    """A clutter binding whose site `bad_term` (every site, when it is None)
+    starts at a precision above any posterior's, so its cavity is improper."""
+
+    def __init__(self, model, bad_term=None):
+        super().__init__(model)
+        self.bad_term = bad_term
+
+    def vacuous_site(self, i):
+        if self.bad_term in (None, i):
+            return NaturalSpherical(precision=1e6, shift=np.zeros(1))
+        return super().vacuous_site(i)
+
+
 class NanSiteBinding(ModelBinding):
     """n one-dimensional sites; the match of site `nan_at` is a NaN site and
     every other match a unit-precision site, and the posterior stays the
@@ -127,6 +141,11 @@ class TestRunAdf:
             run_adf(FailingAtTerm(small_model(n=3), 1))
         assert err.value.term_index == 1
 
+    def test_improper_cavity_raises_naming_the_term(self):
+        with pytest.raises(MomentMatchError, match="at term 2: improper cavity") as err:
+            run_adf(ImproperAtTerm(small_model(n=4), 2))
+        assert err.value.term_index == 2
+
 
 class TestRunEp:
     def test_zero_terms(self):
@@ -135,6 +154,15 @@ class TestRunEp:
         assert res.converged
         assert res.sweeps == 1 and len(res.history) == 1  # one empty sweep, like ADF
         assert res.posterior.variance == 100.0
+
+    def test_stops_when_every_cavity_is_improper(self):
+        binding = ImproperAtTerm(small_model(n=5))
+        res = run_ep(binding, EPOptions(max_sweeps=10))
+        assert res.sweeps == 1 and not res.converged
+        assert res.diagnostics.improper_cavities == res.diagnostics.skipped_sites == 5
+        assert not res.diagnostics.degenerate
+        assert res.posterior.mean.tobytes() == binding.prior().mean.tobytes()
+        assert res.posterior.variance == binding.prior().variance
 
     def test_failure_carries_term_index(self):
         with pytest.raises(MomentMatchError) as err:

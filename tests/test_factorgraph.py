@@ -714,7 +714,9 @@ def reference_evidence_from_messages(net: DiscreteFactorGraph,
     for v, c in net.variables:
         log_b = np.zeros(c)
         for f in net.incident(v):
-            log_b = log_b + messages[(f.id, v)].log_total()
+            msg = messages[(f.id, v)]
+            with np.errstate(divide="ignore"):  # an exact zero -> -inf
+                log_b = log_b + (np.log(msg.values) + msg.log_scale)
         total += _logsumexp(log_b)
     return total
 

@@ -367,6 +367,22 @@ class TestCli:
         seeds = {ln.split(",")[1] for ln in out.read_text().splitlines()[1:]}
         assert seeds == {"4", "5"}
 
+    def test_seed_list_and_sequential_schedule(self, tmp_path):
+        # a seed list, and --schedule sequential over a config's random one
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"ep_options": {"schedule": {"kind": "random", "seed": 3}}}))
+        out, plain = tmp_path / "o.csv", tmp_path / "plain.csv"
+        assert cli_main(["loopy", "--config", str(cfg_path), "--seed-range", "1,3,5",
+                         "--schedule", "sequential", "--out", str(out)]) == 0
+        assert cli_main(["loopy", "--seed-range", "1,3,5", "--out", str(plain)]) == 0
+        assert out.read_bytes() == plain.read_bytes()
+        assert {ln.split(",")[1] for ln in out.read_text().splitlines()[1:]} \
+            == {"1", "3", "5"}
+        config = json.loads((tmp_path / "o.csv.meta.json").read_text())["config"]
+        assert config["seeds"] == [1, 3, 5]
+        assert config["ep_options"]["schedule"] == {"kind": "sequential", "seed": 0}
+
     def test_bad_seed_range_exits_1(self, capsys):
         assert cli_main(["clutter", "--seed-range", "two..five"]) == 1
         assert "error" in capsys.readouterr().err
