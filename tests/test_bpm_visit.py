@@ -23,9 +23,11 @@ from epkit.bpm import (
     make_dataset,
     rank_one_site_from,
 )
-from epkit.engine import (EPOptions, Schedule, check_fixed_point, ep_energy,
-                          run_adf, run_ep)
+from epkit.bpm import _probit_match, _site_from_margins
+from epkit.engine import (Diagnostics, EPOptions, Schedule, check_fixed_point,
+                          ep_energy, run_adf, run_ep)
 from epkit.gaussians import (
+    LOG_2PI,
     PENDING_COLUMNS,
     FullGaussian,
     ImproperProductError,
@@ -406,3 +408,184 @@ class TestBoundaries:
                        labels=np.array([1.0, -1.0]))
         with pytest.raises(ValueError, match="points must be finite"):
             bpm_train(make_dataset([[bad]], [1.0], slack=1.0))
+
+
+# ---------------------------------------------------------------------------
+# Plain reference: a BPM fit written out as one loop over plain values, with
+# the prior, the rank-one visit, the chain of pending terms and the
+# degeneracy test as dense-covariance code, and with the probit scalars the
+# binding shares (`_probit_match`, `_site_from_margins`).  A fit through
+# `BpmBinding` and `run_ep` must give its bits exactly.
+# ---------------------------------------------------------------------------
+
+def reference_formed(base, rows, coefs):
+    """base + rows^T diag(coefs) rows, bitwise symmetric; one term gets a
+    zero partner."""
+    left = rows.T * (0.5 * coefs)
+    if coefs.shape[0] == 1:
+        left = np.hstack((left, np.zeros_like(left)))
+        rows = np.vstack((rows, np.zeros_like(rows)))
+    half = left @ rows
+    W = half + half.T
+    W += base
+    return W
+
+
+class ReferenceChain:
+    """N(mean, base + sum_{j<k} coefs_j rows_j rows_j^T) with its trace
+    carried; every PENDING_COLUMNS terms are formed into the base."""
+
+    def __init__(self, mean, base, rows, coefs, k, trace):
+        if k == PENDING_COLUMNS:
+            base = reference_formed(base, rows, coefs)
+            rows, coefs, k = np.empty_like(rows), np.empty_like(coefs), 0
+            trace = float(base.trace())
+        self.mean, self.base, self.rows, self.coefs = mean, base, rows, coefs
+        self.k, self.trace = k, trace
+
+    def times(self, u):
+        vu = self.base.dot(u)
+        if self.k:
+            rows = self.rows[:self.k]
+            vu += (self.coefs[:self.k] * rows.dot(u)).dot(rows)
+        return vu
+
+    def covariance(self):
+        k = self.k
+        return reference_formed(self.base, self.rows[:k], self.coefs[:k]) if k \
+            else self.base
+
+    def updated(self, mean, a, c, a_sq):
+        self.rows[self.k] = a
+        self.coefs[self.k] = c
+        return ReferenceChain(mean, self.base, self.rows, self.coefs, self.k + 1,
+                              self.trace + c * a_sq)
+
+
+def reference_log_coeff(mean, V):
+    L = np.linalg.cholesky(V)
+    half_logdet = float(np.sum(np.log(np.diag(L))))
+    z = np.linalg.solve(L, mean)
+    return -0.5 * mean.shape[0] * LOG_2PI - half_logdet - 0.5 * float(z @ z)
+
+
+def reference_max_abs(a, b):
+    a, b = abs(float(a)), abs(float(b))
+    if a != a or b != b:
+        return math.nan
+    return a if a >= b else b
+
+
+def reference_bpm_fit(ds, opts):
+    """(posterior mean, covariance, sites as (precision, mean, log scale),
+    log evidence, sweeps, converged, diagnostics) of an EP fit."""
+    n, d, U, noise = ds.n, ds.d, ds.directions, ds.noise_var
+    prior = np.eye(d)
+    q = ReferenceChain(np.zeros(d), prior, np.empty((PENDING_COLUMNS, d)),
+                       np.empty(PENDING_COLUMNS), 0, float(prior.trace()))
+    sites = [(0.0, 0.0, 0.0)] * n
+    diag = Diagnostics()
+    ops, sweeps, converged, gamma = 0, 0, False, opts.damping
+    for order in opts.schedule.orders(n):
+        if sweeps >= opts.max_sweeps:
+            break
+        sweeps += 1
+        max_change, updated = 0.0, 0
+        for i in order:
+            u, (tau, site_mean, log_scale) = U[i], sites[i]
+            # cavity: the posterior with the site's precision tau removed
+            ops += d * d + 2 * d
+            vu = q.times(u)
+            qq = float(u.dot(vu))
+            um = float(u.dot(q.mean))
+            denom = 1.0 - tau * qq
+            r = 1.0 / denom if denom > 0.0 else 0.0
+            if not (denom > 0.0 and 0.0 < r * qq < math.inf):
+                diag.improper_cavities += 1
+                diag.skipped_sites += 1
+                continue
+            updated += 1
+            q0 = r * qq
+            shift = r * tau * (um - site_mean)
+            vv = float(vu.dot(vu))
+            mu0 = um + shift * qq
+            # moment match, and the site it implies
+            ops += 2 * d + 1
+            log_z, _, alpha, kappa = _probit_match(q0, mu0, noise,
+                                                   (q.trace + tau * r * vv) / d)
+            new = _site_from_margins(log_z, q0, mu0, q0 * (1.0 - kappa * q0),
+                                     mu0 + alpha * q0)
+            if gamma < 1.0:
+                prec = (1.0 - gamma) * tau + gamma * new[0]
+                shifted = (1.0 - gamma) * tau * site_mean + gamma * new[0] * new[1]
+                assert not (prec == 0.0 and shifted != 0.0)
+                new = (prec, shifted / prec if prec != 0.0 else 0.0,
+                       (1.0 - gamma) * log_scale + gamma * new[2])
+            delta = reference_max_abs(new[0] - tau, new[0] * new[1] - tau * site_mean)
+            if delta > max_change or delta != delta:
+                max_change = delta
+            sites[i] = new
+            # recombination: one rank-one term on the posterior
+            ops += d * d + d
+            assert 1.0 + new[0] * q0 > 0.0
+            gain = new[0] / (1.0 + new[0] * q0)
+            mean = q.mean + (shift + r * gain * (new[1] - mu0)) * vu
+            q = q.updated(mean, vu, (tau - gain * r) * r, vv)
+        if n and not updated:
+            break
+        V = q.covariance()
+        t = max(1e-40, 1e-12 * float(np.mean(np.diag(V))))
+        try:
+            np.linalg.cholesky(V - t * np.eye(d))
+        except np.linalg.LinAlgError:
+            diag.degenerate = True
+            break
+        if max_change < opts.tolerance:
+            converged = True
+            break
+    diag.operations = ops
+    V = q.covariance()
+    log_evidence = sum(s[2] - 0.5 * s[0] * s[1] * s[1] for s in sites) \
+        + reference_log_coeff(np.zeros(d), prior) - reference_log_coeff(q.mean, V)
+    return q.mean, V, sites, log_evidence, sweeps, converged, diag
+
+
+def assert_fit_keeps_reference_bits(ds, opts):
+    binding = BpmBinding(ds)
+    res = run_ep(binding, opts)
+    mean, V, sites, log_evidence, sweeps, converged, diag = reference_bpm_fit(ds, opts)
+    assert res.posterior.mean.tobytes() == mean.tobytes()
+    assert res.posterior.covariance.tobytes() == V.tobytes()
+    assert [(float(s.precision).hex(), float(s.mean).hex(), float(s.log_scale).hex())
+            for s in res.sites] \
+        == [tuple(float(x).hex() for x in s) for s in sites]
+    assert float(res.log_evidence).hex() == float(log_evidence).hex()
+    assert (res.sweeps, res.converged, res.diagnostics) == (sweeps, converged, diag)
+    assert binding.tally.count == diag.operations + ds.d ** 3  # one evidence solve
+    return res
+
+
+# The bpm-ladder benchmark's fits: n = 200 at slack 1, a fixed number of
+# sweeps, and a damped fit on a random schedule.
+@pytest.mark.parametrize("d, sweeps", [(10, 12), (50, 14), (200, 10)])
+def test_ladder_fits_keep_reference_bits(d, sweeps):
+    res = assert_fit_keeps_reference_bits(
+        probit_data(200, d, seed=d), EPOptions(tolerance=1e-300, max_sweeps=sweeps))
+    assert res.sweeps == sweeps
+
+
+def test_damped_random_fit_keeps_reference_bits():
+    res = assert_fit_keeps_reference_bits(
+        probit_data(200, 50, seed=5),
+        EPOptions(tolerance=1e-300, max_sweeps=36, damping=0.5,
+                  schedule=Schedule("random", 5)))
+    assert res.sweeps == 36
+
+
+def test_conflicting_zero_slack_fit_keeps_reference_bits():
+    # opposite labels on one point: the fit collapses and stops degenerate
+    # at the sweep the Cholesky test names
+    ds = make_dataset([[1.0, 0.5], [1.0, 0.5]], [1.0, -1.0], slack=0.0)
+    res = assert_fit_keeps_reference_bits(ds, EPOptions(tolerance=1e-10,
+                                                        max_sweeps=500))
+    assert res.diagnostics.degenerate and res.sweeps < 500

@@ -1,8 +1,10 @@
 """Golden outputs: every default and damped CLI run, one clutter run at d = 2
-(the default runs visit only at d = 1) and one loopy run with cardinalities
-up to 10 (the default runs stop at 4, so no message or cavity there has the
-8 or more entries that numpy sums pairwise), against the CSV and sidecar
-checked in under tests/golden/.
+(the default runs visit only at d = 1), one BPM run at slack 1 (the default
+runs have zero slack, so none reaches the probit visit) and one loopy run
+with cardinalities up to 10 (the default runs stop at 4, so no message or
+cavity there has the 8 or more entries that numpy sums pairwise), against
+the CSV and sidecar checked in under tests/golden/.  The slack 1 run needs
+scipy, as every BPM run with slack does, and is skipped without it.
 
 Text columns, `operations`, `converged` and `sweeps` must match exactly.
 The two error columns may move by rounding, at most max(1e-12, 1e-9 x
@@ -18,6 +20,9 @@ running from the repository root:
     PYTHONPATH=src python -m epkit.cli clutter \\
       --config tests/golden/clutter_d2.config.json --seed-range 1..5 \\
       --out tests/golden/clutter_d2.csv
+    PYTHONPATH=src python -m epkit.cli bpm \\
+      --config tests/golden/bpm_slack1.config.json --seed-range 1..5 \\
+      --out tests/golden/bpm_slack1.csv
     PYTHONPATH=src python -m epkit.cli loopy \\
       --config tests/golden/loopy_card10.config.json --seed-range 1..5 \\
       --out tests/golden/loopy_card10.csv
@@ -37,10 +42,13 @@ VARIANTS = {"default": [],
                        "--seed-range", "1..5"],
             "d2": ["--config", str(GOLDEN / "clutter_d2.config.json"),
                    "--seed-range", "1..5"],
+            "slack1": ["--config", str(GOLDEN / "bpm_slack1.config.json"),
+                       "--seed-range", "1..5"],
             "card10": ["--config", str(GOLDEN / "loopy_card10.config.json"),
                        "--seed-range", "1..5"]}
 RUNS = [(kind, variant) for kind in ("clutter", "bpm", "loopy")
         for variant in ("default", "damped")] + [("clutter", "d2"),
+                                                 ("bpm", "slack1"),
                                                  ("loopy", "card10")]
 ERROR_COLUMNS = ("log_evidence_error", "mean_error")
 
@@ -54,6 +62,8 @@ def _error_matches(got: str, want: str) -> bool:
 
 @pytest.mark.parametrize("kind, variant", RUNS)
 def test_cli_output_matches_golden(tmp_path, kind, variant):
+    if variant == "slack1":
+        pytest.importorskip("scipy")
     name = f"{kind}_{variant}.csv"
     out = tmp_path / name
     assert cli_main([kind, *VARIANTS[variant], "--out", str(out)]) == 0
