@@ -9,18 +9,21 @@ scalars, from one matrix-vector product; the moment match works on the
 cavity's margin along u and gives the new site in closed form at O(d) cost;
 the recombination of cavity and site appends one rank-one term to the
 posterior's covariance (`gaussians.PendingGaussian`), which adds a block of
-such terms to the dense matrix in one matrix product.  No d x d matrix is
-formed for the cavity or written by a visit.
+such terms to the dense matrix in one matrix product; the prior is its
+0-term block.  No d x d matrix is formed for the cavity or written by a
+visit.
 
 Slack handling: for slack eps > 0 the training points are pre-scaled once
 to y_i x_i / eps and the margin noise variance is 1; eps = 0 keeps the
 label-scaled points and sets the noise variance to 0, which is the exact
-eps -> 0 limit (the probit becomes a step function).
+eps -> 0 limit (the probit becomes a step function).  With slack the data
+certify that no posterior collapses (`BpmBinding.is_degenerate`).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .engine import (EPOptions, EPResult, ModelBinding, OpTally, ep_log_evidence
 from .gaussians import (
     FullGaussian,
     ImproperProductError,
+    PendingGaussian,
     RankOneSite,
     log_probit,
     probit_ratio,
@@ -109,32 +113,25 @@ class BpmMatch:
     alpha: float
 
 
-class BpmCavity:
+class BpmCavity(NamedTuple):
     """A site divided out of a BPM posterior N(m, V), kept as that posterior
     plus scalars.
 
     Removing precision tau along u leaves the cavity covariance
     V + tau r (Vu)(Vu)^T with r = 1 / (1 - tau q) and q = u.Vu, so the
     cavity's own V u is r Vu, its margin variance is q0 = r q, and its mean
-    is m + shift Vu with margin mean mu0.  `mean` and `covariance` form the
-    dense cavity on request; a site visit never does.
+    is m + shift Vu with margin mean mu0; vv = |Vu|^2.  `mean` and
+    `covariance` form the dense cavity on request; a site visit never does.
     """
-
-    __slots__ = ("posterior", "direction", "precision", "vu", "vv", "r",
-                 "q0", "mu0", "shift")
-
-    def __init__(self, posterior: FullGaussian, direction: np.ndarray,
-                 precision: float, vu: np.ndarray, vv: float, r: float,
-                 q0: float, mu0: float, shift: float):
-        self.posterior = posterior
-        self.direction = direction
-        self.precision = precision
-        self.vu = vu
-        self.vv = vv
-        self.r = r
-        self.q0 = q0
-        self.mu0 = mu0
-        self.shift = shift
+    posterior: FullGaussian
+    direction: np.ndarray
+    precision: float
+    vu: np.ndarray
+    vv: float
+    r: float
+    q0: float
+    mu0: float
+    shift: float
 
     @property
     def mean(self) -> np.ndarray:
@@ -144,26 +141,6 @@ class BpmCavity:
     def covariance(self) -> np.ndarray:
         return rank_one_update(self.posterior.covariance, self.vu,
                                self.precision * self.r)
-
-
-def _divide(posterior: FullGaussian, u: np.ndarray, tau: float,
-            site_mean: float) -> BpmCavity | None:
-    """The cavity left by removing a rank-one site (tau, site_mean) along u
-    from the posterior; None when its precision is not positive definite,
-    which for a positive definite posterior is exactly 1 - tau q <= 0."""
-    vu = posterior.covariance_times(u)
-    q = float(u.dot(vu))
-    um = float(u.dot(posterior.mean))
-    denom = 1.0 - tau * q
-    if not denom > 0.0:
-        return None
-    r = 1.0 / denom
-    q0 = r * q
-    if not 0.0 < q0 < math.inf:
-        return None
-    shift = r * tau * (um - site_mean)
-    return BpmCavity(posterior, u, tau, vu, float(vu.dot(vu)), r, q0,
-                     um + shift * q, shift)
 
 
 def _probit_match(q0: float, mu0: float, noise_var: float,
@@ -190,9 +167,10 @@ def _probit_match(q0: float, mu0: float, noise_var: float,
     # shrink at 1e-3 and keep the margin variance above the dense
     # representation's noise floor; both caps bind only in that collapse,
     # far outside any z a proper fixed point produces.
-    target_gap = min(1.0, max(1e-3, 1e-14 * mean_var / q0))
-    kappa = min(rho * (z + rho) / den, (1.0 - target_gap) / q0)
-    return log_probit(z), z, alpha, kappa
+    gap = 1e-14 * mean_var / q0  # min and max written out: once a visit
+    gap = 1.0 if gap >= 1.0 else gap if gap > 1e-3 else 1e-3
+    kappa, cap = rho * (z + rho) / den, (1.0 - gap) / q0
+    return log_probit(z), z, alpha, cap if cap < kappa else kappa
 
 
 def bpm_moment_match(cavity: FullGaussian, u: np.ndarray,
@@ -259,7 +237,7 @@ class BpmBinding(ModelBinding):
     """Engine binding for BPM training (full-Gaussian family, rank-one sites).
 
     Cavities are BpmCavity objects; `moment_match(cavity, i)` expects the
-    cavity of site i.
+    cavity of site i.  Every posterior of a fit is a `PendingGaussian`.
 
     Operation charges per site visit, damped or not: cavity d^2+2d (one
     matrix-vector product, two dot products), moment match 2d+1 (the cavity
@@ -291,35 +269,56 @@ class BpmBinding(ModelBinding):
             raise ValueError(f"training point {i} has a margin direction y x / slack "
                              f"of squared norm {float(sq[i])!r} at slack "
                              f"{dataset.slack!r}; it must be positive and finite")
-        self._prior = FullGaussian(mean=np.zeros(d), covariance=np.eye(d))
+        self._prior = PendingGaussian.of(FullGaussian.trusted(np.zeros(d), np.eye(d)))
+        self._cavity_ops = d * d + 2 * d
+        self._match_ops = 2 * d + 1
+        self._recombine_ops = d * d + d
+        # is_degenerate's certificate: lambda_min(V) >= 1 / (1 + |U|_F^2)
+        self._certified = self.noise_var > 0.0 and 1.0 / (1.0 + float(np.sum(sq))) \
+            >= 1e3 * (1e-12 + 2 * d * (d + 1) * 2.0 ** -53)
 
     @property
     def site_count(self) -> int:
         return self.dataset.n
 
-    def prior(self) -> FullGaussian:
+    def prior(self) -> PendingGaussian:
         return self._prior
 
     def vacuous_site(self, i: int) -> RankOneSite:
-        return RankOneSite(direction=self.directions[i], precision=0.0,
-                           mean=0.0, log_scale=0.0)
+        # __init__ checked that the direction has a positive squared norm
+        return RankOneSite.trusted(self.directions[i], 0.0, 0.0, 0.0)
 
     def cavity(self, posterior, site):
-        d = self.d
-        self.tally.add(d * d + 2 * d)
-        return _divide(posterior, site.direction, site.precision, site.mean)
+        """The posterior less a rank-one site (tau, site mean) along u, from
+        V u and three dot products; None when its precision is not positive
+        definite, which for a positive definite posterior is 1 - tau q <= 0."""
+        self.tally.count += self._cavity_ops
+        u, tau = site.direction, site.precision
+        vu = posterior.covariance_times(u)
+        q = float(u.dot(vu))
+        um = float(u.dot(posterior.mean))
+        denom = 1.0 - tau * q
+        if not denom > 0.0:
+            return None
+        r = 1.0 / denom
+        q0 = r * q
+        if not 0.0 < q0 < math.inf:
+            return None
+        shift = r * tau * (um - site.mean)
+        # tuple.__new__ skips the named tuple's own __new__, a Python call
+        return tuple.__new__(BpmCavity, (posterior, u, tau, vu, float(vu.dot(vu)),
+                                         r, q0, um + shift * q, shift))
 
     def moment_match(self, cavity, i: int):
         """The probit match against the cavity's margin N(mu0, q0) along the
         site direction, and the site it implies; O(d), no d x d work."""
-        d = self.d
-        self.tally.add(2 * d + 1)
-        q0, mu0 = cavity.q0, cavity.mu0
-        trace = cavity.posterior.trace() + cavity.precision * cavity.r * cavity.vv
-        log_z, _, alpha, kappa = _probit_match(q0, mu0, self.noise_var, trace / d)
+        self.tally.count += self._match_ops
+        post, u, tau, _, vv, r, q0, mu0, _ = cavity
+        log_z, _, alpha, kappa = _probit_match(
+            q0, mu0, self.noise_var, (post._trace + tau * r * vv) / self.d)
         tau, mean, log_scale = _site_from_margins(
             log_z, q0, mu0, q0 * (1.0 - kappa * q0), mu0 + alpha * q0)
-        return RankOneSite.trusted(cavity.direction, tau, mean, log_scale), log_z
+        return RankOneSite.trusted(u, tau, mean, log_scale), log_z
 
     def recombine(self, cavity, site):
         """The cavity (a BpmCavity from `cavity`) times a site along its
@@ -331,15 +330,15 @@ class BpmBinding(ModelBinding):
         with gain = precision / (1 + precision q0) and tau the precision
         the cavity removed.  The term is appended to V's pending ones
         (`FullGaussian.updated`), so no d x d matrix is written here."""
-        d = self.d
-        self.tally.add(d * d + d)
-        denom = 1.0 + site.precision * cavity.q0
+        self.tally.count += self._recombine_ops
+        post, _, tau, vu, vv, r, q0, mu0, shift = cavity
+        precision = site.precision
+        denom = 1.0 + precision * q0
         if denom <= 0.0:
             raise ImproperProductError("improper product")
-        post, vu, r = cavity.posterior, cavity.vu, cavity.r
-        gain = site.precision / denom
-        mean = post.mean + (cavity.shift + r * gain * (site.mean - cavity.mu0)) * vu
-        return post.updated(mean, vu, (cavity.precision - gain * r) * r, cavity.vv)
+        gain = precision / denom
+        mean = post.mean + (shift + r * gain * (site.mean - mu0)) * vu
+        return post.updated(mean, vu, (tau - gain * r) * r, vv)
 
     def log_evidence(self, posterior, sites) -> float:
         d = self.d
@@ -347,16 +346,24 @@ class BpmBinding(ModelBinding):
         return ep_log_evidence(self._prior, posterior, sites)
 
     def is_degenerate(self, posterior) -> bool:
-        # conflicting step likelihoods have zero total mass; refinement then
-        # shrinks the posterior geometrically toward a point, either overall
-        # or along single directions (condition blow-up), far beyond any
-        # scale or anisotropy a real fixed point reaches.  The test is the
-        # smallest eigenvalue of V against t; V - t I has a Cholesky factor
-        # exactly when it lies above t, at a fraction of an eigvalsh's cost
+        """True when V, the covariance of a posterior of this binding's fit,
+        has its smallest eigenvalue below t = max(1e-40, 1e-12 mean(diag V)).
+
+        With slack a certificate on the data answers False: in scaled units
+        kappa < 1 / (q0 + 1), so every site precision lies in [0, 1] (damping
+        blends convexly), I <= V^-1 <= I + U^T U for the margin directions U,
+        t <= 1e-12 and lambda_min(V) >= 1 / (1 + |U|_F^2), which must be at
+        least 1e3 (1e-12 + 2 d (d + 1) 2^-53), a margin for rounding.  Other
+        data (zero slack: conflicting steps collapse the posterior) need a
+        Cholesky factor of V - t I, a copy of V less t on its diagonal."""
+        if self._certified:
+            return False
         V = posterior.covariance
         t = max(1e-40, 1e-12 * float(np.mean(np.diag(V))))
+        shifted = V.copy()
+        shifted.flat[::V.shape[0] + 1] -= t
         try:
-            np.linalg.cholesky(V - t * np.eye(V.shape[0]))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             return True
         return False

@@ -175,7 +175,11 @@ class ModelBinding(ABC):
 
     def is_degenerate(self, posterior) -> bool:
         """True when refinement has collapsed the posterior beyond numerical
-        rescue (the sweep loop then stops and reports instead of crashing)."""
+        rescue (the sweep loop then stops and reports instead of crashing).
+
+        Asked at every sweep end about the binding's own fit, it may answer
+        from a certificate on the data, as BPM does with slack: bound 1 / (1 +
+        |U|_F^2) on lambda_min(V), margin 1e3 (1e-12 + 2 d (d + 1) 2^-53)."""
         return False
 
 
@@ -187,14 +191,6 @@ def ep_log_evidence(prior, posterior, sites: Sequence[Site]) -> float:
     proper."""
     return sum(s.natural_log_coeff() for s in sites) \
         + prior.log_norm_coeff() - posterior.log_norm_coeff()
-
-
-def _match(model: ModelBinding, cavity, i: int) -> tuple[Site, float]:
-    """model.moment_match, with a failure rewrapped with the term index."""
-    try:
-        return model.moment_match(cavity, i)
-    except Exception as exc:  # noqa: BLE001 - rewrap with the term index
-        raise MomentMatchError(i, exc) from exc
 
 
 def run_adf(model: ModelBinding) -> EPResult:
@@ -215,7 +211,10 @@ def run_adf(model: ModelBinding) -> EPResult:
         cav = model.cavity(q, sites[i])
         if cav is None:
             raise MomentMatchError(i, ValueError("improper cavity"))
-        sites[i], log_z = _match(model, cav, i)
+        try:
+            sites[i], log_z = model.moment_match(cav, i)
+        except Exception as exc:  # noqa: BLE001 - rewrap with the term index
+            raise MomentMatchError(i, exc) from exc
         q = model.recombine(cav, sites[i])
         log_evidence += log_z
     diag = Diagnostics(operations=model.tally.count - start_ops)
@@ -261,7 +260,10 @@ def run_ep(model: ModelBinding, opts: EPOptions = EPOptions(),
                 diag.skipped_sites += 1
                 continue
             updated += 1
-            new_site, _ = _match(model, cav, i)
+            try:
+                new_site, _ = model.moment_match(cav, i)
+            except Exception as exc:  # noqa: BLE001 - rewrap with the term index
+                raise MomentMatchError(i, exc) from exc
             if damping < 1.0:
                 try:
                     new_site = sites[i].damped(new_site, damping)

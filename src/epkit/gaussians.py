@@ -75,7 +75,7 @@ class SphericalGaussian:
         """Construct without validation, for inner loops whose mean is
         already a 1-D float array, or a float at d = 1, and whose caller has
         checked 0 < variance < inf."""
-        return _unvalidated(cls, m=mean, variance=variance)
+        return _unvalidated(cls, {"m": mean, "variance": variance})
 
     @cached_property
     def mean(self) -> np.ndarray:
@@ -128,7 +128,7 @@ class FullGaussian:
         """Construct without validation, for inner loops whose float arrays
         already have matching shapes and a symmetric covariance (for
         instance one made by `_formed` from a validated one)."""
-        return _unvalidated(cls, mean=mean, covariance=covariance)
+        return _unvalidated(cls, {"mean": mean, "covariance": covariance})
 
     @property
     def dim(self) -> int:
@@ -140,6 +140,10 @@ class FullGaussian:
 
     def trace(self) -> float:
         """trace(V)."""
+        return self._trace
+
+    @cached_property
+    def _trace(self) -> float:  # a PendingGaussian carries its own
         return float(self.covariance.trace())
 
     def updated(self, mean: np.ndarray, a: np.ndarray, c: float,
@@ -147,12 +151,7 @@ class FullGaussian:
         """N(mean, V + c a a^T), given a_sq = a.a: one step of a sequential
         update, kept as a pending term (see PendingGaussian).  V is neither
         written nor copied; the result keeps `mean` itself."""
-        rows = np.empty((PENDING_COLUMNS, self.dim))
-        coefs = np.empty(PENDING_COLUMNS)
-        rows[0] = a
-        coefs[0] = c
-        return _pending(mean, self.covariance, rows, coefs, 1,
-                        self.trace() + c * a_sq)
+        return PendingGaussian.of(self).updated(mean, a, c, a_sq)
 
     def cholesky(self) -> np.ndarray:
         try:
@@ -161,6 +160,10 @@ class FullGaussian:
             raise DegenerateCovarianceError("degenerate covariance") from exc
 
     def log_norm_coeff(self) -> float:
+        return self._log_coeff
+
+    @cached_property
+    def _log_coeff(self) -> float:  # kept: a prior serves many evidence calls
         L = self.cholesky()
         half_logdet = float(np.sum(np.log(np.diag(L))))
         z = np.linalg.solve(L, self.mean)
@@ -187,7 +190,8 @@ PENDING_COLUMNS = 32
 class PendingGaussian(FullGaussian):
     """A FullGaussian whose covariance V0 + sum_{j<k} c_j a_j a_j^T is held
     as the dense V0 and k < PENDING_COLUMNS pending rank-one terms; made by
-    `FullGaussian.updated`, never directly.
+    `of` (k = 0, say a prior) and `updated`, never directly, so every
+    posterior of a sequential fit is of this one type.
 
     Appending a term costs O(d) in place of a d x d rewrite.  The term that
     makes PENDING_COLUMNS forms V0 + (A^T diag(c)) A in one matrix product,
@@ -202,6 +206,12 @@ class PendingGaussian(FullGaussian):
     later one (say, a revisit of a finished fit) starts a block of its own
     on the formed covariance, so no object ever changes.
     """
+
+    @classmethod
+    def of(cls, g: FullGaussian) -> "PendingGaussian":
+        """g as the first block of a chain: no pending terms yet."""
+        return _pending(g.mean, g.covariance, np.empty((PENDING_COLUMNS, g.dim)),
+                        np.empty(PENDING_COLUMNS), 0, g.trace())
 
     @property
     def covariance(self) -> np.ndarray:
@@ -219,9 +229,6 @@ class PendingGaussian(FullGaussian):
             rows = self._rows[:k]
             vu += (self._coefs[:k] * rows.dot(u)).dot(rows)
         return vu
-
-    def trace(self) -> float:
-        return self._trace
 
     def updated(self, mean: np.ndarray, a: np.ndarray, c: float,
                 a_sq: float) -> "PendingGaussian":
@@ -244,9 +251,11 @@ def _pending(mean: np.ndarray, base: np.ndarray, rows: np.ndarray,
         base = _formed(base, rows, coefs)
         rows, coefs, k = np.empty_like(rows), np.empty_like(coefs), 0
         trace = float(base.trace())
-    return _unvalidated(PendingGaussian, mean=mean, _base=base, _rows=rows,
-                        _coefs=coefs, _k=k, _trace=trace,
-                        _dense=None if k else base, _unextended=[True])
+    q = object.__new__(PendingGaussian)  # `_unvalidated`, written out
+    object.__setattr__(q, "__dict__", {
+        "mean": mean, "_base": base, "_rows": rows, "_coefs": coefs, "_k": k,
+        "_trace": trace, "_dense": None if k else base, "_unextended": [True]})
+    return q
 
 
 def _formed(base: np.ndarray, rows: np.ndarray, coefs: np.ndarray) -> np.ndarray:
@@ -297,11 +306,12 @@ def _as_array(x) -> np.ndarray:
     return np.array([x]) if isinstance(x, float) else x
 
 
-def _unvalidated(cls, **fields):
+def _unvalidated(cls, fields: dict):
     """A frozen dataclass instance built without its validation (the
-    `__init__` or `__post_init__` checks)."""
+    `__init__` or `__post_init__` checks), with `fields` as its __dict__:
+    no keyword packing and no copy (a BPM visit writes it out twice)."""
     obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    object.__setattr__(obj, "__dict__", fields)
     return obj
 
 
@@ -335,13 +345,14 @@ class NaturalSpherical:
         h = np.atleast_1d(np.asarray(shift, dtype=float))
         if precision == 0.0 and float(h @ h) != 0.0:
             raise ValueError("a zero-precision site must have zero shift")
-        self.__dict__.update(precision=precision, h=h, log_scale=log_scale)
+        self.__dict__.update(precision=float(precision), h=h, log_scale=float(log_scale))
 
     @classmethod
     def trusted(cls, precision: float, shift, log_scale: float) -> "NaturalSpherical":
         """Construct without validation, for a shift that is already a 1-D
         float array, or a float at d = 1, and is zero whenever precision is."""
-        return _unvalidated(cls, precision=precision, h=shift, log_scale=log_scale)
+        return _unvalidated(cls, {"precision": precision, "h": shift,
+                                  "log_scale": log_scale})
 
     @cached_property
     def shift(self) -> np.ndarray:
@@ -397,7 +408,8 @@ class NaturalSpherical:
 @dataclass(frozen=True)
 class RankOneSite:
     """s * exp(-precision/2 * (w.direction - mean)^2): a Gaussian factor that
-    constrains a single direction of w.  precision may be negative or zero."""
+    constrains a single direction of w.  precision may be negative or zero;
+    it, mean and log_scale are Python floats."""
     direction: np.ndarray
     precision: float
     mean: float = 0.0
@@ -406,6 +418,8 @@ class RankOneSite:
     def __post_init__(self):
         u = np.atleast_1d(np.asarray(self.direction, dtype=float))
         object.__setattr__(self, "direction", u)
+        for name in ("precision", "mean", "log_scale"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if float(u @ u) == 0.0:
             raise ValueError("rank-one site direction must be non-zero")
 
@@ -413,16 +427,21 @@ class RankOneSite:
     def trusted(cls, direction: np.ndarray, precision: float, mean: float,
                 log_scale: float) -> "RankOneSite":
         """Construct without validation, for a direction taken from an
-        existing site."""
-        return _unvalidated(cls, direction=direction, precision=precision,
-                            mean=mean, log_scale=log_scale)
+        existing site and float scalars."""
+        site = object.__new__(cls)  # `_unvalidated`, written out
+        object.__setattr__(site, "__dict__", {"direction": direction, "precision": precision,
+                                              "mean": mean, "log_scale": log_scale})
+        return site
 
     def change(self, other: "RankOneSite") -> float:
         """Convergence measure: the larger absolute difference in precision
         and in shift (precision * mean) along the direction, NaN when either
         is NaN."""
-        return _max_abs(self.precision - other.precision,
-                        self.precision * self.mean - other.precision * other.mean)
+        a = abs(self.precision - other.precision)  # `_max_abs`, written out
+        b = abs(self.precision * self.mean - other.precision * other.mean)
+        if a != a or b != b:
+            return math.nan
+        return a if a >= b else b
 
     def natural_coords(self) -> np.ndarray:
         """The site's term in `FullGaussian.natural_coords`."""
@@ -461,9 +480,9 @@ Site = NaturalSpherical | RankOneSite
 
 
 def _max_abs(a: float, b: float) -> float:
-    """max(|a|, |b|) as a Python float; NaN when either is NaN (the
+    """max(|a|, |b|) of two Python floats; NaN when either is NaN (the
     builtin max would drop a NaN that comes second)."""
-    a, b = abs(float(a)), abs(float(b))
+    a, b = abs(a), abs(b)
     if a != a or b != b:
         return math.nan
     return a if a >= b else b
@@ -551,8 +570,8 @@ def probit_ratio(z: float) -> float:
     asymptotic series takes over.  For z >= 0 the direct quotient is
     already well conditioned.  The z -> -inf asymptote is -z.
     """
-    if z >= 0.0:
-        return math.exp(-0.5 * z * z - 0.5 * LOG_2PI) / probit(z)
+    if z >= 0.0:  # probit(z), written out: this runs once a BPM visit
+        return math.exp(-0.5 * z * z - 0.5 * LOG_2PI) / (0.5 * math.erfc(-z * _SQRT_HALF))
     x = -z * _SQRT_HALF
     if x < 26.0:
         hi = (x + _ROUND_2M21) - _ROUND_2M21  # at most 26 significant bits

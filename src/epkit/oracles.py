@@ -513,9 +513,11 @@ def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray]
     prior_mean = np.atleast_1d(np.asarray(prior_mean, dtype=float))
     d = prior_mean.shape[0]
     cov = np.asarray(prior_cov, dtype=float)
+    if cov.shape != (d, d):
+        raise ValueError(f"prior_cov must have shape {(d, d)} to match prior_mean "
+                         f"of shape {prior_mean.shape}, got {cov.shape}")
     rng = np.random.default_rng(seed)
-    if cov.shape == (d, d) and np.count_nonzero(cov) == d \
-            and bool(np.all(np.diagonal(cov) > 0.0)):
+    if np.count_nonzero(cov) == d and bool(np.all(np.diagonal(cov) > 0.0)):
         # diagonal: L = diag(sqrt(cov_ii)), so scaling z in place gives z L^T
         draws = rng.standard_normal((samples, d))
         draws *= np.sqrt(np.diagonal(cov))

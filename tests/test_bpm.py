@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epkit.bpm import (
     BpmBinding,
@@ -285,6 +287,73 @@ class TestTraining:
                 assert degenerate == (low < t), (name, scale, low, t)
                 seen.add(degenerate)
         assert seen == {True, False}
+
+
+class Unreadable(FullGaussian):
+    """A posterior whose covariance may not be read."""
+    @property
+    def covariance(self):
+        raise AssertionError("the certificate reads no covariance")
+
+
+class TestDegeneracyCertificate:
+    """With slack, `BpmBinding.is_degenerate` answers from a certificate on
+    the data: every site precision stays in [0, 1], so the smallest
+    eigenvalue of every posterior of a fit is at least 1 / (1 + |U|_F^2)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 20),
+           n=st.integers(1, 30), scale=st.floats(0.1, 10.0),
+           slack=st.floats(0.1, 10.0),
+           damping=st.floats(0.0, 1.0, exclude_min=True),
+           random_order=st.booleans())
+    def test_bound_holds_at_every_sweep_end(self, seed, d, n, scale, slack,
+                                            damping, random_order):
+        rng = np.random.default_rng(seed)
+        x = scale * rng.normal(size=(n, d))
+        labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        ds = make_dataset(x, labels, slack=slack)
+        U = ds.directions
+        bound = 1.0 / (1.0 + float(np.sum(U * U)))
+        ends = []
+
+        class SweepEnds(BpmBinding):
+            """Keeps the posterior and the sites of every sweep end, where
+            a recorded history evaluates the evidence."""
+            def log_evidence(self, posterior, sites):
+                ends.append((posterior.covariance.copy(), list(sites)))
+                return super().log_evidence(posterior, sites)
+
+        schedule = Schedule("random", seed % 1000) if random_order else Schedule()
+        res = run_ep(SweepEnds(ds), EPOptions(tolerance=1e-12, max_sweeps=6,
+                                              damping=damping, schedule=schedule),
+                     record_history=True)
+        assert not res.diagnostics.degenerate
+        assert len(ends) == res.sweeps + 1  # every sweep end, then the result
+        for V, sites in ends:
+            assert float(np.min(np.linalg.eigvalsh(V))) >= bound * (1.0 - 1e-9)
+            for s in sites:
+                # tau = 1/q1 - 1/q0 rounds by a few ulps of 1 / q
+                q = float(s.direction @ V @ s.direction)
+                assert 0.0 <= s.precision <= 1.0 + 1e3 * 2.0 ** -52 * (1.0 + 1.0 / q)
+
+    def test_certified_binding_reads_no_covariance(self):
+        rng = np.random.default_rng(3)
+        binding = BpmBinding(make_dataset(rng.normal(size=(20, 5)),
+                                          np.where(rng.random(20) < 0.5, 1.0, -1.0),
+                                          slack=1.0))
+        assert not binding.is_degenerate(Unreadable.trusted(np.zeros(5), np.eye(5)))
+
+    @pytest.mark.parametrize("slack", [0.0, 1e-5])
+    def test_uncertified_binding_takes_the_cholesky_test(self, slack):
+        # zero slack has no certificate; at slack 1e-5 the directions are
+        # so long that 1 / (1 + |U|_F^2) is below the certificate's margin
+        binding = BpmBinding(make_dataset([[1.0, 0.5], [0.3, -2.0]], [1.0, -1.0],
+                                          slack=slack))
+        collapsed = FullGaussian(mean=np.zeros(2), covariance=np.diag([1.0, 1e-15]))
+        assert binding.is_degenerate(collapsed)
+        assert not binding.is_degenerate(FullGaussian(mean=np.zeros(2),
+                                                      covariance=np.eye(2)))
 
 
 class TestQuadraticCost:

@@ -378,6 +378,21 @@ class TestImportanceSampler:
             nested_importance_sampler(lambda xs: np.zeros(xs.shape[0]), np.zeros(1),
                                       np.eye(1), counts, seed=0)
 
+    @pytest.mark.parametrize("cov, shape", [(2.0, "()"), (np.eye(3), r"\(3, 3\)")],
+                             ids=["scalar", "3x3"])
+    def test_covariance_shape_must_match_the_mean(self, cov, shape):
+        # numpy alone fails on these with a LinAlgError or a matmul
+        # core-dimension error, naming neither argument
+        want = r"prior_cov must have shape \(2, 2\) to match prior_mean of " \
+               rf"shape \(2,\), got {shape}"
+        for sampler in (lambda: importance_sampler(
+                            lambda xs: np.zeros(xs.shape[0]), np.zeros(2), cov, 10, seed=0),
+                        lambda: nested_importance_sampler(
+                            lambda xs: np.zeros(xs.shape[0]), np.zeros(2), cov, (10,),
+                            seed=0)):
+            with pytest.raises(ValueError, match=want):
+                sampler()
+
     def test_minus_inf_entries_are_zero_weights(self):
         res = importance_sampler(lambda xs: np.where(xs[:, 0] > 0, 0.0, -math.inf),
                                  np.zeros(1), np.eye(1), 20_000, seed=5)
