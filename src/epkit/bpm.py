@@ -30,11 +30,13 @@ import numpy as np
 from .engine import (EPOptions, EPResult, ModelBinding, OpTally, ep_log_evidence,
                      run_ep)
 from .gaussians import (
+    LOG_2PI,
     FullGaussian,
     ImproperProductError,
     PendingGaussian,
     RankOneSite,
     log_probit,
+    probit_curvature,
     probit_ratio,
     rank_one_update,
 )
@@ -169,7 +171,7 @@ def _probit_match(q0: float, mu0: float, noise_var: float,
     # far outside any z a proper fixed point produces.
     gap = 1e-14 * mean_var / q0  # min and max written out: once a visit
     gap = 1.0 if gap >= 1.0 else gap if gap > 1e-3 else 1e-3
-    kappa, cap = rho * (z + rho) / den, (1.0 - gap) / q0
+    kappa, cap = probit_curvature(z, rho) / den, (1.0 - gap) / q0
     return log_probit(z), z, alpha, cap if cap < kappa else kappa
 
 
@@ -270,6 +272,7 @@ class BpmBinding(ModelBinding):
                              f"of squared norm {float(sq[i])!r} at slack "
                              f"{dataset.slack!r}; it must be positive and finite")
         self._prior = PendingGaussian.of(FullGaussian.trusted(np.zeros(d), np.eye(d)))
+        self._prior.__dict__["_log_coeff"] = -0.5 * d * LOG_2PI  # no Cholesky, same bits
         self._cavity_ops = d * d + 2 * d
         self._match_ops = 2 * d + 1
         self._recombine_ops = d * d + d

@@ -165,21 +165,20 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return json.loads(json.dumps(asdict(config)))
 
 
-def _fit_rows(experiment: str, seed: int, method: str, binding, opts: EPOptions,
-              errors) -> tuple:
-    """Fit the binding by ADF or EP (`method`) and return the result with its
-    rows: one per recorded EP sweep, else one `final` row.  errors(mean,
-    log_evidence) gives a row's two error columns."""
-    if method == "adf":
-        res = run_adf(binding)
-    else:
-        res = run_ep(binding, opts, record_history=True)
+def _fit(method: str, binding, opts: EPOptions):
+    """The binding fitted by ADF, or by EP with its sweeps recorded."""
+    return run_adf(binding) if method == "adf" else run_ep(binding, opts, record_history=True)
+
+
+def _fit_rows(experiment: str, seed: int, method: str, res, errors) -> list[ResultRow]:
+    """A fit's rows: one per recorded EP sweep, else one `final` row.
+    errors(mean, log_evidence) gives a row's two error columns."""
     points = [(f"sweep{s.sweep}", s.operations, s.posterior, s.log_evidence)
               for s in res.history] \
         or [("final", res.diagnostics.operations, res.posterior, res.log_evidence)]
-    return res, [ResultRow(experiment, seed, method, checkpoint, ops,
-                           *errors(post.mean, log_ev), res.converged, res.sweeps)
-                 for checkpoint, ops, post, log_ev in points]
+    return [ResultRow(experiment, seed, method, checkpoint, ops,
+                      *errors(post.mean, log_ev), res.converged, res.sweeps)
+            for checkpoint, ops, post, log_ev in points]
 
 
 def _importance_rows(experiment: str, seed: int, log_likelihood,
@@ -228,8 +227,8 @@ def run_clutter_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
         rows.append(ResultRow("clutter", seed, "oracle", "exact", 0, 0.0, 0.0, True, 0))
         for method in ("adf", "ep"):
-            rows += _fit_rows("clutter", seed, method, ClutterBinding(model),
-                              config.ep_options, errs)[1]
+            res = _fit(method, ClutterBinding(model), config.ep_options)
+            rows += _fit_rows("clutter", seed, method, res, errs)
         rows += _importance_rows(
             "clutter", seed, model.log_likelihood,
             model.prior_variance * np.eye(model.d), config.importance_samples,
@@ -258,11 +257,12 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
     Either way the importance rows are the other configured sample counts.
     Each trained method also emits a `train_error` checkpoint row whose
     mean_error column is the training-set error rate (log_evidence_error is
-    marked nan there).  A dataset file that cannot be read or parsed, a
-    point whose margin direction the binding rejects, a dataset that the
-    exact truth cannot score, or slack > 0 without scipy raises ConfigError
-    before any seed; one whose sampled truth gets no draw of nonzero
-    likelihood raises it at that seed."""
+    marked nan there).  ADF and EP are fitted, and scored, once per run, at
+    the first seed after its truth.  A dataset file that cannot be read or
+    parsed, a point whose margin direction the binding rejects, a dataset
+    that the exact truth cannot score, or slack > 0 without scipy raises
+    ConfigError before any seed; one whose sampled truth gets no draw of
+    nonzero likelihood raises it at that seed."""
     path = config.dataset_path
     if config.slack > 0.0:
         require_scipy("bpm with slack > 0")
@@ -287,7 +287,7 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
         oracle_checkpoint, oracle_ops = "exact", 0
     else:
         oracle_checkpoint, oracle_ops = f"samples{s_truth}", s_truth * (d + 2)
-    for seed in config.seeds:
+    for k, seed in enumerate(config.seeds):
         if exact is None:
             try:
                 truth = importance_sampler(dataset.log_likelihood, np.zeros(d),
@@ -307,12 +307,14 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
             return (abs(log_ev - log_ev_truth),
                     float(np.linalg.norm(mean - truth_mean)))
 
+        if k == 0:  # the fits depend on the data and options, not the seed
+            fits = [_fit(m, binding, config.ep_options) for m in ("adf", "ep")]
+            train_errors = [bpm_training_error(BpmModel(dataset=dataset, **vars(res)))
+                            for res in fits]
         rows.append(ResultRow("bpm", seed, "oracle", oracle_checkpoint,
                               oracle_ops, 0.0, 0.0, True, 0))
-        for method in ("adf", "ep"):
-            res, fit_rows = _fit_rows("bpm", seed, method, binding,
-                                      config.ep_options, errs)
-            err = bpm_training_error(BpmModel(dataset=dataset, **vars(res)))
+        for method, res, err in zip(("adf", "ep"), fits, train_errors):
+            fit_rows = _fit_rows("bpm", seed, method, res, errs)
             rows += fit_rows + [replace(
                 fit_rows[-1], checkpoint="train_error",
                 operations=res.diagnostics.operations,
@@ -364,8 +366,9 @@ def run_loopy_experiment(config: ExperimentConfig) -> list[ResultRow]:
     network, run BK-ADF and loopy EP, and emit one row per (method,
     variable) with the L1 belief distance against exhaustive enumeration,
     plus the evidence error and convergence flag.  A network file is read
-    once, before any seed runs; a network whose evidence contradicts itself
-    raises ConfigError naming it and the factor."""
+    once, before any seed runs, and fitted and enumerated once, as cycle3
+    is; a network whose evidence contradicts itself raises ConfigError
+    naming it and the factor."""
     fixed = None
     if config.network == "cycle3":
         fixed = frustrated_cycle_network()
@@ -375,21 +378,21 @@ def run_loopy_experiment(config: ExperimentConfig) -> list[ResultRow]:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"bad network {config.network}: {exc!r}") from None
     rows: list[ResultRow] = []
-    for seed in config.seeds:
-        net = fixed if fixed is not None else random_tree_network(
-            config.n_vars, config.max_cardinality, seed)
-
-        try:
-            beliefs, log_ev = bk_adf(net)
-            res = loopy_ep(net, config.ep_options)
-        except (ContradictoryEvidenceError, ContradictoryMessagesError) as exc:
-            raise ConfigError(f"bad network {config.network}: {exc}") from None
-        try:
-            marginals, log_partition = enumerate_discrete(net)
-        except VanishingMassError as exc:
-            raise ConfigError(f"bad network {config.network}: {exc}") from None
-        except ValueError:  # more joint states than enumerate_discrete takes
-            marginals, log_partition = None, math.nan
+    for k, seed in enumerate(config.seeds):
+        if k == 0 or fixed is None:  # a fixed network is fitted once
+            net = fixed if fixed is not None else random_tree_network(
+                config.n_vars, config.max_cardinality, seed)
+            try:
+                beliefs, log_ev = bk_adf(net)
+                res = loopy_ep(net, config.ep_options)
+            except (ContradictoryEvidenceError, ContradictoryMessagesError) as exc:
+                raise ConfigError(f"bad network {config.network}: {exc}") from None
+            try:
+                marginals, log_partition = enumerate_discrete(net)
+            except VanishingMassError as exc:
+                raise ConfigError(f"bad network {config.network}: {exc}") from None
+            except ValueError:  # more joint states than enumerate_discrete takes
+                marginals, log_partition = None, math.nan
 
         def l1(beliefs, vid):
             if marginals is None:

@@ -162,11 +162,12 @@ def _tilted(joint: np.ndarray, cavities: list[np.ndarray]):
     scope, against its cavities (the factor summed against every cavity
     except the variable's own), and the full normalizer.  Division-free, so
     zero cavity components are handled exactly.  A pairwise factor takes two
-    matrix-vector products; other ranks broadcast one cavity at a time."""
+    matrix-vector products; other ranks broadcast one cavity at a time.
+    ndarray.dot makes `@`'s BLAS call without matmul's ufunc dispatch."""
     if joint.ndim == 2:
         c0, c1 = cavities
-        partial = [joint @ c1, c0 @ joint]
-        return float(partial[0] @ c0), partial
+        partial = [joint.dot(c1), c0.dot(joint)]
+        return float(partial[0].dot(c0)), partial
     rank = joint.ndim
     partial = []
     for axis in range(rank):
@@ -176,8 +177,7 @@ def _tilted(joint: np.ndarray, cavities: list[np.ndarray]):
                 p = p * _expand(cav, a2, rank)
         other = tuple(a for a in range(rank) if a != axis)
         partial.append(p.sum(axis=other) if other else p.copy())
-    z = float(partial[0] @ cavities[0])
-    return z, partial
+    return float(partial[0].dot(cavities[0])), partial
 
 
 def _sum(xs: list[float]) -> float:

@@ -555,7 +555,7 @@ def log_probit(z: float) -> float:
     x = -z * _SQRT_HALF
     if x < 26.0:  # erfc(x) is a normal float
         return math.log(0.5 * math.erfc(x))
-    return -x * x - math.log(_TWO_SQRT_PI * x / _erfcx_series(x))
+    return -x * x - math.log(_TWO_SQRT_PI * x / _erfcx_series(x)[0])
 
 
 def probit_ratio(z: float) -> float:
@@ -577,18 +577,30 @@ def probit_ratio(z: float) -> float:
         hi = (x + _ROUND_2M21) - _ROUND_2M21  # at most 26 significant bits
         return _SQRT_2_OVER_PI / (math.exp(hi * hi) * math.exp((x - hi) * (x + hi))
                                   * math.erfc(x))
-    return math.sqrt(2.0) * x / _erfcx_series(x)
+    return math.sqrt(2.0) * x / _erfcx_series(x)[0]
 
 
-def _erfcx_series(x: float) -> float:
-    """sqrt(pi) x erfcx(x) for x >= 26 by its asymptotic series
-    1 - 1/(2x^2) + 1*3/(2x^2)^2 - ..., cut after the (2x^2)^-8 term; the
-    first term left out is below 1e-20 there."""
+def probit_curvature(z: float, rho: float) -> float:
+    """rho (z + rho) for rho = probit_ratio(z): minus the second derivative
+    of log probit, in (0, 1) (1.0 once rounded, below z = -1e8).  Where rho
+    comes from the erfcx series S, z + rho = -z (1 - S) / S would cancel:
+    there it is T / S^2, from S's tail T."""
+    x = -z * _SQRT_HALF
+    if x < 26.0:
+        return rho * (z + rho)
+    s, t = _erfcx_series(x)
+    return t / (s * s)
+
+
+def _erfcx_series(x: float) -> tuple[float, float]:
+    """(S, T): S = sqrt(pi) x erfcx(x) for x >= 26 by its asymptotic series
+    1 - 1/(2x^2) + 1*3/(2x^2)^2 - ... to the (2x^2)^-8 term (the next is
+    below 1e-20 there), and its tail T = (1 - S) 2x^2, from one product."""
     r = 0.5 / (x * x)
-    s = 1.0
-    for k in (15.0, 13.0, 11.0, 9.0, 7.0, 5.0, 3.0, 1.0):
-        s = 1.0 - k * r * s
-    return s
+    t = 1.0
+    for k in (15.0, 13.0, 11.0, 9.0, 7.0, 5.0, 3.0):
+        t = 1.0 - k * r * t
+    return 1.0 - r * t, t
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,12 @@ against prior importance sampling.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .clutter import CLUTTER_VARIANCE, PRIOR_VARIANCE
 from .gaussians import LOG_2PI, SphericalGaussian, _logsumexp, log_normal_pdf
@@ -62,19 +62,24 @@ class SampleEstimate:
 # 1-D panel quadrature
 # ---------------------------------------------------------------------------
 
-_GL_ORDER = 40
-_GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 40-point Gauss-Legendre rule, built on first
+    use: only the quadrature oracles need numpy.polynomial's import."""
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(40)
 
 
 def _panel_integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                      panels: int) -> float:
     """Composite Gauss-Legendre integral of f over [lo, hi]."""
+    nodes, weights = _gauss_legendre()
     edges = np.linspace(lo, hi, panels + 1)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         half = 0.5 * (b - a)
-        xs = 0.5 * (a + b) + half * _GL_NODES
-        total += half * float(_GL_WEIGHTS @ np.asarray(f(xs), dtype=float))
+        xs = 0.5 * (a + b) + half * nodes
+        total += half * float(weights @ np.asarray(f(xs), dtype=float))
     return total
 
 

@@ -21,7 +21,8 @@ from epkit.bpm import (
     rank_one_site_from,
 )
 from epkit.engine import EPOptions, EPResult, Schedule, run_adf, run_ep
-from epkit.gaussians import FullGaussian, RankOneSite, combine_sites, spherical_as_site, SphericalGaussian
+from epkit.gaussians import (FullGaussian, PendingGaussian, RankOneSite, combine_sites,
+                             spherical_as_site, SphericalGaussian)
 from epkit.oracles import (
     directional_tilted_moments,
     importance_sampler,
@@ -344,6 +345,17 @@ class TestDegeneracyCertificate:
                                           slack=1.0))
         assert not binding.is_degenerate(Unreadable.trusted(np.zeros(5), np.eye(5)))
 
+    def test_far_tail_visit_keeps_site_precision_in_unit_interval(self):
+        # margins z = mu0 / sqrt(q0 + 1) from -70 to -7e149, where the naive
+        # rho (z + rho) cancels (from z = -1e4 it exceeds 1, and the site
+        # precision with it); the certificate rests on precisions in [0, 1]
+        binding = BpmBinding(make_dataset([[1.0]], [1.0], slack=1.0))
+        for m in -np.logspace(2.0, 150.0, 1501):
+            post = PendingGaussian.of(FullGaussian(mean=[m], covariance=[[1.0]]))
+            cav = binding.cavity(post, binding.vacuous_site(0))
+            site, _ = binding.moment_match(cav, 0)
+            assert 0.0 <= site.precision <= 1.0, m
+
     @pytest.mark.parametrize("slack", [0.0, 1e-5])
     def test_uncertified_binding_takes_the_cholesky_test(self, slack):
         # zero slack has no certificate; at slack 1e-5 the directions are
@@ -354,6 +366,14 @@ class TestDegeneracyCertificate:
         assert binding.is_degenerate(collapsed)
         assert not binding.is_degenerate(FullGaussian(mean=np.zeros(2),
                                                       covariance=np.eye(2)))
+
+
+def test_prior_normaliser_is_the_cholesky_routes():
+    # N(0, I) carries -d/2 log 2 pi, the bits a Cholesky factor gives
+    for d in range(1, 301):
+        binding = BpmBinding(make_dataset(np.ones((1, d)), [1.0], slack=1.0))
+        dense = FullGaussian(mean=np.zeros(d), covariance=np.eye(d))
+        assert binding.prior().log_norm_coeff() == dense.log_norm_coeff(), d
 
 
 class TestQuadraticCost:

@@ -514,6 +514,19 @@ class TestLogLikelihood:
         pieces = [kernel(xs[a:b]) for a, b in zip(cuts, cuts[1:])]
         assert np.array_equal(np.concatenate(pieces), whole)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("w", [0.0, 0.5, 1.0])
+    def test_any_row_split_gives_the_same_bits(self, d, w):
+        model = generate_clutter_data(ClutterDataSpec(x_true=[2.0] * d, n=12, w=w, seed=5))
+        s = 3 * LIKELIHOOD_BLOCK_ROWS + 17
+        rng = np.random.default_rng(6)
+        xs = rng.normal(size=(s, d)) * 10.0
+        whole = model.log_likelihood(xs)
+        for _ in range(3):
+            cuts = np.unique(np.concatenate(([0, s], rng.integers(1, s, size=5))))
+            pieces = [model.log_likelihood(xs[a:b]) for a, b in zip(cuts, cuts[1:])]
+            assert np.array_equal(np.concatenate(pieces), whole)
+
     def test_memory_stays_blockwise(self):
         model = generate_clutter_data(ClutterDataSpec(x_true=[2.0], n=12, w=0.5, seed=1))
         xs = np.random.default_rng(2).normal(size=(10 ** 5, 1)) * 10.0

@@ -439,6 +439,28 @@ class TestTilted:
             assert np.allclose(got, want, rtol=0.0, atol=1e-14)
 
 
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_contractions_match_matmul_bitwise(self, rank):
+        # ndarray.dot makes the BLAS call of `@`: every pair of pairwise
+        # cardinalities 1-10 (random ones at other ranks), with and without
+        # zero cavity entries
+        rng = np.random.default_rng(rank)
+        shapes = [(k0, k1) for k0 in range(1, 11) for k1 in range(1, 11)] \
+            if rank == 2 else [tuple(rng.integers(1, 11, size=rank)) for _ in range(100)]
+        for shape in shapes:
+            for zeros in (False, True):
+                joint = rng.uniform(0.0, 2.0, size=shape)
+                cavities = [rng.dirichlet(np.ones(k)) for k in shape]
+                if zeros:
+                    for cav in cavities:
+                        cav[rng.random(len(cav)) < 0.4] = 0.0
+                z, partial = _tilted(joint, cavities)
+                if rank == 2:
+                    want = [joint @ cavities[1], cavities[0] @ joint]
+                    assert all(np.array_equal(g, w) for g, w in zip(partial, want))
+                assert z == float(partial[0] @ cavities[0])
+
+
 class TestBelief:
     def test_no_incident_factors_uniform(self):
         net = DiscreteFactorGraph(

@@ -24,6 +24,7 @@ from epkit.gaussians import (
     log_normal_pdf,
     log_probit,
     probit,
+    probit_curvature,
     probit_ratio,
     _logsumexp,
     spherical_as_site,
@@ -121,6 +122,59 @@ class TestProbitRatio:
         vals = [probit_ratio(float(z)) for z in zs]
         assert all(math.isfinite(v) for v in vals)
         assert all(b < a for a, b in zip(vals, vals[1:]))  # decreasing toward 0
+
+
+class TestProbitCurvature:
+    """rho (z + rho), rho = probit_ratio(z), lies in (0, 1).  Below
+    z = -26 sqrt(2) probit_ratio takes the erfcx series, where the naive
+    product cancels (it reads 1.49 at z = -5e7 and 1430 at z = -3e9)."""
+
+    LEFT = (-np.logspace(-3.0, 300.0, 6061)).tolist()
+
+    @staticmethod
+    def g(z):
+        return probit_curvature(z, probit_ratio(z))
+
+    def test_in_unit_interval_to_minus_1e300(self):
+        for z in self.LEFT:
+            g = self.g(z)
+            assert 0.0 < g <= 1.0, z
+            # 1 - g ~ 1/z^2 stays above the rounding of 1 until |z| ~ 1e8
+            assert g < 1.0 or abs(z) > 2.0 ** 26, z
+
+    def test_asymptotic_series(self):
+        for z in [z for z in self.LEFT if z <= -100.0]:
+            u = (1.0 / z) ** 2
+            assert abs(self.g(z) - (1.0 - u + 6.0 * u * u - 50.0 * u ** 3)) <= 1e-13, z
+
+    def test_naive_product_bits_above_the_series(self):
+        # every z from -26 sqrt(2) up keeps probit_ratio's erfc branch
+        for z in np.linspace(-26.0 * math.sqrt(2.0), 40.0, 20001)[1:]:
+            rho = probit_ratio(float(z))
+            assert probit_curvature(float(z), rho) == rho * (z + rho), z
+
+    def test_series_keeps_the_kernels_bits(self):
+        def series(x):  # sqrt(pi) x erfcx(x), the nested product written out
+            r, s = 0.5 / (x * x), 1.0
+            for k in (15.0, 13.0, 11.0, 9.0, 7.0, 5.0, 3.0, 1.0):
+                s = 1.0 - k * r * s
+            return s
+
+        for z in [z for z in self.LEFT if z < -37.0]:
+            x = -z * math.sqrt(0.5)
+            assert probit_ratio(z) == math.sqrt(2.0) * x / series(x)
+            assert log_probit(z) == \
+                -x * x - math.log(2.0 * math.sqrt(math.pi) * x / series(x))
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        zs = np.concatenate((-np.logspace(6.0, 1.0, 101), np.linspace(-37.0, 8.0, 181)))
+        with mpmath.workdps(60):
+            for z in zs.tolist():
+                zm = mpmath.mpf(z)
+                rho = mpmath.npdf(zm) / mpmath.ncdf(zm)
+                want = float(rho * (zm + rho))
+                assert abs(self.g(z) - want) <= 1e-12 * want, z
 
 
 def _assert_relative(kernel, z, want, tol=1e-12):

@@ -1,9 +1,10 @@
 """Golden outputs: every default and damped CLI run, one clutter run at d = 2
 (the default runs visit only at d = 1), one BPM run at slack 1 (the default
-runs have zero slack, so none reaches the probit visit) and one loopy run
+runs have zero slack, so none reaches the probit visit), one loopy run
 with cardinalities up to 10 (the default runs stop at 4, so no message or
-cavity there has the 8 or more entries that numpy sums pairwise), against
-the CSV and sidecar checked in under tests/golden/.  The slack 1 run needs
+cavity there has the 8 or more entries that numpy sums pairwise) and one
+on the fixed cycle3 network (fitted once, its rows written under each
+seed), against the CSV and sidecar checked in under tests/golden/.  The slack 1 run needs
 scipy, as every BPM run with slack does, and is skipped without it.
 
 Text columns, `operations`, `converged` and `sweeps` must match exactly.
@@ -26,6 +27,9 @@ running from the repository root:
     PYTHONPATH=src python -m epkit.cli loopy \\
       --config tests/golden/loopy_card10.config.json --seed-range 1..5 \\
       --out tests/golden/loopy_card10.csv
+    PYTHONPATH=src python -m epkit.cli loopy \\
+      --config tests/golden/loopy_cycle3.config.json --seed-range 1..3 \\
+      --out tests/golden/loopy_cycle3.csv
 """
 import csv
 import json
@@ -45,11 +49,14 @@ VARIANTS = {"default": [],
             "slack1": ["--config", str(GOLDEN / "bpm_slack1.config.json"),
                        "--seed-range", "1..5"],
             "card10": ["--config", str(GOLDEN / "loopy_card10.config.json"),
-                       "--seed-range", "1..5"]}
+                       "--seed-range", "1..5"],
+            "cycle3": ["--config", str(GOLDEN / "loopy_cycle3.config.json"),
+                       "--seed-range", "1..3"]}
 RUNS = [(kind, variant) for kind in ("clutter", "bpm", "loopy")
         for variant in ("default", "damped")] + [("clutter", "d2"),
                                                  ("bpm", "slack1"),
-                                                 ("loopy", "card10")]
+                                                 ("loopy", "card10"),
+                                                 ("loopy", "cycle3")]
 ERROR_COLUMNS = ("log_evidence_error", "mean_error")
 
 

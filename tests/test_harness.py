@@ -327,6 +327,62 @@ class TestLoopyExperiment:
         assert calls == [path]
 
 
+class TestSeedInvariantFits:
+    """A fit that depends only on the data and options (every BPM fit, and
+    loopy on a fixed network) runs once per run, at the first seed after its
+    truth; a fit on per-seed data runs once per seed."""
+
+    NAMES = ("importance_sampler", "run_adf", "run_ep", "loopy_ep", "bk_adf",
+             "enumerate_discrete")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from epkit import experiments
+        calls = []
+        for name in self.NAMES:
+            def counted(*args, _name=name, _fn=getattr(experiments, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(experiments, name, counted)
+        return calls
+
+    @staticmethod
+    def _per_seed(rows):
+        """Each seed's fit rows as CSV values, less the seed."""
+        out = {}
+        for r in rows:
+            if r.method in ("adf", "ep"):
+                out.setdefault(r.seed, []).append(r.csv_values()[2:])
+        return list(out.values())
+
+    def test_bpm_fits_once(self, calls):
+        rows = run_bpm_experiment(ExperimentConfig(kind="bpm", seeds=(1, 2, 3)))
+        assert calls == ["run_adf", "run_ep"]
+        first, *others = self._per_seed(rows)
+        assert all(o == first for o in others)
+
+    def test_bpm_with_slack_fits_once_after_the_first_truth(self, calls):
+        pytest.importorskip("scipy")
+        run_bpm_experiment(ExperimentConfig(kind="bpm", seeds=(1, 2, 3), slack=1.0,
+                                            importance_samples=(500, 2000)))
+        assert calls == ["importance_sampler", "run_adf", "run_ep",
+                         "importance_sampler", "importance_sampler"]
+
+    def test_loopy_fixed_network_fits_once(self, calls):
+        rows = run_loopy_experiment(ExperimentConfig(kind="loopy", seeds=(1, 2, 3),
+                                                     network="cycle3"))
+        assert calls == ["bk_adf", "loopy_ep", "enumerate_discrete"]
+        first, *others = self._per_seed(rows)
+        assert all(o == first for o in others)
+
+    def test_per_seed_data_fits_every_seed(self, calls):
+        run_loopy_experiment(ExperimentConfig(kind="loopy", seeds=(1, 2, 3)))
+        assert calls == ["bk_adf", "loopy_ep", "enumerate_discrete"] * 3
+        calls.clear()
+        run_clutter_experiment(clutter_config(seeds=(1, 2, 3)))
+        assert calls == ["run_adf", "run_ep"] * 3
+
+
 class TestOracleBattery:
     def test_all_pass(self):
         results = oracle_check_battery(cases=40, seed=7)
@@ -585,14 +641,16 @@ class TestCli:
         assert errors["samples1000"] == (math.inf, math.inf)
         assert all(math.isfinite(e) for e in errors["samples10000"])
 
-    # Importing any part of scipy costs start-up time and memory that every
-    # CLI run and benchmark pass would pay; only slack > 0 likelihoods and
-    # oracle-check need it.
-    _SCIPY_MODULES = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+    # Importing any part of scipy, or numpy.polynomial (the quadrature
+    # oracles' Gauss-Legendre rule), costs start-up time and memory that
+    # every CLI run and benchmark pass would pay; only slack > 0 likelihoods
+    # and oracle-check need them.
+    _DEFERRED_MODULES = ("sorted(m for m in sys.modules "
+                      "if m.startswith(('scipy', 'numpy.polynomial')))")
 
     def test_import_loads_no_scipy(self):
         proc = subprocess.run(
-            [sys.executable, "-c", f"import sys, epkit; print({self._SCIPY_MODULES})"],
+            [sys.executable, "-c", f"import sys, epkit; print({self._DEFERRED_MODULES})"],
             capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
 
@@ -603,7 +661,7 @@ class TestCli:
             "for kind in ('clutter', 'bpm', 'loopy'):\n"
             "    out = sys.argv[1] + '/' + kind + '.csv'\n"
             "    assert main([kind, '--seed-range', '1..2', '--out', out]) == 0\n"
-            f"print({self._SCIPY_MODULES})\n")
+            f"print({self._DEFERRED_MODULES})\n")
         proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                               capture_output=True, text=True, check=True)
         assert proc.stdout.splitlines()[-1] == "[]"
