@@ -105,6 +105,11 @@ class ExperimentConfig:
                 and all(type(c) is int and c > 0 for c in counts)):
             raise ConfigError("importance_samples must be a non-empty tuple of "
                               f"positive ints, got {counts!r}")
+        for name, values in (("seeds", self.seeds), ("importance_samples", counts)):
+            ordered = sorted(values)  # a repeat would write its rows, same keys, twice
+            repeats = [a for a, b in zip(ordered, ordered[1:]) if a == b]
+            if repeats:
+                raise ConfigError(f"{name} must not repeat a value, got {repeats[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -183,14 +188,15 @@ def _fit_rows(experiment: str, seed: int, method: str, res, errors) -> list[Resu
 
 def _importance_rows(experiment: str, seed: int, log_likelihood,
                      prior_cov: np.ndarray, counts, sampler_seed: int,
-                     log_evidence: float, mean: np.ndarray) -> list[ResultRow]:
+                     log_evidence: float, mean: np.ndarray,
+                     buffers: dict) -> list[ResultRow]:
     """The `samples<count>` rows of importance sampling from the zero-mean
     prior, one per count in `counts`, against the reference log evidence and
     mean.  The counts are nested prefixes of one draw.  A count whose prefix
     has no draw of nonzero likelihood has infinite errors in both columns."""
     d = prior_cov.shape[0]
     ests = nested_importance_sampler(log_likelihood, np.zeros(d), prior_cov,
-                                     counts, sampler_seed)
+                                     counts, sampler_seed, buffers=buffers)
     rows = []
     for s_count, est in zip(counts, ests):
         if est is None:
@@ -215,6 +221,7 @@ def run_clutter_experiment(config: ExperimentConfig) -> list[ResultRow]:
     max(importance_samples) rows (`nested_importance_sampler`), each equal
     to a separate draw of its own count with the seed."""
     rows: list[ResultRow] = []
+    buffers: dict = {}  # the sampler's, shared by every seed of the run
     for seed in config.seeds:
         spec = ClutterDataSpec(x_true=np.asarray(config.x_true), n=config.n,
                                w=config.w, seed=seed)
@@ -232,7 +239,7 @@ def run_clutter_experiment(config: ExperimentConfig) -> list[ResultRow]:
         rows += _importance_rows(
             "clutter", seed, model.log_likelihood,
             model.prior_variance * np.eye(model.d), config.importance_samples,
-            seed, exact.log_evidence, exact.mean)
+            seed, exact.log_evidence, exact.mean, buffers)
     return rows
 
 
@@ -282,6 +289,7 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
         raise ConfigError(f"bad dataset {path or '(built-in)'}: {exc}") from None
 
     rows: list[ResultRow] = []
+    buffers: dict = {}  # the sampler's, shared by every seed of the run
     s_truth = max(config.importance_samples)
     if exact is not None:
         oracle_checkpoint, oracle_ops = "exact", 0
@@ -291,7 +299,7 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
         if exact is None:
             try:
                 truth = importance_sampler(dataset.log_likelihood, np.zeros(d),
-                                           np.eye(d), s_truth, seed)
+                                           np.eye(d), s_truth, seed, buffers=buffers)
             except DegenerateWeightsError:
                 raise ConfigError(
                     f"bad dataset {path or '(built-in)'}: none of the {s_truth} "
@@ -322,7 +330,8 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
         counts = [c for c in config.importance_samples if c != s_truth]
         if counts:
             rows += _importance_rows("bpm", seed, dataset.log_likelihood, np.eye(d),
-                                     counts, seed + 10_000, log_ev_truth, truth_mean)
+                                     counts, seed + 10_000, log_ev_truth, truth_mean,
+                                     buffers)
     return rows
 
 
@@ -658,7 +667,7 @@ def oracle_check_battery(cases: int = 200, seed: int = 1234) -> list[BatteryResu
     # sampling, in standard errors of the sampled evidence and mean, on
     # separable sets in d = 1, 2, 3 whose evidence is at least 0.02 (so at
     # least about 2000 of the draws land in the cone).
-    worst = 0.0
+    worst, buffers = 0.0, {}
     for k in range(min(cases, 12)):
         d = k % 3 + 1
         log_z = -math.inf
@@ -667,7 +676,7 @@ def oracle_check_battery(cases: int = 200, seed: int = 1234) -> list[BatteryResu
             ds = make_dataset(x, np.where(x @ rng.normal(size=d) > 0.0, 1.0, -1.0))
             log_z, mean = exact_bpm_step(ds.directions)
         est = importance_sampler(ds.log_likelihood, np.zeros(d), np.eye(d),
-                                 100_000, int(rng.integers(2 ** 31)))
+                                 100_000, int(rng.integers(2 ** 31)), buffers=buffers)
         worst = max(worst,
                     abs(est.evidence.value - math.exp(log_z)) / est.evidence.standard_error,
                     float(np.max(np.abs(est.posterior_mean.value - mean)

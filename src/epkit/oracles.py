@@ -473,20 +473,29 @@ class ImportanceResult:
 
 def importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray],
                        prior_mean: np.ndarray, prior_cov,
-                       samples: int, seed: int) -> ImportanceResult:
+                       samples: int, seed: int, *,
+                       buffers: dict | None = None) -> ImportanceResult:
     """Prior-based importance sampling for evidence and posterior mean from
     `samples` draws: the one-count case of `nested_importance_sampler`.
     Raises DegenerateWeightsError when no draw has nonzero likelihood."""
     result, = nested_importance_sampler(log_likelihood, prior_mean, prior_cov,
-                                        (samples,), seed)
+                                        (samples,), seed, buffers=buffers)
     if result is None:
         raise DegenerateWeightsError("degenerate weights")
     return result
 
 
+def _buffer(buffers: dict, name: str, size: int) -> np.ndarray:
+    """The first `size` entries of buffers[name], replaced when too small."""
+    if buffers.get(name, np.empty(0)).size < size:
+        buffers[name] = np.empty(size)
+    return buffers[name][:size]
+
+
 def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray],
                               prior_mean: np.ndarray, prior_cov: np.ndarray,
-                              counts, seed: int) -> tuple[ImportanceResult | None, ...]:
+                              counts, seed: int, *, buffers: dict | None = None
+                              ) -> tuple[ImportanceResult | None, ...]:
     """Prior-based importance sampling for evidence and posterior mean at
     each sample count in `counts`, from nested prefixes of one draw.
 
@@ -510,6 +519,11 @@ def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray]
     all -inf (zero likelihood) gives None in place of that count's
     estimate.  Sums over the draws are numpy reductions, not BLAS products,
     so an estimate does not depend on the BLAS thread count.
+
+    The draws and every (S,) or (S, d) temporary live in `buffers`, a dict
+    of named float64 arrays grown on demand (a fresh one by default); an
+    experiment passes one dict to every call of a run and drops it after.
+    So the draws log_likelihood receives are valid only during the call.
     """
     counts = tuple(counts)
     if not counts or min(counts) < 1:
@@ -521,15 +535,19 @@ def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray]
     if cov.shape != (d, d):
         raise ValueError(f"prior_cov must have shape {(d, d)} to match prior_mean "
                          f"of shape {prior_mean.shape}, got {cov.shape}")
+    buffers = {} if buffers is None else buffers
+    draws = _buffer(buffers, "draws", samples * d).reshape(samples, d)
+    work = _buffer(buffers, "work", samples * d)
+    weights = _buffer(buffers, "weights", samples)
     rng = np.random.default_rng(seed)
     if np.count_nonzero(cov) == d and bool(np.all(np.diagonal(cov) > 0.0)):
         # diagonal: L = diag(sqrt(cov_ii)), so scaling z in place gives z L^T
-        draws = rng.standard_normal((samples, d))
+        rng.standard_normal(out=draws)
         draws *= np.sqrt(np.diagonal(cov))
-        draws += prior_mean
     else:
-        L = np.linalg.cholesky(cov)
-        draws = prior_mean + rng.standard_normal((samples, d)) @ L.T
+        z = work.reshape(samples, d)
+        np.matmul(rng.standard_normal(out=z), np.linalg.cholesky(cov).T, out=draws)
+    draws += prior_mean
     log_ws = np.asarray(log_likelihood(draws), dtype=float)
     if log_ws.shape != (samples,):
         raise ValueError(f"log_likelihood must return shape ({samples},), "
@@ -545,16 +563,20 @@ def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray]
         if max_lw == -math.inf:
             results.append(None)
             continue
-        w = np.exp(log_w - max_lw)
+        w = np.exp(np.subtract(log_w, max_lw, out=weights[:count]), out=weights[:count])
         scale = math.exp(max_lw)
 
         mean_w = float(np.mean(w))  # at least 1 / count: the max weight is 1
         ev = mean_w * scale
-        ev_se = float(np.std(w, ddof=1)) / math.sqrt(count) * scale if count > 1 else 0.0
+        # np.std(w, ddof=1) written out in place; at count 1 the deviation is 0
+        dev = np.square(np.subtract(w, mean_w, out=work[:count]), out=work[:count])
+        ev_se = math.sqrt(float(np.sum(dev)) / max(count - 1, 1)) / math.sqrt(count) * scale
 
-        wn = (w / float(np.sum(w)))[:, None]
-        mean = np.sum(wn * xs, axis=0)
-        se = np.sqrt(np.sum((wn * (xs - mean)) ** 2, axis=0))
+        wn = np.divide(w, float(np.sum(w)), out=w)[:, None]
+        wx = np.multiply(wn, xs, out=work[:count * d].reshape(count, d))
+        mean = np.sum(wx, axis=0)
+        dev = np.multiply(wn, np.subtract(xs, mean, out=wx), out=wx)
+        se = np.sqrt(np.sum(np.square(dev, out=dev), axis=0))
         results.append(ImportanceResult(
             evidence=SampleEstimate(ev, ev_se, count, seed),
             posterior_mean=SampleEstimate(mean, se, count, seed),

@@ -217,9 +217,10 @@ class TestBpmExperiment:
         counts = []
         sampler, nested = experiments.importance_sampler, experiments.nested_importance_sampler
 
-        def counted(log_likelihood, prior_mean, prior_cov, samples, seed):
+        def counted(log_likelihood, prior_mean, prior_cov, samples, seed, **kwargs):
             counts.append(samples)
-            return sampler(log_likelihood, prior_mean, prior_cov, samples, seed)
+            return sampler(log_likelihood, prior_mean, prior_cov, samples, seed,
+                           **kwargs)
 
         def counted_nested(log_likelihood, prior_mean, prior_cov, nested_counts, seed,
                            **kwargs):
@@ -786,3 +787,24 @@ class TestCliContract:
                     assert 1 <= int(r["sweeps"]) <= max_sweeps, r
                 if r["method"] in ("adf", "ep"):
                     float(r["log_evidence_error"]), float(r["mean_error"])
+
+    @pytest.mark.parametrize("kind, flags, doc, value", [
+        ("clutter", ["--seed-range", "1,1"], None, "seeds must not repeat a value, got 1"),
+        ("bpm", [], {"importance_samples": [1000, 1000]},
+         "importance_samples must not repeat a value, got 1000"),
+        ("clutter", ["--seed-range", "3,4,3"], {"importance_samples": [10, 100]},
+         "seeds must not repeat a value, got 3"),
+    ], ids=["seed-range-1-1", "importance-samples-1000-1000", "seed-list-3-4-3"])
+    def test_repeated_seed_or_count_refused_naming_it(self, tmp_path, capsys, kind,
+                                                      flags, doc, value):
+        # a repeat would write every row of that seed or count twice, under
+        # the same keys
+        if doc is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            flags = flags + ["--config", str(cfg)]
+        out = tmp_path / "o.csv"
+        assert cli_main([kind, *flags, "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and value in lines[0]
+        assert not out.exists()

@@ -1,6 +1,7 @@
 """Brute-force oracle self-checks: the ground truth must agree with itself
 (and with even dumber ground truth) before it is allowed to judge anything."""
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from scipy.special import erf, logsumexp
 
 from epkit.bpm import make_dataset
-from epkit.clutter import ClutterModel
+from epkit.clutter import (PRIOR_VARIANCE, ClutterDataSpec, ClutterModel,
+                           generate_clutter_data)
 from epkit.experiments import builtin_bpm_dataset
 from epkit.gaussians import SphericalGaussian, log_normal_pdf
 from epkit.oracles import (
@@ -400,6 +402,137 @@ class TestImportanceSampler:
                                   np.zeros(1), np.eye(1), 20_000, seed=5)
         assert 0.0 < res.evidence.value < full.evidence.value
         assert res.posterior_mean.value[0] > 0.0
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _assert_same_results(got, want):
+    """Every ImportanceResult field equal bit for bit (None for None)."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if b is None:
+            assert a is None
+            continue
+        for field in ("evidence", "posterior_mean"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert (x.sample_count, x.seed) == (y.sample_count, y.seed)
+            assert _bits(x.value) == _bits(y.value)
+            assert _bits(x.standard_error) == _bits(y.standard_error)
+        assert _bits(a.log_evidence) == _bits(b.log_evidence)
+
+
+class TestSamplerBuffers:
+    # One buffers dict reused across calls must give each call's fresh-dict
+    # result bit for bit, whatever the sizes and outcomes of earlier calls.
+    @staticmethod
+    def _prior(d, full):
+        if not full:
+            return np.zeros(d), np.diag(np.arange(1.0, d + 1.0))
+        A = np.random.default_rng(d).normal(size=(d, d))
+        return np.linspace(-1.0, 1.0, d), A @ A.T + 0.5 * np.eye(d)
+
+    @pytest.mark.parametrize("full", [False, True], ids=["diagonal", "full"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_growing_and_shrinking_calls_equal_fresh_calls(self, d, full):
+        mean, cov = self._prior(d, full)
+        model = ClutterModel(data=np.random.default_rng(7).normal(size=(5, d)) * 3.0,
+                             w=0.3)
+        buffers = {}
+        for seed, counts in enumerate([(300,), (20_000, 1_000), (50, 1), (1,),
+                                       (100_000, 7), (4_000,)]):
+            got = nested_importance_sampler(model.log_likelihood, mean, cov, counts,
+                                            seed, buffers=buffers)
+            _assert_same_results(got, nested_importance_sampler(
+                model.log_likelihood, mean, cov, counts, seed))
+        assert buffers["draws"].size == 100_000 * d
+
+    def test_count_one_and_zero_likelihood_prefix(self):
+        def loglik(xs):
+            out = -0.5 * xs[:, 0] ** 2
+            out[:100] = -math.inf
+            return out
+        buffers = {}
+        for counts in [(1,), (5_000, 100, 1), (1, 101), (100,)]:
+            got = nested_importance_sampler(loglik, np.zeros(1), np.eye(1), counts,
+                                            seed=4, buffers=buffers)
+            _assert_same_results(got, nested_importance_sampler(
+                loglik, np.zeros(1), np.eye(1), counts, seed=4))
+        assert got == (None,)
+        one, = nested_importance_sampler(lambda xs: -xs[:, 0] ** 2, np.zeros(1),
+                                         np.eye(1), (1,), seed=4, buffers=buffers)
+        assert one.evidence.standard_error == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_calls_after_a_rejected_value_equal_fresh_calls(self, bad):
+        def loglik(xs):
+            out = -0.5 * xs[:, 0] ** 2
+            out[37] = bad
+            return out
+        good = TestImportanceSampler._with_entry(-1.0)
+        buffers = {}
+        nested_importance_sampler(good, np.zeros(1), np.eye(1), (200,), seed=1,
+                                  buffers=buffers)
+        with pytest.raises(ValueError, match="index 37"):
+            nested_importance_sampler(loglik, np.zeros(1), np.eye(1), (1_000,), seed=2,
+                                      buffers=buffers)
+        for counts in [(500, 50), (2_000,)]:
+            _assert_same_results(
+                nested_importance_sampler(good, np.zeros(1), np.eye(1), counts, seed=3,
+                                          buffers=buffers),
+                nested_importance_sampler(good, np.zeros(1), np.eye(1), counts, seed=3))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_callable_returning_a_view_of_its_draws(self, d):
+        # the log weights then alias the draws buffer itself
+        mean, cov = self._prior(d, full=False)
+        buffers = {}
+        for counts in [(3_000, 10), (200,), (3_000, 10)]:
+            got = nested_importance_sampler(lambda xs: xs[:, 0], mean, cov, counts,
+                                            seed=9, buffers=buffers)
+            _assert_same_results(got, nested_importance_sampler(
+                lambda xs: np.array(xs[:, 0]), mean, cov, counts, seed=9))
+
+    def test_standard_error_is_numpy_std_bit_for_bit(self):
+        # the evidence's standard error writes out np.std(w, ddof=1); every
+        # third weight is exactly zero
+        seen = []
+
+        def loglik(xs):
+            out = -0.5 * xs[:, 0] ** 2
+            out[1::3] = -math.inf
+            seen.append(out.copy())
+            return out
+        counts = tuple(range(2, 300)) + (511, 512, 513, 1_000, 4_097, 65_536,
+                                         99_999, 100_000)
+        got = nested_importance_sampler(loglik, np.zeros(1), np.eye(1), counts, seed=6)
+        for count, est in zip(counts, got):
+            log_w = seen[0][:count]
+            max_lw = float(np.max(log_w))
+            w = np.exp(log_w - max_lw)
+            assert np.count_nonzero(w == 0.0) == count // 3 + (count % 3 == 2)
+            want = float(np.std(w, ddof=1)) / math.sqrt(count) * math.exp(max_lw)
+            assert _bits(est.evidence.standard_error) == _bits(want), count
+
+    def test_warm_call_allocates_no_sample_sized_temporaries(self):
+        # a warm 10^5-row call of the default clutter experiment allocates
+        # only the likelihood's own (S,) result and its block temporaries
+        # (about 1.3 MB); fresh draws, weights and products per call peak
+        # near 4.0 MB
+        samples = 100_000
+        model = generate_clutter_data(ClutterDataSpec(x_true=[2.0], n=12, w=0.5, seed=1))
+        args = (model.log_likelihood, np.zeros(1), PRIOR_VARIANCE * np.eye(1),
+                (1_000, 10_000, samples), 1)
+        buffers = {}
+        nested_importance_sampler(*args, buffers=buffers)
+        tracemalloc.start()
+        try:
+            nested_importance_sampler(*args, buffers=buffers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * samples * 8
 
 
 HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
