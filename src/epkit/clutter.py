@@ -19,6 +19,7 @@ import numpy as np
 from .engine import ModelBinding, OpTally, ep_log_evidence
 from .gaussians import (
     LOG_2PI,
+    _SQRT_HALF,
     ImproperProductError,
     NaturalSpherical,
     SphericalGaussian,
@@ -33,14 +34,16 @@ PRIOR_VARIANCE = 100.0
 CLUTTER_VARIANCE = 10.0
 
 # Rows per block of `ClutterModel.log_likelihood`: each per-block temporary
-# is one float per row (128 KiB at d = 1), so the working set stays in a 2 MiB
-# L2 and memory does not grow with the sample count.  At n = 12, 10^5 rows
-# take 924 ufunc calls (1716 at 8192 rows) and a median 5.31 ms (5.75 at 8192,
-# 5.62 at 32768 rows; 10 seeds x 16 alternations, thread CPU time, Xeon).
+# is one float per row at d = 1 (128 KiB), so the working set stays in a
+# 2 MiB L2 and memory does not grow with the sample count.  At n = 12, with
+# every term in offset-factor form, 10^5 rows take 532 ufunc calls.
 LIKELIHOOD_BLOCK_ROWS = 16384
-# Observations per log in `ClutterModel.log_likelihood`: a product of at
-# most 512 factors in [1, 2] is at most 2^512, far below the float maximum.
-LIKELIHOOD_CHUNK_TERMS = 512
+# Observations per log in `ClutterModel.log_likelihood`, and the smallest
+# floor B_i = exp(c_i - M_i) of a term in offset-factor form.  Such a term's
+# factor lies in [B_i, 1 + B_i] and a max-form one in [1, 2], so a chunk's
+# product lies in [2^-960, 2^24], inside the normal float range.
+LIKELIHOOD_CHUNK_TERMS = 24
+LIKELIHOOD_MIN_FLOOR = 2.0 ** -40
 
 
 @dataclass(frozen=True)
@@ -81,52 +84,81 @@ class ClutterModel:
         """log p(D | x) for each row x of an (S, d) array: the sum over the
         observations of log((1-w) N(y_i; x, I) + w N(y_i; 0, v I)).
 
-        Each term is a two-term log-sum-exp of log_in = log((1-w) N(y_i; x, I))
-        against the observation's clutter constant c_i, written with
-        delta = log_in - c_i as max(log_in, c_i) + log(1 + exp(-|delta|)).
-        The maxima are summed and the factors 1 + exp(-|delta|) multiplied,
-        so one log per row covers a chunk of LIKELIHOOD_CHUNK_TERMS
-        observations; each factor lies in [1, 2], so a chunk's product
-        cannot overflow.  At w = 0 or w = 1 one of log_in and c_i is -inf,
-        so the factor is exactly 1 and the term is the other one exactly.
-        Rows go through in blocks of LIKELIHOOD_BLOCK_ROWS with preallocated
-        temporaries; a row's value does not depend on the other rows.
+        Term i is log(exp(ic - h_i) + exp(c_i)), with h_i = |x - y_i|^2 / 2,
+        the inlier constant ic = log(1-w) - d log(2 pi) / 2 and the clutter
+        constant c_i.  With M_i = max(ic, c_i), A_i = ic - M_i <= 0 and the
+        floor B_i = exp(c_i - M_i) in [0, 1], it is written in offset-factor
+        form as M_i + log(exp(A_i - h_i) + B_i): the M_i are summed once per
+        call, and the factor, in [B_i, 1 + B_i], needs no per-row max.  The
+        block is scaled by sqrt(1/2) once, so h_i takes no multiply.  A term
+        whose floor is below LIKELIHOOD_MIN_FLOOR (every term at w = 0, and
+        data far out in the clutter tail) is instead written in max form, as
+        max(li, c_i) + log(1 + exp(min(li, c_i) - max(li, c_i))) with
+        li = ic - h_i, exact there; at w = 1 a term is c_i alone.  The
+        factors of a chunk of LIKELIHOOD_CHUNK_TERMS terms are multiplied so
+        that one log per row covers the chunk.  Rows go through in blocks of
+        LIKELIHOOD_BLOCK_ROWS with preallocated temporaries; a row's value
+        does not depend on the other rows.
         """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.d:
             raise ValueError(f"xs must have shape (S, {self.d}), got {xs.shape}")
         w, d = self.w, self.d
         in_const = (math.log1p(-w) if w < 1.0 else -math.inf) - 0.5 * d * LOG_2PI
-        terms = list(zip(self.data, self.log_clutter()))
+        # (y_i sqrt(1/2), A_i, B_i) in offset-factor form, (y_i, None, c_i) in
+        # max form; the offsets M_i, and the whole terms at w = 1, are summed
+        offset, terms = 0.0, []
+        for y, c in zip(self.data, self.log_clutter()):
+            if in_const == -math.inf:
+                offset += c
+                continue
+            top = max(in_const, c)
+            floor = math.exp(c - top)
+            if floor >= LIKELIHOOD_MIN_FLOOR:
+                offset += top
+                terms.append((y * _SQRT_HALF, in_const - top, floor))
+            else:
+                terms.append((y, None, c))
         s = xs.shape[0]
-        out = np.zeros(s)
+        out = np.full(s, offset)
         rows = min(s, LIKELIHOOD_BLOCK_ROWS)
-        resid, log_in = np.empty((rows, d)), np.empty(rows)
-        tail, factor = np.empty(rows), np.empty(rows)
+        maxed = [a is None for _, a, _ in terms]
+        # at d = 1 the squared residual is log_in itself, with no row sums,
+        # and every temporary is one float per row
+        log_in, factor = np.empty(rows), np.empty(rows)
+        resid = log_in if d == 1 else np.empty((rows, d))
+        scaled = None if all(maxed) else np.empty(resid.shape)
+        tail = np.empty(rows) if any(maxed) else None
         for start in range(0, s, LIKELIHOOD_BLOCK_ROWS):
             block = xs[start:start + LIKELIHOOD_BLOCK_ROWS]
             acc = out[start:start + LIKELIHOOD_BLOCK_ROWS]
             m = block.shape[0]
-            li, t, f = log_in[:m], tail[:m], factor[:m]
-            # at d = 1 the squared residual is log_in itself: no row sums
-            r = li if d == 1 else resid[:m]
+            li, r, f = log_in[:m], resid[:m], factor[:m]
             x = block[:, 0] if d == 1 else block
+            half = None if scaled is None else np.multiply(x, _SQRT_HALF, out=scaled[:m])
             for first in range(0, len(terms), LIKELIHOOD_CHUNK_TERMS):
                 f.fill(1.0)
-                for y, c in terms[first:first + LIKELIHOOD_CHUNK_TERMS]:
-                    np.subtract(x, y, out=r)
-                    np.multiply(r, r, out=r)
+                for y, a, b in terms[first:first + LIKELIHOOD_CHUNK_TERMS]:
+                    np.subtract(x if a is None else half, y, out=r)
+                    np.square(r, out=r)
                     if d > 1:
                         np.sum(r, axis=1, out=li)
-                    li *= 0.5
-                    np.subtract(in_const, li, out=li)
-                    np.minimum(li, c, out=t)
-                    np.maximum(li, c, out=li)
-                    acc += li
-                    t -= li
-                    np.exp(t, out=t)
-                    t += 1.0
-                    f *= t
+                    if a is None:
+                        t = tail[:m]
+                        li *= 0.5
+                        np.subtract(in_const, li, out=li)
+                        np.minimum(li, b, out=t)
+                        np.maximum(li, b, out=li)
+                        acc += li
+                        t -= li
+                        np.exp(t, out=t)
+                        t += 1.0
+                        f *= t
+                    else:
+                        np.subtract(a, li, out=li)
+                        np.exp(li, out=li)
+                        li += b
+                        f *= li
                 np.log(f, out=f)
                 acc += f
         return out

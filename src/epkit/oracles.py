@@ -510,7 +510,9 @@ def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray]
     log_likelihood is called once, on that (S, d) array.  It must return
     an (S,) array of log likelihood values in which each row's value does
     not depend on the other rows (so it may evaluate the rows in blocks);
-    another shape is rejected with a ValueError.
+    another shape is rejected with a ValueError.  So, before any draw, is
+    a prior_mean or prior_cov with a non-finite entry (named with its
+    index) or a prior_cov that is not positive definite.
 
     Each count's estimate reads its prefix, so it equals a separate draw of
     that count bit for bit.  Its weights are exponentiated against the
@@ -535,18 +537,29 @@ def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray]
     if cov.shape != (d, d):
         raise ValueError(f"prior_cov must have shape {(d, d)} to match prior_mean "
                          f"of shape {prior_mean.shape}, got {cov.shape}")
+    for name, arr in (("prior_mean", prior_mean), ("prior_cov", cov)):
+        bad = np.argwhere(~np.isfinite(arr))
+        if bad.size:
+            at = tuple(bad[0].tolist())
+            raise ValueError(f"{name} must be finite; entry "
+                             f"{at[0] if len(at) == 1 else at} is {arr[at]}")
+    diagonal = np.count_nonzero(cov) == d and bool(np.all(np.diagonal(cov) > 0.0))
+    try:
+        chol = None if diagonal else np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise ValueError("prior_cov is not positive definite") from None
     buffers = {} if buffers is None else buffers
     draws = _buffer(buffers, "draws", samples * d).reshape(samples, d)
     work = _buffer(buffers, "work", samples * d)
     weights = _buffer(buffers, "weights", samples)
     rng = np.random.default_rng(seed)
-    if np.count_nonzero(cov) == d and bool(np.all(np.diagonal(cov) > 0.0)):
+    if diagonal:
         # diagonal: L = diag(sqrt(cov_ii)), so scaling z in place gives z L^T
         rng.standard_normal(out=draws)
         draws *= np.sqrt(np.diagonal(cov))
     else:
         z = work.reshape(samples, d)
-        np.matmul(rng.standard_normal(out=z), np.linalg.cholesky(cov).T, out=draws)
+        np.matmul(rng.standard_normal(out=z), chol.T, out=draws)
     draws += prior_mean
     log_ws = np.asarray(log_likelihood(draws), dtype=float)
     if log_ws.shape != (samples,):

@@ -13,6 +13,8 @@ from epkit import clutter, gaussians
 from epkit.clutter import (
     CLUTTER_VARIANCE,
     LIKELIHOOD_BLOCK_ROWS,
+    LIKELIHOOD_CHUNK_TERMS,
+    LIKELIHOOD_MIN_FLOOR,
     PRIOR_VARIANCE,
     ClutterBinding,
     ClutterDataSpec,
@@ -459,11 +461,33 @@ def logaddexp_loop_log_likelihood(model, xs):
 
 
 class TestLogLikelihood:
-    @pytest.mark.parametrize("n", [1, 12, 1500, "far"])
+    @pytest.mark.parametrize("n", [0, 1, 12, 1500, "far", "switch", "floor"])
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("w", [0.0, 0.3, 0.5, 1.0])
     def test_agrees_with_logaddexp_loop(self, w, d, n):
-        if n == "far":
+        if n in ("switch", "floor"):
+            # observations whose floor B_i = exp(c_i - ic) is 2^-40 e^delta:
+            # "switch" puts them on both sides of LIKELIHOOD_MIN_FLOOR, so
+            # both term forms run in one call; "floor" puts 60 just above it,
+            # more offset-factor terms than one chunk holds, and the rows near
+            # 0 below are far from every datum, so each factor is its floor
+            rng = np.random.default_rng(2000 + 10 * d + int(10 * w) + (n == "floor"))
+            deltas = (np.array([-1.0, -1e-3, -1e-9, 1e-9, 1e-3, 1.0]) if n == "switch"
+                      else rng.uniform(1e-6, 1e-3, size=60))
+            odds = math.log(w / (1.0 - w)) if 0.0 < w < 1.0 else 0.0
+            cv = CLUTTER_VARIANCE
+            sq = 2.0 * cv * (odds - 0.5 * d * math.log(cv) + 40.0 * math.log(2.0) - deltas)
+            u = rng.normal(size=(deltas.size, d))
+            data = np.sqrt(sq)[:, None] * u / np.linalg.norm(u, axis=1)[:, None]
+            if 0.0 < w < 1.0:
+                in_const = math.log1p(-w) - 0.5 * d * math.log(2.0 * math.pi)
+                floors = np.exp(ClutterModel(data=data, w=w).log_clutter() - in_const)
+                above = np.count_nonzero(floors >= LIKELIHOOD_MIN_FLOOR)
+                if n == "switch":
+                    assert above == 3 and floors.size == 6
+                else:
+                    assert above == floors.size > LIKELIHOOD_CHUNK_TERMS
+        elif n == "far":
             # one datum at |y| = 1e3, whose clutter constant lies far below
             # the inlier term of the rows near it
             rng = np.random.default_rng(10 * d + int(10 * w))
@@ -487,7 +511,7 @@ class TestLogLikelihood:
         # rows near the origin and near the first datum
         xs = np.concatenate([rng.normal(size=(3000, d)) * 10.0,
                              rng.normal(size=(50, d)) * 1e3])
-        if n in (1500, "far"):
+        if n not in (0, 1, 12):
             xs = np.concatenate([xs, rng.normal(size=(50, d)) * 1e-3,
                                  data[0] + rng.normal(size=(50, d))])
         ref = logaddexp_loop_log_likelihood(model, xs)
@@ -495,7 +519,12 @@ class TestLogLikelihood:
             warnings.simplefilter("error")
             got = model.log_likelihood(xs)
         assert got.shape == ref.shape
-        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+        if n == 0:
+            assert got.tobytes() == np.zeros(xs.shape[0]).tobytes()
+        inf = np.isinf(ref)
+        assert np.array_equal(got[inf], ref[inf])
+        assert np.all(np.abs(got[~inf] - ref[~inf])
+                      <= 1e-13 * np.maximum(1.0, np.abs(ref[~inf])))
 
     def test_block_invariant_bitwise(self):
         model = generate_clutter_data(ClutterDataSpec(x_true=[2.0], n=12, w=0.5, seed=3))

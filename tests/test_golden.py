@@ -1,11 +1,13 @@
 """Golden outputs: every default and damped CLI run, one clutter run at d = 2
-(the default runs visit only at d = 1), one BPM run at slack 1 (the default
-runs have zero slack, so none reaches the probit visit), one loopy run
-with cardinalities up to 10 (the default runs stop at 4, so no message or
-cavity there has the 8 or more entries that numpy sums pairwise) and one
-on the fixed cycle3 network (fitted once, its rows written under each
-seed), against the CSV and sidecar checked in under tests/golden/.  The slack 1 run needs
-scipy, as every BPM run with slack does, and is skipped without it.
+(the default runs visit only at d = 1), one at w = 0 (where every term of
+the importance sampler's likelihood takes the max form, which the data of
+no other run reach), one BPM run at slack 1 (the default runs have zero
+slack, so none reaches the probit visit), one loopy run with cardinalities
+up to 10 (the default runs stop at 4, so no message or cavity there has
+the 8 or more entries that numpy sums pairwise) and one on the fixed cycle3
+network (fitted once, its rows written under each seed), against the CSV
+and sidecar checked in under tests/golden/.  The slack 1 run needs scipy,
+as every BPM run with slack does, and is skipped without it.
 
 Text columns, `operations`, `converged` and `sweeps` must match exactly.
 The two error columns may move by rounding, at most max(1e-12, 1e-9 x
@@ -21,6 +23,9 @@ running from the repository root:
     PYTHONPATH=src python -m epkit.cli clutter \\
       --config tests/golden/clutter_d2.config.json --seed-range 1..5 \\
       --out tests/golden/clutter_d2.csv
+    PYTHONPATH=src python -m epkit.cli clutter \\
+      --config tests/golden/clutter_w0.config.json --seed-range 1..3 \\
+      --out tests/golden/clutter_w0.csv
     PYTHONPATH=src python -m epkit.cli bpm \\
       --config tests/golden/bpm_slack1.config.json --seed-range 1..5 \\
       --out tests/golden/bpm_slack1.csv
@@ -46,6 +51,8 @@ VARIANTS = {"default": [],
                        "--seed-range", "1..5"],
             "d2": ["--config", str(GOLDEN / "clutter_d2.config.json"),
                    "--seed-range", "1..5"],
+            "w0": ["--config", str(GOLDEN / "clutter_w0.config.json"),
+                   "--seed-range", "1..3"],
             "slack1": ["--config", str(GOLDEN / "bpm_slack1.config.json"),
                        "--seed-range", "1..5"],
             "card10": ["--config", str(GOLDEN / "loopy_card10.config.json"),
@@ -54,6 +61,7 @@ VARIANTS = {"default": [],
                        "--seed-range", "1..3"]}
 RUNS = [(kind, variant) for kind in ("clutter", "bpm", "loopy")
         for variant in ("default", "damped")] + [("clutter", "d2"),
+                                                 ("clutter", "w0"),
                                                  ("bpm", "slack1"),
                                                  ("loopy", "card10"),
                                                  ("loopy", "cycle3")]

@@ -395,6 +395,29 @@ class TestImportanceSampler:
             with pytest.raises(ValueError, match=want):
                 sampler()
 
+    @pytest.mark.parametrize("mean, cov, want", [
+        ([math.nan, 0.0], np.eye(2), "prior_mean must be finite; entry 0 is nan"),
+        ([0.0, -math.inf], np.eye(2), "prior_mean must be finite; entry 1 is -inf"),
+        ([0.0, 0.0], [[math.nan, 0.0], [0.0, 1.0]],
+         r"prior_cov must be finite; entry \(0, 0\) is nan"),
+        ([0.0, 0.0], [[1.0, 0.0], [math.inf, 1.0]],
+         r"prior_cov must be finite; entry \(1, 0\) is inf"),
+        ([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]], "prior_cov is not positive definite"),
+        ([0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]], "prior_cov is not positive definite"),
+        ([0.0, 0.0], [[1.0, 0.0], [0.0, -1.0]], "prior_cov is not positive definite"),
+    ], ids=["nan-mean", "inf-mean", "nan-cov", "inf-cov", "indefinite", "singular",
+            "negative-diagonal"])
+    def test_bad_prior_is_named_before_any_draw(self, mean, cov, want):
+        # numpy alone returns a NaN mean for the non-finite priors and raises
+        # a bare LinAlgError for the others
+        def loglik(xs):
+            raise AssertionError("the likelihood must not be reached")
+        for sampler in (lambda: importance_sampler(loglik, mean, cov, 10, seed=1),
+                        lambda: nested_importance_sampler(loglik, mean, cov, (10,),
+                                                          seed=1)):
+            with pytest.raises(ValueError, match=want):
+                sampler()
+
     def test_minus_inf_entries_are_zero_weights(self):
         res = importance_sampler(lambda xs: np.where(xs[:, 0] > 0, 0.0, -math.inf),
                                  np.zeros(1), np.eye(1), 20_000, seed=5)
@@ -518,7 +541,7 @@ class TestSamplerBuffers:
     def test_warm_call_allocates_no_sample_sized_temporaries(self):
         # a warm 10^5-row call of the default clutter experiment allocates
         # only the likelihood's own (S,) result and its block temporaries
-        # (about 1.3 MB); fresh draws, weights and products per call peak
+        # (about 1.2 MB); fresh draws, weights and products per call peak
         # near 4.0 MB
         samples = 100_000
         model = generate_clutter_data(ClutterDataSpec(x_true=[2.0], n=12, w=0.5, seed=1))
