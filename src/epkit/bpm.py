@@ -89,12 +89,13 @@ class BpmDataset:
     def log_likelihood(self, ws: np.ndarray) -> np.ndarray:
         """log p(labels | w) for each row w of an (S, d) array: the sum of
         the log probits of the margins with slack, else 0 when every margin
-        is positive and -inf otherwise (the step)."""
-        margins = ws @ self.directions.T
+        is positive and -inf otherwise (the step).  The margins form an
+        (n, S) array, one contiguous row per point, reduced over axis 0."""
+        margins = self.directions @ ws.T
         if self.slack > 0.0:
             from scipy.special import log_ndtr
-            return np.sum(log_ndtr(margins), axis=1)
-        return np.where(np.all(margins > 0, axis=1), 0.0, -math.inf)
+            return np.sum(log_ndtr(margins), axis=0)
+        return np.where(np.all(margins > 0, axis=0), 0.0, -math.inf)
 
 
 def make_dataset(points, labels, slack: float = 0.0,

@@ -27,10 +27,11 @@ from .factorgraph import (ContradictoryEvidenceError, ContradictoryMessagesError
                           DiscreteFactorGraph, Factor, bk_adf, load_network, loopy_ep)
 from .gaussians import (PENDING_COLUMNS, FullGaussian, ImproperProductError, RankOneSite,
                         SphericalGaussian, log_probit, probit, probit_ratio)
-from .oracles import (DegenerateWeightsError, VanishingMassError, clutter_tilted_moments,
-                      directional_tilted_moments, enumerate_discrete, exact_bpm_step,
-                      exact_clutter, importance_sampler, nested_importance_sampler,
-                      probit_margin_term, tilted_moments_quadrature)
+from .oracles import (DegenerateWeightsError, EnumerationBoundError, VanishingMassError,
+                      clutter_tilted_moments, directional_tilted_moments,
+                      enumerate_discrete, exact_bpm_step, exact_clutter,
+                      importance_sampler, nested_importance_sampler, probit_margin_term,
+                      tilted_moments_quadrature)
 
 CSV_HEADER = ("experiment", "seed", "method", "checkpoint", "operations",
               "log_evidence_error", "mean_error", "converged", "sweeps")
@@ -400,7 +401,7 @@ def run_loopy_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 marginals, log_partition = enumerate_discrete(net)
             except VanishingMassError as exc:
                 raise ConfigError(f"bad network {config.network}: {exc}") from None
-            except ValueError:  # more joint states than enumerate_discrete takes
+            except EnumerationBoundError:
                 marginals, log_partition = None, math.nan
 
         def l1(beliefs, vid):

@@ -36,6 +36,10 @@ class DegenerateWeightsError(ValueError):
     """All importance weights are zero."""
 
 
+class EnumerationBoundError(ValueError):
+    """A joint state space too large for `enumerate_discrete`."""
+
+
 @dataclass(frozen=True)
 class ExactPosteriorSummary:
     """Exact posterior moments and evidence from mixture enumeration."""
@@ -250,9 +254,10 @@ def clutter_mixture_components(data: np.ndarray, w: float):
 
     Component k is the assignment whose inlier flags are the bits of k, most
     significant (observation 0) first: itertools.product((0, 1), repeat=n)
-    order.  The flags stay boolean and each observation's term is written
-    under its flag (inlier or clutter) before it is added, so memory is
-    O(2^n (n + d)) bytes and no 0 * log(0) product arises at w = 0 or 1.
+    order.  The flags stay boolean, one contiguous row of 2^n per
+    observation, and each observation's term is written under its flag
+    (inlier or clutter) before it is added, so memory is O(2^n (n + d))
+    bytes and no 0 * log(0) product arises at w = 0 or 1.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = data.shape
@@ -262,9 +267,9 @@ def clutter_mixture_components(data: np.ndarray, w: float):
             "use importance sampling instead")
 
     k = np.arange(2 ** n)
-    flags = np.empty((2 ** n, n), dtype=bool)
+    flags = np.empty((n, 2 ** n), dtype=bool)
     for i in range(n):
-        flags[:, i] = (k >> (n - 1 - i)) & 1
+        flags[i] = (k >> (n - 1 - i)) & 1
 
     log_inlier_coeff = math.log1p(-w) if w < 1.0 else -math.inf
     # Per component: log of (1-w) N(y_i; 0, I) for each inlier and of
@@ -274,14 +279,14 @@ def clutter_mixture_components(data: np.ndarray, w: float):
     beta = np.zeros((2 ** n, d))
     add = np.empty(2 ** n)
     for i, y in enumerate(data):
-        inlier = flags[:, i]
+        inlier = flags[i]
         log_clutter = math.log(w) + log_normal_pdf(y, np.zeros(d), CLUTTER_VARIANCE) \
             if w > 0.0 else -math.inf
         add.fill(log_clutter)
         np.copyto(add, log_inlier_coeff - 0.5 * (d * LOG_2PI + float(y @ y)), where=inlier)
         log_ws += add
         np.add(beta, y, out=beta, where=inlier[:, None])
-    tau = 1.0 / PRIOR_VARIANCE + flags.sum(axis=1)
+    tau = 1.0 / PRIOR_VARIANCE + flags.sum(axis=0)
     log_ws += 0.5 * d * (LOG_2PI - np.log(tau)) \
         + 0.5 * np.sum(beta * beta, axis=1) / tau
     return log_ws, beta / tau[:, None], 1.0 / tau
@@ -519,10 +524,12 @@ def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray]
     prefix's own max, so heavy tails cannot overflow; a NaN or +inf in the
     prefix raises ValueError naming the first bad index, and a prefix of
     all -inf (zero likelihood) gives None in place of that count's
-    estimate.  Sums over the draws are numpy reductions, not BLAS products,
+    estimate.  Every estimate pass runs per coordinate, on its draws as one
+    contiguous row (a view at d = 1, a transposing copy otherwise); sums
+    over the draws are numpy reductions over such rows, not BLAS products,
     so an estimate does not depend on the BLAS thread count.
 
-    The draws and every (S,) or (S, d) temporary live in `buffers`, a dict
+    The draws, their rows and every (S,) temporary live in `buffers`, a dict
     of named float64 arrays grown on demand (a fresh one by default); an
     experiment passes one dict to every call of a run and drops it after.
     So the draws log_likelihood receives are valid only during the call.
@@ -565,9 +572,14 @@ def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray]
     if log_ws.shape != (samples,):
         raise ValueError(f"log_likelihood must return shape ({samples},), "
                          f"got {log_ws.shape}")
+    if d == 1:  # each coordinate's draws as one contiguous row: a view at d = 1
+        coords = draws.T
+    else:
+        coords = _buffer(buffers, "coords", d * samples).reshape(d, samples)
+        np.copyto(coords, draws.T)
     results = []
     for count in counts:
-        log_w, xs = log_ws[:count], draws[:count]
+        log_w = log_ws[:count]
         max_lw = float(np.max(log_w))
         if not max_lw < math.inf:  # NaN or +inf somewhere
             bad = int(np.flatnonzero(np.isnan(log_w) | (log_w == math.inf))[0])
@@ -579,17 +591,20 @@ def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray]
         w = np.exp(np.subtract(log_w, max_lw, out=weights[:count]), out=weights[:count])
         scale = math.exp(max_lw)
 
-        mean_w = float(np.mean(w))  # at least 1 / count: the max weight is 1
+        total = float(np.sum(w))  # at least 1: the max weight is 1
+        mean_w = total / count  # np.mean(w), bit for bit
         ev = mean_w * scale
         # np.std(w, ddof=1) written out in place; at count 1 the deviation is 0
-        dev = np.square(np.subtract(w, mean_w, out=work[:count]), out=work[:count])
+        tmp = work[:count]
+        dev = np.square(np.subtract(w, mean_w, out=tmp), out=tmp)
         ev_se = math.sqrt(float(np.sum(dev)) / max(count - 1, 1)) / math.sqrt(count) * scale
 
-        wn = np.divide(w, float(np.sum(w)), out=w)[:, None]
-        wx = np.multiply(wn, xs, out=work[:count * d].reshape(count, d))
-        mean = np.sum(wx, axis=0)
-        dev = np.multiply(wn, np.subtract(xs, mean, out=wx), out=wx)
-        se = np.sqrt(np.sum(np.square(dev, out=dev), axis=0))
+        wn = np.divide(w, total, out=w)
+        mean, se = np.empty(d), np.empty(d)
+        for j, x in enumerate(coords[:, :count]):
+            mean[j] = np.sum(np.multiply(wn, x, out=tmp))
+            dev = np.multiply(wn, np.subtract(x, mean[j], out=tmp), out=tmp)
+            se[j] = math.sqrt(float(np.sum(np.square(dev, out=dev))))
         results.append(ImportanceResult(
             evidence=SampleEstimate(ev, ev_se, count, seed),
             posterior_mean=SampleEstimate(mean, se, count, seed),
@@ -603,35 +618,41 @@ def nested_importance_sampler(log_likelihood: Callable[[np.ndarray], np.ndarray]
 
 def enumerate_discrete(net) -> tuple[dict, float]:
     """Exact marginals and log partition of a DiscreteFactorGraph by summing
-    the factor product over every joint configuration (log-sum-exp).
+    the factor product over every joint configuration.
 
-    Refuses joint state spaces above 10^7; a product that is zero at every
-    joint state raises VanishingMassError.
+    The factors' log tables are added into one joint array, which is
+    exponentiated once, in place, against its max: log Z is max + log(sum),
+    as `_logsumexp` writes it, and a marginal is that array summed over the
+    other axes, divided by the sum.  So the peak is about one joint array.
+
+    Refuses joint state spaces above 10^7 with EnumerationBoundError; a
+    product that is zero at every joint state raises VanishingMassError.
     """
     cards = [c for _, c in net.variables]
     total = 1
     for c in cards:
         total *= c
         if total > 10 ** 7:
-            raise ValueError("joint state space exceeds the 10^7 enumeration bound")
+            raise EnumerationBoundError(
+                "joint state space exceeds the 10^7 enumeration bound")
     index = {vid: axis for axis, (vid, _) in enumerate(net.variables)}
 
+    joint = np.zeros(tuple(cards))
     with np.errstate(divide="ignore"):
-        log_joint = np.zeros(tuple(cards))
         for f in net.factors:
             table = np.log(f.table.reshape([net.cardinality(v) for v in f.scope]))
             axes = [index[v] for v in f.scope]
-            expanded = np.moveaxis(
+            joint += np.moveaxis(
                 table.reshape(table.shape + (1,) * (len(cards) - len(axes))),
                 range(len(axes)), axes)
-            log_joint = log_joint + expanded
 
-    log_partition = _logsumexp(log_joint)
-    if log_partition == -math.inf:
+    top = float(joint.max())
+    if top == -math.inf:
         raise VanishingMassError("the factor product is zero at every joint state")
+    np.exp(np.subtract(joint, top, out=joint), out=joint)
+    mass = float(joint.sum())
     marginals = {}
     for vid, axis in index.items():
         other = tuple(a for a in range(len(cards)) if a != axis)
-        lm = _logsumexp(log_joint, axis=other) if other else log_joint
-        marginals[vid] = np.exp(lm - log_partition)
-    return marginals, log_partition
+        marginals[vid] = joint.sum(axis=other) / mass
+    return marginals, top + math.log(mass)

@@ -495,6 +495,55 @@ class TestEvidence:
             <= 3 * est.evidence.standard_error
 
 
+class TestLikelihood:
+    # The margins are formed as (n, S), one contiguous row per point, and
+    # reduced over axis 0; the references are the (S, n) row forms.
+    @staticmethod
+    def _draws(d, seed=0):
+        """Random rows, then rows of 0.0 and of -0.0 and unit rows off the
+        first axis, whose margins on a point along that axis are exactly
+        zero."""
+        ws = np.random.default_rng(seed).normal(size=(500, d))
+        return np.vstack([ws, np.zeros((2, d)), -np.zeros((2, d)),
+                          np.eye(d)[1:], -np.eye(d)[1:]])
+
+    def test_step_is_the_row_test_bit_for_bit(self):
+        points = np.array([[1.0, 0.0, 0.0], [0.5, 2.0, 1.0], [-1.0, 0.25, 3.0],
+                           [2.0, -1.0, 0.5]])
+        ds = make_dataset(points, [1.0, -1.0, 1.0, 1.0])
+        ws = self._draws(3)
+        margins = ws @ ds.directions.T
+        assert np.any(margins == 0.0)
+        got = ds.log_likelihood(ws)
+        want = np.where(np.all(margins > 0, axis=1), 0.0, -math.inf)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got[500:] == -math.inf)
+        assert 0 < np.count_nonzero(got == 0.0) < 500
+
+    @pytest.mark.parametrize("slack", [0.0, 1.0])
+    def test_no_points_gives_zero(self, slack):
+        ds = BpmDataset(points=np.empty((0, 3)), labels=np.empty(0), slack=slack)
+        ws = self._draws(3)
+        assert ds.log_likelihood(ws).tobytes() == np.zeros(len(ws)).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 20, 50])
+    def test_slack_is_the_row_sum(self, n):
+        # below 8 terms numpy's row sum adds left to right, as the column
+        # form does; from 8 it sums pairwise, which is within n ulps of the
+        # sum's magnitude (every log probit is <= 0)
+        from scipy.special import log_ndtr
+        rng = np.random.default_rng(n)
+        ds = make_dataset(rng.normal(size=(n, 3)), np.where(rng.random(n) < 0.5, 1.0, -1.0),
+                          slack=0.5)
+        ws = self._draws(3, seed=n)
+        got = ds.log_likelihood(ws)
+        want = np.sum(log_ndtr(ws @ ds.directions.T), axis=1)
+        if n < 8:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.all(np.abs(got - want) <= n * np.finfo(float).eps * np.abs(want))
+
+
 class TestInterchange:
     def test_csv_round_trip(self):
         back = dataset_from_csv("x1,x2,label\n1.0,-2.0,1\n0.5,0.25,-1\n", slack=0.5)

@@ -314,6 +314,30 @@ class TestLoopyExperiment:
             assert r.mean_error <= 1e-12
             assert r.log_evidence_error <= 1e-12
 
+    def test_network_beyond_the_enumeration_bound_writes_nan_cells(self, tmp_path):
+        # 10^8 joint states: BK-ADF and EP still run, but there is no truth
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({
+            "variables": [{"id": f"v{i}", "cardinality": 10} for i in range(8)],
+            "factors": [{"id": f"f{i}", "scope": [f"v{i}"],
+                         "table": [float(k + 1) for k in range(10)]}
+                        for i in range(8)]}))
+        rows = run_loopy_experiment(ExperimentConfig(kind="loopy", seeds=(1, 2),
+                                                     network=str(path)))
+        assert len(rows) == 2 * 2 * 8
+        for r in rows:
+            assert math.isnan(r.log_evidence_error) and math.isnan(r.mean_error)
+
+    def test_other_enumeration_errors_propagate(self, monkeypatch):
+        # only the named bound error means "too many joint states"
+        from epkit import experiments
+
+        def broken(net):
+            raise ValueError("operands could not be broadcast together")
+        monkeypatch.setattr(experiments, "enumerate_discrete", broken)
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            run_loopy_experiment(ExperimentConfig(kind="loopy", seeds=(1,), n_vars=3))
+
     def test_network_file_is_read_once(self, tmp_path, monkeypatch):
         from epkit import experiments
         path = tmp_path / "net.json"
