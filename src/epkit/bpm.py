@@ -8,10 +8,10 @@ scalars q = u.Vu and u.m.  The cavity is kept as the posterior plus
 scalars, from one matrix-vector product; the moment match works on the
 cavity's margin along u and gives the new site in closed form at O(d) cost;
 the recombination of cavity and site appends one rank-one term to the
-posterior's covariance (`gaussians.PendingGaussian`), which adds a block of
-such terms to the dense matrix in one matrix product; the prior is its
-0-term block.  No d x d matrix is formed for the cavity or written by a
-visit.
+posterior's covariance (`gaussians.FullGaussian.updated`), which adds a
+block of such terms to the dense matrix in one matrix product; the prior
+is a FullGaussian of no terms.  No d x d matrix is formed for the cavity
+or written by a visit.
 
 Slack handling: for slack eps > 0 the training points are pre-scaled once
 to y_i x_i / eps and the margin noise variance is 1; eps = 0 keeps the
@@ -33,7 +33,6 @@ from .gaussians import (
     LOG_2PI,
     FullGaussian,
     ImproperProductError,
-    PendingGaussian,
     RankOneSite,
     log_probit,
     probit_curvature,
@@ -240,7 +239,8 @@ class BpmBinding(ModelBinding):
     """Engine binding for BPM training (full-Gaussian family, rank-one sites).
 
     Cavities are BpmCavity objects; `moment_match(cavity, i)` expects the
-    cavity of site i.  Every posterior of a fit is a `PendingGaussian`.
+    cavity of site i.  Every posterior of a fit is a `FullGaussian` whose
+    rank-one terms are pending (see `FullGaussian.updated`).
 
     Operation charges per site visit, damped or not: cavity d^2+2d (one
     matrix-vector product, two dot products), moment match 2d+1 (the cavity
@@ -272,7 +272,7 @@ class BpmBinding(ModelBinding):
             raise ValueError(f"training point {i} has a margin direction y x / slack "
                              f"of squared norm {float(sq[i])!r} at slack "
                              f"{dataset.slack!r}; it must be positive and finite")
-        self._prior = PendingGaussian.of(FullGaussian.trusted(np.zeros(d), np.eye(d)))
+        self._prior = FullGaussian.trusted(np.zeros(d), np.eye(d))
         self._prior.__dict__["_log_coeff"] = -0.5 * d * LOG_2PI  # no Cholesky, same bits
         self._cavity_ops = d * d + 2 * d
         self._match_ops = 2 * d + 1
@@ -285,7 +285,7 @@ class BpmBinding(ModelBinding):
     def site_count(self) -> int:
         return self.dataset.n
 
-    def prior(self) -> PendingGaussian:
+    def prior(self) -> FullGaussian:
         return self._prior
 
     def vacuous_site(self, i: int) -> RankOneSite:
@@ -345,8 +345,7 @@ class BpmBinding(ModelBinding):
         return post.updated(mean, vu, (tau - gain * r) * r, vv)
 
     def log_evidence(self, posterior, sites) -> float:
-        d = self.d
-        self.tally.add(d * d * d)
+        self.tally.count += self.d ** 3
         return ep_log_evidence(self._prior, posterior, sites)
 
     def is_degenerate(self, posterior) -> bool:

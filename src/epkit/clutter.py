@@ -228,7 +228,7 @@ def _tilted_moments(m, v: float, y, w: float, log_clutter: float):
     top, low = (log_in, log_clutter) if log_in > log_clutter else (log_clutter, log_in)
     if top == -math.inf:
         raise ZeroNormalizerError("zero normalizer")
-    # numpy's exp, as in _logsumexp: math.exp rounds differently
+    # numpy's exp, as in exact_clutter's log-sum-exp: math.exp rounds differently
     log_z = top + math.log(1.0 + float(np.exp(low - top)))
     r = -math.expm1(log_clutter - log_z)  # 1 - clutter share, in [0, 1]
     mean = m + (v * r / (v + 1.0)) * resid
@@ -300,7 +300,7 @@ class ClutterBinding(ModelBinding):
         return NaturalSpherical.trusted(0.0, self._zero, 0.0)
 
     def cavity(self, posterior, site):
-        self.tally.add(self._cavity_ops)
+        self.tally.count += self._cavity_ops
         pv = posterior.variance
         tau = 1.0 / pv - site.precision
         if tau <= 0.0:
@@ -313,7 +313,7 @@ class ClutterBinding(ModelBinding):
     def moment_match(self, cavity, i: int):
         """The site Z * q' / cavity of the oracle-gated tilted moments q'
         against the cavity, in natural parameters from the moment scalars."""
-        self.tally.add(self._match_ops)
+        self.tally.count += self._match_ops
         m, v = cavity
         mean, variance, log_z, _ = _tilted_moments(
             m, v, self._ys[i], self.model.w, self._log_clutter[i])
@@ -326,7 +326,7 @@ class ClutterBinding(ModelBinding):
         return NaturalSpherical.trusted(tau, shift, log_scale), log_z
 
     def recombine(self, cavity, site):
-        self.tally.add(self._recombine_ops)
+        self.tally.count += self._recombine_ops
         m, v = cavity
         tau = 1.0 / v + site.precision
         if tau <= 0.0:
@@ -337,5 +337,5 @@ class ClutterBinding(ModelBinding):
         return SphericalGaussian.trusted((m / v + site.h) / tau, variance)
 
     def log_evidence(self, posterior, sites) -> float:
-        self.tally.add((len(sites) + 1) * (self.model.d + 2))
+        self.tally.count += (len(sites) + 1) * (self.model.d + 2)
         return ep_log_evidence(self._prior, posterior, sites)

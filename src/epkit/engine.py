@@ -45,9 +45,6 @@ class OpTally:
     def __init__(self) -> None:
         self.count = 0
 
-    def add(self, n: int) -> None:
-        self.count += n
-
 
 @dataclass(frozen=True)
 class Schedule:

@@ -176,35 +176,39 @@ def _fit(method: str, binding, opts: EPOptions):
     return run_adf(binding) if method == "adf" else run_ep(binding, opts, record_history=True)
 
 
+def _errors(log_evidence: float, mean: np.ndarray):
+    """errors(log_ev, m): a row's two error columns, |log_ev - log_evidence|
+    and |m - mean|, against the reference log evidence and mean."""
+    def errors(log_ev: float, m: np.ndarray) -> tuple[float, float]:
+        return abs(log_ev - log_evidence), float(np.linalg.norm(m - mean))
+    return errors
+
+
 def _fit_rows(experiment: str, seed: int, method: str, res, errors) -> list[ResultRow]:
-    """A fit's rows: one per recorded EP sweep, else one `final` row.
-    errors(mean, log_evidence) gives a row's two error columns."""
+    """A fit's rows: one per recorded EP sweep, else one `final` row, with
+    the error columns of `_errors`."""
     points = [(f"sweep{s.sweep}", s.operations, s.posterior, s.log_evidence)
               for s in res.history] \
         or [("final", res.diagnostics.operations, res.posterior, res.log_evidence)]
     return [ResultRow(experiment, seed, method, checkpoint, ops,
-                      *errors(post.mean, log_ev), res.converged, res.sweeps)
+                      *errors(log_ev, post.mean), res.converged, res.sweeps)
             for checkpoint, ops, post, log_ev in points]
 
 
 def _importance_rows(experiment: str, seed: int, log_likelihood,
                      prior_cov: np.ndarray, counts, sampler_seed: int,
-                     log_evidence: float, mean: np.ndarray,
-                     buffers: dict) -> list[ResultRow]:
+                     errors, buffers: dict) -> list[ResultRow]:
     """The `samples<count>` rows of importance sampling from the zero-mean
-    prior, one per count in `counts`, against the reference log evidence and
-    mean.  The counts are nested prefixes of one draw.  A count whose prefix
-    has no draw of nonzero likelihood has infinite errors in both columns."""
+    prior, one per count in `counts`, with the error columns of `_errors`.
+    The counts are nested prefixes of one draw.  A count whose prefix has
+    no draw of nonzero likelihood has infinite errors in both columns."""
     d = prior_cov.shape[0]
     ests = nested_importance_sampler(log_likelihood, np.zeros(d), prior_cov,
                                      counts, sampler_seed, buffers=buffers)
     rows = []
     for s_count, est in zip(counts, ests):
-        if est is None:
-            e_ev = e_m = math.inf
-        else:
-            e_ev = abs(est.log_evidence - log_evidence)
-            e_m = float(np.linalg.norm(est.posterior_mean.value - mean))
+        e_ev, e_m = (math.inf, math.inf) if est is None \
+            else errors(est.log_evidence, est.posterior_mean.value)
         rows.append(ResultRow(experiment, seed, "importance", f"samples{s_count}",
                               s_count * (d + 2), e_ev, e_m, True, 0))
     return rows
@@ -228,19 +232,15 @@ def run_clutter_experiment(config: ExperimentConfig) -> list[ResultRow]:
                                w=config.w, seed=seed)
         model = generate_clutter_data(spec)
         exact = exact_clutter(model.data, model.w)
-
-        def errs(mean, log_ev):
-            return (abs(log_ev - exact.log_evidence),
-                    float(np.linalg.norm(np.atleast_1d(mean) - exact.mean)))
-
+        errors = _errors(exact.log_evidence, exact.mean)
         rows.append(ResultRow("clutter", seed, "oracle", "exact", 0, 0.0, 0.0, True, 0))
         for method in ("adf", "ep"):
             res = _fit(method, ClutterBinding(model), config.ep_options)
-            rows += _fit_rows("clutter", seed, method, res, errs)
+            rows += _fit_rows("clutter", seed, method, res, errors)
         rows += _importance_rows(
             "clutter", seed, model.log_likelihood,
             model.prior_variance * np.eye(model.d), config.importance_samples,
-            seed, exact.log_evidence, exact.mean, buffers)
+            seed, errors, buffers)
     return rows
 
 
@@ -307,15 +307,9 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
                     f"truth draws on seed {seed} has a nonzero likelihood (no "
                     "weight vector, or too few, fit the labels within the "
                     "slack)") from None
-            log_ev_truth = truth.log_evidence
-            truth_mean = truth.posterior_mean.value
+            errors = _errors(truth.log_evidence, truth.posterior_mean.value)
         else:
-            log_ev_truth, truth_mean = exact
-
-        def errs(mean, log_ev):
-            return (abs(log_ev - log_ev_truth),
-                    float(np.linalg.norm(mean - truth_mean)))
-
+            errors = _errors(*exact)
         if k == 0:  # the fits depend on the data and options, not the seed
             fits = [_fit(m, binding, config.ep_options) for m in ("adf", "ep")]
             train_errors = [bpm_training_error(BpmModel(dataset=dataset, **vars(res)))
@@ -323,7 +317,7 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
         rows.append(ResultRow("bpm", seed, "oracle", oracle_checkpoint,
                               oracle_ops, 0.0, 0.0, True, 0))
         for method, res, err in zip(("adf", "ep"), fits, train_errors):
-            fit_rows = _fit_rows("bpm", seed, method, res, errs)
+            fit_rows = _fit_rows("bpm", seed, method, res, errors)
             rows += fit_rows + [replace(
                 fit_rows[-1], checkpoint="train_error",
                 operations=res.diagnostics.operations,
@@ -331,8 +325,7 @@ def run_bpm_experiment(config: ExperimentConfig) -> list[ResultRow]:
         counts = [c for c in config.importance_samples if c != s_truth]
         if counts:
             rows += _importance_rows("bpm", seed, dataset.log_likelihood, np.eye(d),
-                                     counts, seed + 10_000, log_ev_truth, truth_mean,
-                                     buffers)
+                                     counts, seed + 10_000, errors, buffers)
     return rows
 
 
@@ -467,7 +460,7 @@ def _fused_visit_error(rng: np.random.Generator, terms: np.random.Generator,
     The visit is made on a random positive definite posterior, then again
     on that posterior times random rank-one sites, each appended by the
     binding's own recombination, so that it carries pending terms (see
-    `gaussians.PendingGaussian`); there its covariance and mean are checked
+    `gaussians.FullGaussian`); there its covariance and mean are checked
     against the dense inverse too.  `terms` draws those sites and the
     second visit's site, so the battery's later rows, which share `rng`,
     draw the same cases whether or not this second visit runs."""

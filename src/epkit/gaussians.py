@@ -106,52 +106,89 @@ class SphericalGaussian:
         return _spherical_moments(self.m, self.variance)
 
 
-@dataclass(frozen=True)
-class FullGaussian:
-    """N(mean, covariance) with a dense symmetric covariance."""
-    mean: np.ndarray
-    covariance: np.ndarray
+# How many rank-one terms a chain of `updated` calls holds before it adds
+# them to the dense covariance in one matrix product.  Timed on the BPM
+# training ladder (d = 10, 50, 200): 16 to 32 were fastest.
+PENDING_COLUMNS = 32
 
-    def __post_init__(self):
-        m = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        V = np.asarray(self.covariance, dtype=float)
-        object.__setattr__(self, "mean", m)
-        object.__setattr__(self, "covariance", V)
+
+@dataclass(frozen=True, init=False, eq=False)
+class FullGaussian:
+    """N(mean, covariance) with a dense symmetric covariance
+    V = V0 + sum_{j<k} c_j a_j a_j^T, held as the dense V0 and
+    k < PENDING_COLUMNS pending rank-one terms.  A validated or `trusted`
+    one has none; `updated` appends them, so every posterior of a
+    sequential fit is a chain of this one type.
+
+    Appending a term costs O(d) in place of a d x d rewrite.  The term that
+    makes PENDING_COLUMNS forms V0 + (A^T diag(c)) A in one matrix product,
+    and that matrix is the V0 of the next block.  Reading `covariance`
+    forms the dense matrix too, once per object, but blocks still end where
+    the term count says, so a chain's numbers never depend on what was read
+    along the way.  trace(V) is carried as `_trace`: trace(V0) at a
+    formation plus c_j |a_j|^2 per term.
+
+    The objects of one block share its term buffer, each reading its first
+    k rows.  The first `updated` of an object writes row k in place; a
+    later one (say, a revisit of a finished fit) starts a block of its own
+    on the formed covariance, so no object ever changes.
+    """
+    mean: np.ndarray
+
+    def __init__(self, mean: np.ndarray, covariance: np.ndarray):
+        m = np.atleast_1d(np.asarray(mean, dtype=float))
+        V = np.asarray(covariance, dtype=float)
         if V.shape != (m.shape[0], m.shape[0]):
             raise ValueError(f"covariance shape {V.shape} does not match dim {m.shape[0]}")
         scale = max(1.0, float(np.max(np.abs(V))))
         if np.max(np.abs(V - V.T)) > 1e-12 * scale:
             raise ValueError("covariance is not symmetric")
+        self.__dict__.update(_no_terms(m, V))
 
     @classmethod
     def trusted(cls, mean: np.ndarray, covariance: np.ndarray) -> "FullGaussian":
         """Construct without validation, for inner loops whose float arrays
         already have matching shapes and a symmetric covariance (for
         instance one made by `_formed` from a validated one)."""
-        return _unvalidated(cls, {"mean": mean, "covariance": covariance})
+        return _unvalidated(cls, _no_terms(mean, covariance))
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
+    @property
+    def covariance(self) -> np.ndarray:
+        V = self._dense
+        if V is None:
+            k = self._k
+            V = _formed(self._base, self._rows[:k], self._coefs[:k])
+            self.__dict__["_dense"] = V
+        return V
+
     def covariance_times(self, u: np.ndarray) -> np.ndarray:
         """V u."""
-        return self.covariance.dot(u)
-
-    def trace(self) -> float:
-        """trace(V)."""
-        return self._trace
-
-    @cached_property
-    def _trace(self) -> float:  # a PendingGaussian carries its own
-        return float(self.covariance.trace())
+        vu = self._base.dot(u)
+        k = self._k
+        if k:
+            rows = self._rows[:k]
+            vu += (self._coefs[:k] * rows.dot(u)).dot(rows)
+        return vu
 
     def updated(self, mean: np.ndarray, a: np.ndarray, c: float,
-                a_sq: float) -> "PendingGaussian":
+                a_sq: float) -> "FullGaussian":
         """N(mean, V + c a a^T), given a_sq = a.a: one step of a sequential
-        update, kept as a pending term (see PendingGaussian).  V is neither
-        written nor copied; the result keeps `mean` itself."""
-        return PendingGaussian.of(self).updated(mean, a, c, a_sq)
+        update, kept as a pending term.  V is neither written nor copied;
+        the result keeps `mean` itself."""
+        try:
+            self._unextended.pop()  # atomic, so one caller alone takes row k
+        except IndexError:  # extended before: a block of its own
+            own = _no_terms(self.mean, self.covariance, self._trace)
+            return _unvalidated(FullGaussian, own).updated(mean, a, c, a_sq)
+        rows, coefs, k = self._rows, self._coefs, self._k
+        rows[k] = a
+        coefs[k] = c
+        return _pending(mean, self._base, rows, coefs, k + 1,
+                        self._trace + c * a_sq)
 
     def cholesky(self) -> np.ndarray:
         try:
@@ -181,80 +218,25 @@ class FullGaussian:
         return np.concatenate((m, (self.covariance + np.outer(m, m)).ravel()))
 
 
-# How many rank-one terms a chain of `updated` calls holds before it adds
-# them to the dense covariance in one matrix product.  Timed on the BPM
-# training ladder (d = 10, 50, 200): 16 to 32 were fastest.
-PENDING_COLUMNS = 32
-
-
-class PendingGaussian(FullGaussian):
-    """A FullGaussian whose covariance V0 + sum_{j<k} c_j a_j a_j^T is held
-    as the dense V0 and k < PENDING_COLUMNS pending rank-one terms; made by
-    `of` (k = 0, say a prior) and `updated`, never directly, so every
-    posterior of a sequential fit is of this one type.
-
-    Appending a term costs O(d) in place of a d x d rewrite.  The term that
-    makes PENDING_COLUMNS forms V0 + (A^T diag(c)) A in one matrix product,
-    and that matrix is the V0 of the next block.  Reading `covariance`
-    forms the dense matrix too, once per object, but blocks still end where
-    the term count says, so a chain's numbers never depend on what was read
-    along the way.  trace(V) is carried: trace(V0) at a formation plus
-    c_j |a_j|^2 per term.
-
-    The objects of one block share its term buffer, each reading its first
-    k rows.  The first `updated` of an object writes row k in place; a
-    later one (say, a revisit of a finished fit) starts a block of its own
-    on the formed covariance, so no object ever changes.
-    """
-
-    @classmethod
-    def of(cls, g: FullGaussian) -> "PendingGaussian":
-        """g as the first block of a chain: no pending terms yet."""
-        return _pending(g.mean, g.covariance, np.empty((PENDING_COLUMNS, g.dim)),
-                        np.empty(PENDING_COLUMNS), 0, g.trace())
-
-    @property
-    def covariance(self) -> np.ndarray:
-        V = self._dense
-        if V is None:
-            k = self._k
-            V = _formed(self._base, self._rows[:k], self._coefs[:k])
-            self.__dict__["_dense"] = V
-        return V
-
-    def covariance_times(self, u: np.ndarray) -> np.ndarray:
-        vu = self._base.dot(u)
-        k = self._k
-        if k:
-            rows = self._rows[:k]
-            vu += (self._coefs[:k] * rows.dot(u)).dot(rows)
-        return vu
-
-    def updated(self, mean: np.ndarray, a: np.ndarray, c: float,
-                a_sq: float) -> "PendingGaussian":
-        try:
-            self._unextended.pop()  # atomic, so one caller alone takes row k
-        except IndexError:
-            return FullGaussian.updated(self, mean, a, c, a_sq)
-        rows, coefs, k = self._rows, self._coefs, self._k
-        rows[k] = a
-        coefs[k] = c
-        return _pending(mean, self._base, rows, coefs, k + 1,
-                        self._trace + c * a_sq)
+def _no_terms(mean: np.ndarray, V: np.ndarray, trace: float | None = None) -> dict:
+    """The fields of N(mean, V) as a block of no terms; trace(V) is read
+    from V unless given."""
+    return {"mean": mean, "_base": V, "_rows": np.empty((PENDING_COLUMNS, mean.shape[0])),
+            "_coefs": np.empty(PENDING_COLUMNS), "_k": 0,
+            "_trace": float(V.trace()) if trace is None else trace,
+            "_dense": V, "_unextended": [True]}
 
 
 def _pending(mean: np.ndarray, base: np.ndarray, rows: np.ndarray,
-             coefs: np.ndarray, k: int, trace: float) -> PendingGaussian:
-    """The PendingGaussian of k terms on `base`; once k reaches
+             coefs: np.ndarray, k: int, trace: float) -> FullGaussian:
+    """The FullGaussian of k > 0 terms on `base`; once k reaches
     PENDING_COLUMNS, the formed matrix with none."""
     if k == PENDING_COLUMNS:
-        base = _formed(base, rows, coefs)
-        rows, coefs, k = np.empty_like(rows), np.empty_like(coefs), 0
-        trace = float(base.trace())
-    q = object.__new__(PendingGaussian)  # `_unvalidated`, written out
+        return _unvalidated(FullGaussian, _no_terms(mean, _formed(base, rows, coefs)))
+    q = object.__new__(FullGaussian)  # `_unvalidated`, written out
     object.__setattr__(q, "__dict__", {
         "mean": mean, "_base": base, "_rows": rows, "_coefs": coefs, "_k": k,
-        "_trace": trace, "_dense": None if k else base, "_unextended": [True]})
+        "_trace": trace, "_dense": None, "_unextended": [True]})
     return q
 
 
@@ -519,28 +501,6 @@ def log_normal_pdf(y, m, variance: float) -> float:
     with np.errstate(over="ignore"):  # huge residuals -> -inf log density
         rr = float(r @ r)
     return -0.5 * y.shape[0] * (LOG_2PI + math.log(v)) - 0.5 * rr / v
-
-
-def _logsumexp(a, axis=None):
-    """log(sum(exp(a))) by a max shift: a Python float over the whole array,
-    or an array reduced over `axis` (an int or a tuple of ints).
-
-    For the oracles' sums over mixture components and joint states.  Loopy
-    propagation does not call it: its visits need the normalized vector as
-    well, and take both from one exp on Python floats
-    (`factorgraph._exp_normalize`).  Every entry -inf gives -inf; a +inf or
-    NaN maximum is returned as is.  No RuntimeWarning either way.
-    """
-    a = np.asarray(a, dtype=float)
-    if axis is None:
-        top = float(a.max())
-        if not math.isfinite(top):
-            return top
-        return top + math.log(float(np.exp(a - top).sum()))
-    top = a.max(axis=axis, keepdims=True)
-    top[~np.isfinite(top)] = 0.0  # exp then gives 0, inf or NaN, as wanted
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(a - top).sum(axis=axis)) + np.squeeze(top, axis=axis)
 
 
 def probit(z: float) -> float:

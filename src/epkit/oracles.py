@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .clutter import CLUTTER_VARIANCE, PRIOR_VARIANCE
-from .gaussians import LOG_2PI, SphericalGaussian, _logsumexp, log_normal_pdf
+from .gaussians import LOG_2PI, SphericalGaussian, log_normal_pdf
 
 
 class VanishingMassError(ValueError):
@@ -302,9 +302,10 @@ def exact_clutter(data: np.ndarray, w: float) -> ExactPosteriorSummary:
     """
     log_ws, means, variances = clutter_mixture_components(data, w)
     d = means.shape[1]
-    log_evidence = _logsumexp(log_ws)
-    if log_evidence == -math.inf:
+    top = float(log_ws.max())
+    if top == -math.inf:
         raise VanishingMassError("all mixture components carry zero weight")
+    log_evidence = top + math.log(float(np.exp(log_ws - top).sum()))
     p = np.exp(log_ws - log_evidence)
     mean = p @ means
     delta = means - mean
@@ -622,8 +623,10 @@ def enumerate_discrete(net) -> tuple[dict, float]:
 
     The factors' log tables are added into one joint array, which is
     exponentiated once, in place, against its max: log Z is max + log(sum),
-    as `_logsumexp` writes it, and a marginal is that array summed over the
-    other axes, divided by the sum.  So the peak is about one joint array.
+    and a marginal is that array summed over the other axes, divided by its
+    own sum (numpy adds a joint's leading axes row by row, so the joint's
+    sum carries more rounding than a marginal's).  So the peak is about one
+    joint array.
 
     Refuses joint state spaces above 10^7 with EnumerationBoundError; a
     product that is zero at every joint state raises VanishingMassError.
@@ -650,9 +653,8 @@ def enumerate_discrete(net) -> tuple[dict, float]:
     if top == -math.inf:
         raise VanishingMassError("the factor product is zero at every joint state")
     np.exp(np.subtract(joint, top, out=joint), out=joint)
-    mass = float(joint.sum())
     marginals = {}
     for vid, axis in index.items():
-        other = tuple(a for a in range(len(cards)) if a != axis)
-        marginals[vid] = joint.sum(axis=other) / mass
-    return marginals, top + math.log(mass)
+        m = joint.sum(axis=tuple(a for a in range(len(cards)) if a != axis))
+        marginals[vid] = m / m.sum()
+    return marginals, top + math.log(float(joint.sum()))

@@ -21,7 +21,7 @@ from epkit.bpm import (
     rank_one_site_from,
 )
 from epkit.engine import EPOptions, EPResult, Schedule, run_adf, run_ep
-from epkit.gaussians import (FullGaussian, PendingGaussian, RankOneSite, combine_sites,
+from epkit.gaussians import (FullGaussian, RankOneSite, combine_sites,
                              spherical_as_site, SphericalGaussian)
 from epkit.oracles import (
     directional_tilted_moments,
@@ -351,7 +351,7 @@ class TestDegeneracyCertificate:
         # precision with it); the certificate rests on precisions in [0, 1]
         binding = BpmBinding(make_dataset([[1.0]], [1.0], slack=1.0))
         for m in -np.logspace(2.0, 150.0, 1501):
-            post = PendingGaussian.of(FullGaussian(mean=[m], covariance=[[1.0]]))
+            post = FullGaussian(mean=[m], covariance=[[1.0]])
             cav = binding.cavity(post, binding.vacuous_site(0))
             site, _ = binding.moment_match(cav, 0)
             assert 0.0 <= site.precision <= 1.0, m

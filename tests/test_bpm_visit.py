@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epkit import bpm
+from epkit import bpm, gaussians
 from epkit.bpm import (
     BpmBinding,
     BpmDataset,
@@ -31,7 +31,6 @@ from epkit.gaussians import (
     PENDING_COLUMNS,
     FullGaussian,
     ImproperProductError,
-    PendingGaussian,
     RankOneSite,
     rank_one_update,
 )
@@ -191,7 +190,44 @@ def test_carried_trace_matches_the_formed_covariance():
     # term, not read from a formed matrix
     chain = visit_chain(BpmBinding(probit_data(40, 6, seed=9)), sweeps=2)
     for q, _ in chain:
-        assert q.trace() == pytest.approx(np.trace(q.covariance), rel=1e-13, abs=0.0)
+        assert q._trace == pytest.approx(np.trace(q.covariance), rel=1e-13, abs=0.0)
+
+
+def test_full_gaussian_is_immutable():
+    g = FullGaussian(mean=[0.0, 1.0], covariance=np.eye(2))
+    for name in ("mean", "covariance", "_k", "_trace"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+
+
+def test_validated_gaussian_appends_terms_and_forms_nothing(monkeypatch):
+    # a validated FullGaussian is a chain of no terms: its first `updated`
+    # appends one, and only reading the result's covariance forms a matrix;
+    # a second `updated` on it starts a block of its own
+    rng = np.random.default_rng(21)
+    A = rng.normal(size=(5, 5))
+    V = A @ A.T + np.eye(5)
+    V = 0.5 * (V + V.T)
+    g = FullGaussian(mean=rng.normal(size=5), covariance=V)
+    (a, c), (b, e) = (rng.normal(size=5), -0.05), (rng.normal(size=5), 0.3)
+    formed = []
+
+    def counted(base, rows, coefs, _formed=gaussians._formed):
+        formed.append(rows.shape[0])
+        return _formed(base, rows, coefs)
+
+    monkeypatch.setattr(gaussians, "_formed", counted)
+    first = g.updated(g.mean, a, c, float(a @ a))
+    assert formed == [] and first._k == 1
+    first_cov = first.covariance
+    second = g.updated(g.mean, b, e, float(b @ b))
+    assert formed == [1] and second._k == 1
+    second_cov = second.covariance
+    monkeypatch.undo()
+    assert first_cov.tobytes() == rank_one_update(V, a, c).tobytes()
+    assert first.covariance is first_cov
+    assert second_cov.tobytes() == rank_one_update(V, b, e).tobytes()
+    assert g.covariance is V
 
 
 @pytest.mark.parametrize("newest", [False, True])
@@ -356,11 +392,10 @@ def test_adf_and_ep_charge_the_same_visit(monkeypatch):
         return rank_one_update(V, a, c)
 
     monkeypatch.setattr(bpm, "rank_one_update", counted)
-    for cls in (FullGaussian, PendingGaussian):
-        def appended(self, mean, a, c, a_sq, _updated=cls.updated):
-            updates.append(c)
-            return _updated(self, mean, a, c, a_sq)
-        monkeypatch.setattr(cls, "updated", appended)
+    def appended(self, mean, a, c, a_sq, _updated=FullGaussian.updated):
+        updates.append(c)
+        return _updated(self, mean, a, c, a_sq)
+    monkeypatch.setattr(FullGaussian, "updated", appended)
     ds = probit_data(6, 4, seed=6)
     d = ds.d
     visit = 2 * d * d + 5 * d + 1

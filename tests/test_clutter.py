@@ -237,7 +237,7 @@ class ArrayFormBinding(ClutterBinding):
         return vacuous_spherical(1)
 
     def cavity(self, posterior, site):
-        self.tally.add(4)
+        self.tally.count += 4
         cav = divide_out(posterior, site)
         return None if cav is None else (cav.mean, cav.variance)
 
@@ -247,7 +247,7 @@ class ArrayFormBinding(ClutterBinding):
                                         site.log_scale), log_z
 
     def recombine(self, cavity, site):
-        self.tally.add(4)
+        self.tally.count += 4
         cav = SphericalGaussian.trusted(*cavity)
         tau = cav.precision + site.precision
         if tau <= 0.0:

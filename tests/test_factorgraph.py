@@ -28,7 +28,6 @@ from epkit.factorgraph import (
     loopy_ep,
 )
 from epkit.experiments import frustrated_cycle_network, random_tree_network
-from epkit.gaussians import _logsumexp
 from epkit.oracles import VanishingMassError, enumerate_discrete
 
 
@@ -739,7 +738,7 @@ def reference_evidence_from_messages(net: DiscreteFactorGraph,
             msg = messages[(f.id, v)]
             with np.errstate(divide="ignore"):  # an exact zero -> -inf
                 log_b = log_b + (np.log(msg.values) + msg.log_scale)
-        total += _logsumexp(log_b)
+        total += reference_exp_normalize(log_b)[1]
     return total
 
 

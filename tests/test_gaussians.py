@@ -1,14 +1,11 @@
 """Gaussian types, natural-parameter arithmetic, and scalar special functions."""
 import math
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import special
-from scipy.special import logsumexp
 
 from epkit.bpm import BpmBinding, make_dataset
 from epkit.gaussians import (
@@ -26,7 +23,6 @@ from epkit.gaussians import (
     probit,
     probit_curvature,
     probit_ratio,
-    _logsumexp,
     spherical_as_site,
     vacuous_spherical,
 )
@@ -362,45 +358,6 @@ def test_full_gaussian_rejects_asymmetry():
 def test_rank_one_rejects_zero_direction():
     with pytest.raises(ValueError):
         RankOneSite(direction=[0.0, 0.0], precision=1.0)
-
-
-_LSE_ENTRIES = st.one_of(st.floats(min_value=-1e4, max_value=1e4),
-                         st.just(-math.inf))
-
-
-class TestLogSumExp:
-    @settings(max_examples=300, deadline=None)
-    @given(arrays(float, array_shapes(min_dims=3, max_dims=3, max_side=3),
-                  elements=_LSE_ENTRIES),
-           st.sampled_from([None, 0, 2, (0, 2), (0, 1, 2)]))
-    def test_matches_scipy(self, a, axis):
-        got = _logsumexp(a, axis=axis)
-        with np.errstate(divide="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            want = logsumexp(a, axis=axis)
-        if axis is None:
-            assert type(got) is float
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
-
-    def test_non_finite_maxima_without_warnings(self):
-        a = np.array([[0.0, -math.inf, 3.0],
-                      [-math.inf, -math.inf, -math.inf],
-                      [math.inf, 1.0, -math.inf],
-                      [math.nan, 1.0, math.inf]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = _logsumexp(a, axis=1)
-            whole = [_logsumexp(row) for row in a]
-            tuple_axis = _logsumexp(np.full((2, 3, 2), -math.inf), axis=(0, 2))
-        for got in (rows, whole):
-            assert got[0] == pytest.approx(math.log(1.0 + math.exp(3.0)), rel=1e-15)
-            assert got[1] == -math.inf and got[2] == math.inf and math.isnan(got[3])
-        assert tuple_axis.tolist() == [-math.inf] * 3
-
-    @pytest.mark.parametrize("entries", [[-math.inf], [-math.inf] * 4,
-                                         (-math.inf, -math.inf)])
-    def test_all_minus_inf(self, entries):
-        assert _logsumexp(entries) == -math.inf
 
 
 def _bits(fn):

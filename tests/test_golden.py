@@ -1,13 +1,17 @@
-"""Golden outputs: every default and damped CLI run, one clutter run at d = 2
-(the default runs visit only at d = 1), one at w = 0 (where every term of
-the importance sampler's likelihood takes the max form, which the data of
-no other run reach), one BPM run at slack 1 (the default runs have zero
-slack, so none reaches the probit visit), one loopy run with cardinalities
-up to 10 (the default runs stop at 4, so no message or cavity there has
-the 8 or more entries that numpy sums pairwise) and one on the fixed cycle3
-network (fitted once, its rows written under each seed), against the CSV
-and sidecar checked in under tests/golden/.  The slack 1 run needs scipy,
-as every BPM run with slack does, and is skipped without it.
+"""Golden outputs: each `tests/golden/<kind>_<variant>.config.json` is one CLI
+run, `epkit <kind> --config <file>`, whose CSV and sidecar are checked in
+beside it as `<kind>_<variant>.csv` and `.csv.meta.json`.  The files are
+the one list of golden runs.  Besides each default run (`{}`) and each
+damped run (damping 0.5 on the random:3 schedule, seeds 1..5) they hold one
+clutter run at d = 2 (the default runs visit only at d = 1), one at w = 0
+(where every term of the importance sampler's likelihood takes the max
+form, which the data of no other run reach), one BPM run at slack 1 (the
+default runs have zero slack, so none reaches the probit visit), one loopy
+run with cardinalities up to 10 (the default runs stop at 4, so no message
+or cavity there has the 8 or more entries that numpy sums pairwise) and one
+on the fixed cycle3 network (fitted once, its rows written under each
+seed).  A run with slack > 0 needs scipy, as every BPM run with slack does,
+and is skipped without it.
 
 Text columns, `operations`, `converged` and `sweeps` must match exactly.
 The two error columns may move by rounding, at most max(1e-12, 1e-9 x
@@ -15,26 +19,11 @@ value); sidecars must be equal once parsed.  A change that moves a result
 on purpose regenerates the files, and says which rows moved and why, by
 running from the repository root:
 
-    for k in clutter bpm loopy; do
-      PYTHONPATH=src python -m epkit.cli $k --out tests/golden/${k}_default.csv
-      PYTHONPATH=src python -m epkit.cli $k --damping 0.5 --schedule random:3 \\
-        --seed-range 1..5 --out tests/golden/${k}_damped.csv
+    for config in tests/golden/*.config.json; do
+      name=$(basename "$config" .config.json)
+      PYTHONPATH=src python -m epkit.cli "${name%%_*}" --config "$config" \\
+        --out "tests/golden/$name.csv"
     done
-    PYTHONPATH=src python -m epkit.cli clutter \\
-      --config tests/golden/clutter_d2.config.json --seed-range 1..5 \\
-      --out tests/golden/clutter_d2.csv
-    PYTHONPATH=src python -m epkit.cli clutter \\
-      --config tests/golden/clutter_w0.config.json --seed-range 1..3 \\
-      --out tests/golden/clutter_w0.csv
-    PYTHONPATH=src python -m epkit.cli bpm \\
-      --config tests/golden/bpm_slack1.config.json --seed-range 1..5 \\
-      --out tests/golden/bpm_slack1.csv
-    PYTHONPATH=src python -m epkit.cli loopy \\
-      --config tests/golden/loopy_card10.config.json --seed-range 1..5 \\
-      --out tests/golden/loopy_card10.csv
-    PYTHONPATH=src python -m epkit.cli loopy \\
-      --config tests/golden/loopy_cycle3.config.json --seed-range 1..3 \\
-      --out tests/golden/loopy_cycle3.csv
 """
 import csv
 import json
@@ -43,28 +32,11 @@ from pathlib import Path
 
 import pytest
 
+from epkit.cli import _load_config, build_parser
 from epkit.cli import main as cli_main
 
 GOLDEN = Path(__file__).parent / "golden"
-VARIANTS = {"default": [],
-            "damped": ["--damping", "0.5", "--schedule", "random:3",
-                       "--seed-range", "1..5"],
-            "d2": ["--config", str(GOLDEN / "clutter_d2.config.json"),
-                   "--seed-range", "1..5"],
-            "w0": ["--config", str(GOLDEN / "clutter_w0.config.json"),
-                   "--seed-range", "1..3"],
-            "slack1": ["--config", str(GOLDEN / "bpm_slack1.config.json"),
-                       "--seed-range", "1..5"],
-            "card10": ["--config", str(GOLDEN / "loopy_card10.config.json"),
-                       "--seed-range", "1..5"],
-            "cycle3": ["--config", str(GOLDEN / "loopy_cycle3.config.json"),
-                       "--seed-range", "1..3"]}
-RUNS = [(kind, variant) for kind in ("clutter", "bpm", "loopy")
-        for variant in ("default", "damped")] + [("clutter", "d2"),
-                                                 ("clutter", "w0"),
-                                                 ("bpm", "slack1"),
-                                                 ("loopy", "card10"),
-                                                 ("loopy", "cycle3")]
+RUNS = sorted(p.name.removesuffix(".config.json") for p in GOLDEN.glob("*.config.json"))
 ERROR_COLUMNS = ("log_evidence_error", "mean_error")
 
 
@@ -75,13 +47,14 @@ def _error_matches(got: str, want: str) -> bool:
     return abs(g - w) <= max(1e-12, 1e-9 * abs(w))
 
 
-@pytest.mark.parametrize("kind, variant", RUNS)
-def test_cli_output_matches_golden(tmp_path, kind, variant):
-    if variant == "slack1":
+@pytest.mark.parametrize("run", RUNS, ids=lambda run: run.replace("_", "-", 1))
+def test_cli_output_matches_golden(tmp_path, run):
+    config = GOLDEN / f"{run}.config.json"
+    if json.loads(config.read_text()).get("slack", 0.0) > 0.0:
         pytest.importorskip("scipy")
-    name = f"{kind}_{variant}.csv"
+    name = f"{run}.csv"
     out = tmp_path / name
-    assert cli_main([kind, *VARIANTS[variant], "--out", str(out)]) == 0
+    assert cli_main([run.split("_")[0], "--config", str(config), "--out", str(out)]) == 0
     got = list(csv.reader(out.read_text().splitlines()))
     want = list(csv.reader((GOLDEN / name).read_text().splitlines()))
     assert got[0] == want[0]
@@ -94,3 +67,13 @@ def test_cli_output_matches_golden(tmp_path, kind, variant):
     meta = name + ".meta.json"
     assert json.loads((tmp_path / meta).read_text()) \
         == json.loads((GOLDEN / meta).read_text())
+
+
+def test_damped_flags_build_the_damped_config():
+    # the flag form of a damped run is the config its file describes
+    flags = ["--damping", "0.5", "--schedule", "random:3", "--seed-range", "1..5"]
+    parser = build_parser()
+    for kind in ("clutter", "bpm", "loopy"):
+        config = ["--config", str(GOLDEN / f"{kind}_damped.config.json")]
+        assert _load_config(kind, parser.parse_args([kind, *flags])) \
+            == _load_config(kind, parser.parse_args([kind, *config]))

@@ -13,7 +13,7 @@ from epkit.clutter import (PRIOR_VARIANCE, ClutterDataSpec, ClutterModel,
                            generate_clutter_data)
 from epkit.experiments import (builtin_bpm_dataset, frustrated_cycle_network,
                                random_tree_network)
-from epkit.gaussians import SphericalGaussian, _logsumexp, log_normal_pdf
+from epkit.gaussians import SphericalGaussian, log_normal_pdf
 from epkit.oracles import (
     DegenerateWeightsError,
     EnumerationBoundError,
@@ -874,16 +874,25 @@ def _log_joint(net) -> np.ndarray:
     return log_joint
 
 
+def _log_sum_exp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) by a max shift, for an array with a finite maximum."""
+    top = float(a.max())
+    return top + math.log(float(np.exp(a - top).sum()))
+
+
 def _log_sum_exp_marginals(net) -> dict:
-    """Each variable's marginal by its own log-sum-exp over the whole log
-    joint: the reference for the one-exp marginals."""
-    log_joint = _log_joint(net)
-    log_z = _logsumexp(log_joint)
+    """Each variable's marginal exp(its log-sum-exp over the other axes less
+    log Z): the reference for the one-exp marginals.  It is taken as the
+    ratio of the two sums of exp(log joint - max), each summed accurately:
+    a state's entries in one contiguous row of a copy of the joint with the
+    variable's axis first, which numpy adds pairwise, and the rows' sums by
+    math.fsum."""
+    joint = _log_joint(net)
+    np.exp(np.subtract(joint, joint.max(), out=joint), out=joint)
     out = {}
-    for axis, (vid, _) in enumerate(net.variables):
-        other = tuple(a for a in range(log_joint.ndim) if a != axis)
-        lm = _logsumexp(log_joint, axis=other) if other else log_joint
-        out[vid] = np.exp(lm - log_z)
+    for axis, (vid, c) in enumerate(net.variables):
+        sums = np.ascontiguousarray(np.moveaxis(joint, axis, 0)).reshape(c, -1).sum(axis=1)
+        out[vid] = sums / math.fsum(sums)
     return out
 
 
@@ -902,28 +911,25 @@ def _oracle_networks():
 
 class TestOneExpEnumeration:
     # The joint is exponentiated once, in place; the marginals are sums of
-    # that one array, divided by its total.
+    # that one array, each divided by its own sum.
     @pytest.mark.parametrize("net", list(_oracle_networks()))
     def test_log_partition_is_the_whole_joint_log_sum_exp(self, net):
         _, log_z = enumerate_discrete(net)
-        assert _bits(log_z) == _bits(_logsumexp(_log_joint(net)))
+        assert _bits(log_z) == _bits(_log_sum_exp(_log_joint(net)))
 
     @pytest.mark.parametrize("net", list(_oracle_networks()))
     def test_marginals_match_per_variable_log_sum_exp(self, net):
         marginals, _ = enumerate_discrete(net)
         want = _log_sum_exp_marginals(net)
         assert list(marginals) == list(want)
-        # numpy adds the leading axes of a joint row by row, so a marginal's
-        # rounding grows with the joint; the 8.6 x 10^6-state tree of
-        # cardinality 10 (seed 4) sums to 1 within 3.1e-14 (the
-        # per-variable log-sum-exp within 2.2e-14), every other joint here,
-        # of at most 1.6 x 10^6 states, within 1e-14
-        states = math.prod(c for _, c in net.variables)
-        sum_bound = 1e-14 if states <= 10 ** 6 else math.sqrt(states) * np.finfo(float).eps
+        # each marginal is divided by its own sum, not by the joint's, which
+        # numpy adds row by row along the leading axes: on the 8.6 x 10^6-state
+        # tree of cardinality 10 (seed 4) that sum put v7 2.2e-14 from the
+        # reference
         for vid, p in marginals.items():
             assert p.shape == want[vid].shape
             assert np.max(np.abs(p - want[vid])) <= 1e-14, vid
-            assert abs(float(np.sum(p)) - 1.0) <= sum_bound, vid
+            assert abs(float(np.sum(p)) - 1.0) <= 1e-14, vid
             assert np.array_equal(p == 0.0, want[vid] == 0.0), vid
 
     def test_zero_entries_stay_exact_zeros(self):
